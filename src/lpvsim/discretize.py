@@ -9,7 +9,11 @@ dependence into a fixed integrator block plus one frozen resolvent
 which exists iff det(I - A(p) Ts/2) != 0.  Everything in this module is a
 pure function of its arguments:
 
-* :func:`phi` -- the resolvent itself, via an LU solve.
+* :func:`phi` -- the resolvent itself, via an LU solve, for one frozen A(p)
+  or for a stack of them (one per sample of a trajectory).
+* :func:`singular_rows` -- the one singularity predicate on
+  det(I - A(p) Ts/2), shared by :func:`phi`, both simulation engines and
+  :func:`wellposedness_check`.
 * :func:`rinv_matrices` -- the parameter-independent trapezoidal integrator
   block [[I, 2I], [Ts/2 I, Ts/2 I]] acting on (xi, r x).
 * :func:`sigma_step` -- the loop-free update blocks obtained by solving the
@@ -28,12 +32,13 @@ pure function of its arguments:
   report says exactly what was checked.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, WellposednessError
-from .model import LpvStateSpace, eval_pmatrix, validate_point
+from .model import LpvStateSpace, eval_pmatrix, eval_pmatrix_many, validate_point
 
 __all__ = [
     "DiscretizationConfig",
@@ -41,6 +46,7 @@ __all__ = [
     "StepMatrices",
     "WellposednessReport",
     "phi",
+    "singular_rows",
     "sigma_step",
     "dt_step_matrices",
     "tustin_frozen",
@@ -65,8 +71,10 @@ class DiscretizationConfig:
     ts: float
 
     def __post_init__(self):
-        if not (float(self.ts) > 0.0):
-            raise ConfigError(f"sampling time must be positive, got {self.ts}")
+        if not (0.0 < float(self.ts) < math.inf):
+            raise ConfigError(
+                f"sampling time must be positive and finite, got {self.ts}"
+            )
         object.__setattr__(self, "ts", float(self.ts))
 
 
@@ -105,9 +113,23 @@ class StepMatrices:
     Xu: np.ndarray
 
 
-def det_scale(A_p: np.ndarray, ts: float) -> float:
-    """Magnitude reference for the singularity threshold of I - A*Ts/2."""
-    return max(1.0, float(np.max(np.abs(A_p))) * ts / 2.0)
+def det_scale(A, ts: float):
+    """Magnitude reference for the singularity threshold of I - A*Ts/2.
+
+    ``A`` is one matrix (n, n) or a stack (m, n, n); the result is a scalar
+    or an (m,) array of ``max(1, max|A| * Ts/2)``.
+    """
+    return np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)) * (ts / 2.0))
+
+
+def singular_rows(det, A, ts: float):
+    """True where ``|det(I - A Ts/2)| < SINGULAR_RTOL * det_scale(A, Ts)``.
+
+    ``det`` is the determinant of I - A Ts/2 (or of any matrix with the same
+    determinant) for one matrix A or for each matrix of a stack; the result
+    has the shape of ``det``.
+    """
+    return np.abs(det) < SINGULAR_RTOL * det_scale(A, ts)
 
 
 def phi(A_p: np.ndarray, cfg: DiscretizationConfig) -> np.ndarray:
@@ -115,32 +137,40 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig) -> np.ndarray:
 
     Parameters
     ----------
-    A_p : ndarray, shape (n_x, n_x)
-        Frozen state matrix A(p).
+    A_p : ndarray, shape (n_x, n_x) or (m, n_x, n_x)
+        Frozen state matrix A(p), or one per scheduling point of a stack;
+        a stack is factored in one batched solve.
     cfg : DiscretizationConfig
 
     Returns
     -------
     ndarray
-        Phi with residual ``max|(I - A_p Ts/2) Phi - I| <= 1e-10``.
+        Phi, of the shape of ``A_p``, with residual
+        ``max|(I - A_p Ts/2) Phi - I| <= 1e-10``.
 
     Raises
     ------
     WellposednessError
         If ``|det(I - A_p Ts/2)|`` falls below ``1e-12 * max(1, |A_p| Ts/2)``.
+        For a stack it reports the first singular matrix, whose index is the
+        error's ``step_index``.
     """
     A_p = np.asarray(A_p, dtype=float)
-    n = A_p.shape[0]
-    M = np.eye(n) - A_p * (cfg.ts / 2.0)
-    d = float(np.linalg.det(M))
-    if abs(d) < SINGULAR_RTOL * det_scale(A_p, cfg.ts):
+    eye = np.eye(A_p.shape[-1])
+    M = eye - A_p * (cfg.ts / 2.0)
+    d = np.linalg.det(M)
+    bad = singular_rows(d, A_p, cfg.ts)
+    if np.any(bad):
+        k = int(np.argmax(bad)) if A_p.ndim == 3 else None
+        A_bad, d_bad = (A_p, d) if k is None else (A_p[k], d[k])
         raise WellposednessError(
-            f"|det(I - A(p)*Ts/2)| = {abs(d):.3e} is numerically zero "
-            f"(Ts = {cfg.ts})",
-            A_p=A_p,
+            f"|det(I - A(p)*Ts/2)| = {abs(float(d_bad)):.3e} is numerically "
+            f"zero (Ts = {cfg.ts})",
+            A_p=A_bad,
             ts=cfg.ts,
+            step_index=k,
         )
-    return np.linalg.solve(M, np.eye(n))
+    return np.linalg.solve(M, np.broadcast_to(eye, M.shape))
 
 
 def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> SigmaRealization:
@@ -294,30 +324,21 @@ def wellposedness_check(
         blocks.append(rng.uniform(dom.lower, dom.upper, size=(random_samples, dom.n_p)))
     points = np.vstack(blocks)
 
-    eye = np.eye(model.n_x)
-    min_abs_det = np.inf
-    argmin_p = tuple(float(v) for v in points[0])
-    max_cond = 0.0
-    singular = []
-    for row in points:
-        A_p = eval_pmatrix(model.A, row)
-        M = eye - A_p * (cfg.ts / 2.0)
-        absdet = abs(float(np.linalg.det(M)))
-        s = np.linalg.svd(M, compute_uv=False)
-        cond = np.inf if s[-1] == 0.0 else float(s[0] / s[-1])
-        if absdet < min_abs_det:
-            min_abs_det = absdet
-            argmin_p = tuple(float(v) for v in row)
-        if cond > max_cond:
-            max_cond = cond
-        if absdet < SINGULAR_RTOL * det_scale(A_p, cfg.ts):
-            singular.append(tuple(float(v) for v in row))
+    A = eval_pmatrix_many(model.A, points)
+    M = np.eye(model.n_x) - A * (cfg.ts / 2.0)
+    det = np.linalg.det(M)
+    absdet = np.abs(det)
+    s = np.linalg.svd(M, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
+    k = int(np.argmin(absdet))
+    singular = points[singular_rows(det, A, cfg.ts)]
     return WellposednessReport(
         ts=cfg.ts,
         samples_checked=points.shape[0],
-        min_abs_det=float(min_abs_det),
-        argmin_p=argmin_p,
-        max_condition_number=max_cond,
-        singular_points=tuple(singular),
-        passed=not singular,
+        min_abs_det=float(absdet[k]),
+        argmin_p=tuple(float(v) for v in points[k]),
+        max_condition_number=float(np.max(cond)),
+        singular_points=tuple(tuple(float(v) for v in q) for q in singular),
+        passed=singular.shape[0] == 0,
     )

@@ -1,11 +1,14 @@
 """Signal generation and the three simulation engines.
 
 Two discrete-time engines advance the same internal state xi over a sampled
-scheduling trajectory: one applies the precomputed per-step matrices, the
-other re-solves the implicit feedback loop around the trapezoidal integrator
-block at every step.  Both realize the identical map, so their outputs agree
-to machine precision; keeping both is the point, since each checks the other.
-A fixed-step RK4 integrator provides the continuous-time reference.
+scheduling trajectory.  The loop-free engine builds the paper's per-step
+matrices for every sample at once -- A(p(k)) and B(p(k)) as (N, n, n) and
+(N, n, m) stacks, one stacked factorization for Phi(p(k)) -- so only the xi
+recurrence runs in a Python loop.  The loop oracle re-solves the implicit
+feedback loop around the trapezoidal integrator block at every step.  Both
+realize the identical map, so their outputs agree to machine precision;
+keeping both is the point, since each checks the other.  A fixed-step RK4
+integrator provides the continuous-time reference.
 
 The internal state relates to the physical one by
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import SINGULAR_RTOL, DiscretizationConfig, det_scale, dt_step_matrices
+from .discretize import DiscretizationConfig, phi, singular_rows
 from .errors import (
     ConfigError,
     DataError,
@@ -30,7 +33,7 @@ from .errors import (
     DomainError,
     WellposednessError,
 )
-from .model import LpvStateSpace, eval_pmatrix, eval_pmatrix_many
+from .model import eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
     "SignalSpec",
@@ -222,6 +225,10 @@ def sample_scenario(scenario: Scenario, cfg: DiscretizationConfig) -> Trajectory
     return Trajectory(ts=cfg.ts, p=scenario.p_at(t), u=scenario.u_at(t))
 
 
+def _seed_xi(A0, Bu0, x0, ts):
+    return (2.0 / ts) * x0 - A0 @ x0 - Bu0
+
+
 def sigma_initial_state(model, cfg, p0, u0, x0) -> np.ndarray:
     """Internal start state that reproduces x0 exactly at the first sample.
 
@@ -231,72 +238,104 @@ def sigma_initial_state(model, cfg, p0, u0, x0) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float).reshape(model.n_u)
     A0 = eval_pmatrix(model.A, p0)
     B0 = eval_pmatrix(model.B, p0)
-    return (2.0 / cfg.ts) * x0 - A0 @ x0 - B0 @ u0
+    return _seed_xi(A0, B0 @ u0, x0, cfg.ts)
 
 
 def _first_point_outside(domain, points):
-    """Index of the first row leaving the closed box, or None."""
-    bad = np.any(points < domain.lower, axis=1) | np.any(
-        points > domain.upper, axis=1
-    )
+    """Index of the first row leaving the closed box or not finite, or None."""
+    bad = ~np.all((points >= domain.lower) & (points <= domain.upper), axis=1)
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _check_run_inputs(model, traj):
+def _check_run_inputs(model, cfg, traj, x0):
+    """Shared up-front guard of both engines; returns x0 as an (n_x,) array."""
     if traj.p.shape[1] != model.n_p:
         raise DimensionError(
             f"scheduling width {traj.p.shape[1]} != n_p {model.n_p}"
         )
     if traj.u.shape[1] != model.n_u:
         raise DimensionError(f"input width {traj.u.shape[1]} != n_u {model.n_u}")
+    if abs(traj.ts - cfg.ts) > 1e-12:
+        raise ConfigError(
+            f"trajectory sampled at ts = {traj.ts}, configuration has "
+            f"ts = {cfg.ts}"
+        )
     k = _first_point_outside(model.domain, traj.p)
     if k is not None:
         raise DomainError(
             f"scheduling point {list(map(float, traj.p[k]))} at step {k} "
             "outside the box"
         )
+    bad = ~np.all(np.isfinite(traj.u), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DataError(
+            f"input {list(map(float, traj.u[k]))} at step {k} is not finite"
+        )
+    x0 = np.asarray(x0, dtype=float).reshape(model.n_x)
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError(f"initial state {list(map(float, x0))} is not finite")
+    return x0
+
+
+def _matvecs(M, v):
+    """Row-wise products M[k] @ v[k] of a stack (N, r, c) and rows (N, c)."""
+    return np.einsum("kij,kj->ki", M, v)
 
 
 def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     """Run the loop-free per-step matrices over a sampled trajectory.
 
-    Per-step matrices are memoized on the scheduling point's byte pattern,
-    so frozen or piecewise-constant trajectories cost one factorization per
-    distinct point.
+    Everything that depends only on p(k) is computed for all samples at
+    once: A and B are evaluated as stacks, Phi = (I - A Ts/2)^-1 comes from
+    one stacked solve, and Axi = I + Phi A Ts and 2 Phi B u are formed
+    batched.  Only the recurrence xi(k+1) = Axi xi(k) + 2 Phi B u(k) runs
+    sample by sample.  The state x = (Ts/2) Phi (xi + B u) and the output
+    y = C x + D u are then reconstructed batched; these are the Xxi/Xu and
+    Cxi/Dxi blocks of :func:`~lpvsim.discretize.dt_step_matrices` applied
+    without forming them.
 
     Raises
     ------
     DomainError
-        If any sampled p(k) leaves the scheduling box (checked up front,
-        reporting the first offending step).
+        If any sampled p(k) leaves the scheduling box or is not finite
+        (checked up front, reporting the first offending step).
+    DataError
+        If any u(k) is not finite.
+    ConfigError
+        If x0 is not finite or ``traj.ts`` differs from ``cfg.ts``.
     WellposednessError
-        If I - A(p(k)) Ts/2 is numerically singular; carries the step index.
+        If I - A(p(k)) Ts/2 is numerically singular; carries the index of
+        the first such step.
     """
-    _check_run_inputs(model, traj)
-    n = traj.n_steps
-    y = np.empty((n, model.n_y))
-    x = np.empty((n, model.n_x)) if record_state else None
-    xis = np.empty((n, model.n_x)) if record_state else None
+    x0 = _check_run_inputs(model, cfg, traj, x0)
+    ts = cfg.ts
+    p, u = traj.p, traj.u
+    A = eval_pmatrix_many(model.A, p)
+    Bu = _matvecs(eval_pmatrix_many(model.B, p), u)
+    xis = np.empty((traj.n_steps, model.n_x))
+    xis[0] = _seed_xi(A[0], Bu[0], x0, ts)
+    try:
+        Phi = phi(A, cfg)
+    except WellposednessError as exc:
+        raise exc.at_step(exc.step_index, p[exc.step_index]) from None
+    # at most three (N, n, n) stacks are live at once: each is dropped as
+    # soon as it is used, since their count sets the run's allocation peak
+    Axi = Phi @ A
+    Axi *= ts
+    Axi += np.eye(model.n_x)
+    del A
+    drive = 2.0 * _matvecs(Phi, Bu)
+    for k in range(traj.n_steps - 1):
+        xis[k + 1] = Axi[k] @ xis[k] + drive[k]
+    del Axi
 
-    xi = sigma_initial_state(model, cfg, traj.p[0], traj.u[0], x0)
-    cache = {}
-    for k in range(n):
-        p_k = traj.p[k]
-        key = p_k.tobytes()
-        mats = cache.get(key)
-        if mats is None:
-            try:
-                mats = dt_step_matrices(model, p_k, cfg)
-            except WellposednessError as exc:
-                raise exc.at_step(k, p_k) from None
-            cache[key] = mats
-        u_k = traj.u[k]
-        y[k] = mats.Cxi @ xi + mats.Dxi @ u_k
-        if record_state:
-            x[k] = mats.Xxi @ xi + mats.Xu @ u_k
-            xis[k] = xi
-        xi = mats.Axi @ xi + mats.Bxi @ u_k
-    return Trajectory(ts=cfg.ts, p=traj.p, u=traj.u, y=y, x=x, xi=xis)
+    x = (ts / 2.0) * _matvecs(Phi, xis + Bu)
+    y = _matvecs(eval_pmatrix_many(model.C, p), x)
+    y += _matvecs(eval_pmatrix_many(model.D, p), u)
+    if not record_state:
+        x = xis = None
+    return Trajectory(ts=ts, p=p, u=u, y=y, x=x, xi=xis)
 
 
 def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajectory:
@@ -308,42 +347,46 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
         [ I        -(Ts/2) I ] [ x  ]   [ (Ts/2) xi ]
         [ -A(p)     I        ] [ rx ] = [ B(p) u    ]
 
-    followed by xi+ = xi + 2 rx.  No per-point matrices are reused, so this
-    path shares no code with :func:`simulate_dt` beyond the model itself.
+    followed by xi+ = xi + 2 rx.  A..D and B u are evaluated batched, but
+    at every step the loop matrix gets A(p(k)) written into one
+    preallocated buffer, is checked through its own determinant and is
+    solved.  No per-point matrices (Phi or the step blocks) are shared with
+    :func:`simulate_dt`; the two paths share only the model, the input
+    guard, the xi(0) seed and the singularity threshold.
     """
-    _check_run_inputs(model, traj)
-    n = traj.n_steps
-    n_x = model.n_x
-    y = np.empty((n, model.n_y))
-    x_log = np.empty((n, n_x)) if record_state else None
-    xi_log = np.empty((n, n_x)) if record_state else None
+    x0 = _check_run_inputs(model, cfg, traj, x0)
+    ts = cfg.ts
+    n = model.n_x
+    p, u = traj.p, traj.u
+    A = eval_pmatrix_many(model.A, p)
+    Bu = _matvecs(eval_pmatrix_many(model.B, p), u)
+    x_log = np.empty((traj.n_steps, n))
+    xi_log = np.empty((traj.n_steps, n))
 
-    xi = sigma_initial_state(model, cfg, traj.p[0], traj.u[0], x0)
-    eye = np.eye(n_x)
-    half = (cfg.ts / 2.0) * eye
-    for k in range(n):
-        p_k = traj.p[k]
-        A_p = eval_pmatrix(model.A, p_k)
-        B_p = eval_pmatrix(model.B, p_k)
-        loop = np.block([[eye, -half], [-A_p, eye]])
-        # same singularity as det(I - A Ts/2), by block elimination
-        if abs(np.linalg.det(loop)) < SINGULAR_RTOL * det_scale(A_p, cfg.ts):
+    xi = _seed_xi(A[0], Bu[0], x0, ts)
+    loop = np.eye(2 * n)
+    loop[:n, n:] = -(ts / 2.0) * np.eye(n)
+    rhs = np.empty(2 * n)
+    for k in range(traj.n_steps):
+        loop[n:, :n] = -A[k]
+        # same determinant as I - A Ts/2, by block elimination
+        if singular_rows(np.linalg.det(loop), A[k], ts):
             raise WellposednessError(
                 f"integrator feedback loop is singular at step {k}",
-                A_p=A_p, ts=cfg.ts, step_index=k, p=p_k,
+                A_p=A[k], ts=ts, step_index=k, p=p[k],
             )
-        u_k = traj.u[k]
-        rhs = np.concatenate([(cfg.ts / 2.0) * xi, B_p @ u_k])
+        rhs[:n] = (ts / 2.0) * xi
+        rhs[n:] = Bu[k]
         sol = np.linalg.solve(loop, rhs)
-        x_k, rx_k = sol[:n_x], sol[n_x:]
-        C_p = eval_pmatrix(model.C, p_k)
-        D_p = eval_pmatrix(model.D, p_k)
-        y[k] = C_p @ x_k + D_p @ u_k
-        if record_state:
-            x_log[k] = x_k
-            xi_log[k] = xi
-        xi = xi + 2.0 * rx_k
-    return Trajectory(ts=cfg.ts, p=traj.p, u=traj.u, y=y, x=x_log, xi=xi_log)
+        x_log[k] = sol[:n]
+        xi_log[k] = xi
+        xi = xi + 2.0 * sol[n:]
+
+    y = _matvecs(eval_pmatrix_many(model.C, p), x_log)
+    y += _matvecs(eval_pmatrix_many(model.D, p), u)
+    if not record_state:
+        x_log = xi_log = None
+    return Trajectory(ts=ts, p=p, u=u, y=y, x=x_log, xi=xi_log)
 
 
 def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:

@@ -210,6 +210,35 @@ def test_simulate_rejects_wrong_x0_width(capsys):
     assert err.startswith("E_DIM:")
 
 
+def test_simulate_rejects_nan_in_trajectory_table(capsys, tmp_path):
+    table = tmp_path / "in.csv"
+    table.write_text("k,t,p1,u1\n0,0.0,2.0,1.0\n1,0.1,nan,1.0\n2,0.2,2.0,1.0\n")
+    for command in ("simulate", "loop-simulate"):
+        code, out, err = run(
+            capsys, command, "--model", "msd", "--ts", "0.1",
+            "--traj", str(table),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("E_DOMAIN:") and "step 1" in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "extra, prefix",
+    [
+        (("--u", "const:nan"), "E_IO:"),
+        (("--u", "const:1", "--x0", "nan,0"), "E_PARSE:"),
+    ],
+)
+def test_simulate_rejects_non_finite_u_and_x0(capsys, extra, prefix):
+    code, out, err = run(
+        capsys, "simulate", "--model", "msd", "--ts", "0.1",
+        "--p", "const:2", "--steps", "4", *extra,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 # --- freqresp -------------------------------------------------------------------
 
 
@@ -326,6 +355,12 @@ def test_nonpositive_ts_is_exit_1(capsys):
     code, _, err = run(
         capsys, "discretize", "--model", "integrator", "--ts", "-0.5"
     )
+    assert code == 1
+    assert err.startswith("E_PARSE:")
+
+
+def test_infinite_ts_is_exit_1(capsys):
+    code, _, err = run(capsys, "check", "--model", "msd", "--ts", "inf")
     assert code == 1
     assert err.startswith("E_PARSE:")
 

@@ -19,6 +19,7 @@ from lpvsim.discretize import (
     phi,
     rinv_matrices,
     sigma_step,
+    singular_rows,
     tustin_frozen,
     wellposedness_check,
 )
@@ -37,6 +38,12 @@ def test_config_requires_positive_ts():
     with pytest.raises(ConfigError):
         DiscretizationConfig(-0.1)
     assert DiscretizationConfig(0.5).ts == 0.5
+
+
+def test_config_requires_finite_ts():
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            DiscretizationConfig(bad)
 
 
 def test_phi_identity_for_zero_A():
@@ -66,6 +73,37 @@ def test_phi_residual_tiny_on_random_matrices():
         P = phi(A, cfg)
         residual = (np.eye(n) - A * (cfg.ts / 2.0)) @ P - np.eye(n)
         assert np.max(np.abs(residual)) <= 1e-10
+
+
+def test_phi_stack_matches_single_matrices():
+    rng = np.random.default_rng(11)
+    cfg = DiscretizationConfig(0.1)
+    A = rng.uniform(-3.0, 3.0, (6, 3, 3))
+    stacked = phi(A, cfg)
+    for k in range(6):
+        assert_allclose(stacked[k], phi(A[k], cfg), rtol=0, atol=1e-14)
+
+
+def test_phi_stack_reports_first_singular_index():
+    # 1 - 20 * 0.1/2 = 0 at rows 2 and 4
+    cfg = DiscretizationConfig(0.1)
+    A = np.array([1.0, -1.0, 20.0, 3.0, 20.0]).reshape(5, 1, 1)
+    with pytest.raises(WellposednessError) as exc:
+        phi(A, cfg)
+    assert exc.value.step_index == 2
+    assert exc.value.A_p.shape == (1, 1)
+    with pytest.raises(WellposednessError) as exc:
+        phi(A[2], cfg)
+    assert exc.value.step_index is None
+
+
+def test_singular_rows_threshold_scales_with_A():
+    ts = 1.0
+    A = np.array([[[0.0]], [[-8.0]], [[2.0]]])
+    det = np.array([5e-13, 5e-12, 0.0])
+    # thresholds 1e-12, 4e-12, 1e-12
+    assert list(singular_rows(det, A, ts)) == [True, False, True]
+    assert bool(singular_rows(3e-12, A[1], ts)) is True
 
 
 def test_det_scale_floor_and_growth():

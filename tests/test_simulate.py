@@ -3,6 +3,8 @@ trajectory CSV round trip."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -13,7 +15,7 @@ from conftest import (
     random_lpv_model,
     scalar_gain_model,
 )
-from lpvsim.discretize import DiscretizationConfig, tustin_frozen
+from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, tustin_frozen
 from lpvsim.errors import (
     ConfigError,
     DataError,
@@ -236,8 +238,8 @@ def test_frozen_p_run_equals_tustin_recursion():
 
 
 def test_matrix_cache_does_not_change_results():
-    # a piecewise-constant schedule exercises the memo path; results must
-    # match a run where every point is unique
+    # a piecewise-constant schedule repeats points in the stacked matrices;
+    # results must still match the per-step loop solve
     rng = np.random.default_rng(31)
     model = random_lpv_model(rng, ts=0.1)
     cfg = DiscretizationConfig(0.1)
@@ -291,6 +293,104 @@ def test_wellposedness_failure_reports_step():
             engine(model, cfg, traj, [0.0])
         assert exc.value.step_index == 2
         assert exc.value.code == "E_WELLPOSED"
+
+
+def test_batched_engine_matches_per_sample_step_matrices():
+    # the stacked engine must realize exactly the blocks dt_step_matrices
+    # builds point by point, on a p that changes at every sample
+    rng = np.random.default_rng(5)
+    ts = 0.05
+    cfg = DiscretizationConfig(ts)
+    for _ in range(5):
+        model = random_lpv_model(rng, ts)
+        n = 60
+        traj = Trajectory(
+            ts=ts,
+            p=inbox_p_trajectory(rng, model, n, ts),
+            u=rng.uniform(-1, 1, (n, model.n_u)),
+        )
+        x0 = rng.uniform(-1, 1, model.n_x)
+        out = simulate_dt(model, cfg, traj, x0)
+        xi = sigma_initial_state(model, cfg, traj.p[0], traj.u[0], x0)
+        for k in range(n):
+            m = dt_step_matrices(model, traj.p[k], cfg)
+            u_k = traj.u[k]
+            scale = max(1.0, float(np.max(np.abs(xi))))
+            assert np.max(np.abs(out.xi[k] - xi)) <= 1e-12 * scale
+            assert np.max(np.abs(out.x[k] - (m.Xxi @ xi + m.Xu @ u_k))) <= 1e-12 * scale
+            assert np.max(np.abs(out.y[k] - (m.Cxi @ xi + m.Dxi @ u_k))) <= 1e-12 * scale
+            xi = m.Axi @ xi + m.Bxi @ u_k
+
+
+def test_first_of_several_singular_steps_is_reported():
+    # A(p) = p at Ts = 0.1 is singular at p = 20, here at steps 1 and 3
+    model = scalar_gain_model(+1.0, hi=40.0)
+    cfg = DiscretizationConfig(0.1)
+    traj = Trajectory(
+        ts=0.1, p=np.array([[0.0], [20.0], [5.0], [20.0]]), u=np.ones((4, 1))
+    )
+    for engine in (simulate_dt, simulate_dt_loop_oracle):
+        with pytest.raises(WellposednessError) as exc:
+            engine(model, cfg, traj, [0.0])
+        assert exc.value.step_index == 1
+        assert list(exc.value.p) == [20.0]
+    with pytest.raises(WellposednessError) as exc:
+        simulate_dt(model, cfg, traj, [0.0])
+    assert str(exc.value) == (
+        "step k=1, p=[20.0]: |det(I - A(p)*Ts/2)| = 0.000e+00 is numerically "
+        "zero (Ts = 0.1)"
+    )
+
+
+def test_engines_reject_non_finite_inputs():
+    model = msd_model()
+    cfg = DiscretizationConfig(0.1)
+    p = np.full((4, 1), 2.0)
+    u = np.ones((4, 1))
+    p_nan = p.copy()
+    p_nan[2] = np.nan
+    u_inf = u.copy()
+    u_inf[1] = np.inf
+    for engine in (simulate_dt, simulate_dt_loop_oracle):
+        with pytest.raises(DomainError) as exc:
+            engine(model, cfg, Trajectory(ts=0.1, p=p_nan, u=u), [0.0, 0.0])
+        assert exc.value.code == "E_DOMAIN" and "step 2" in str(exc.value)
+        with pytest.raises(DataError) as exc:
+            engine(model, cfg, Trajectory(ts=0.1, p=p, u=u_inf), [0.0, 0.0])
+        assert "step 1" in str(exc.value)
+        with pytest.raises(ConfigError):
+            engine(model, cfg, Trajectory(ts=0.1, p=p, u=u), [np.nan, 0.0])
+
+
+def test_engines_reject_trajectory_sampled_at_other_ts():
+    cfg = DiscretizationConfig(0.5)
+    traj = Trajectory(ts=0.25, p=np.zeros((3, 1)), u=np.ones((3, 1)))
+    for engine in (simulate_dt, simulate_dt_loop_oracle):
+        with pytest.raises(ConfigError):
+            engine(integrator_model(), cfg, traj, [0.0])
+    same = Trajectory(ts=0.5 + 1e-13, p=np.zeros((3, 1)), u=np.ones((3, 1)))
+    assert simulate_dt(integrator_model(), cfg, same, [0.0]).ts == 0.5
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ts=st.floats(min_value=1e-3, max_value=0.5),
+)
+def test_engines_agree_property(seed, ts):
+    rng = np.random.default_rng(seed)
+    cfg = DiscretizationConfig(ts)
+    model = random_lpv_model(rng, ts)
+    n = 40
+    traj = Trajectory(
+        ts=cfg.ts,
+        p=inbox_p_trajectory(rng, model, n, ts),
+        u=rng.uniform(-1, 1, (n, model.n_u)),
+    )
+    x0 = rng.uniform(-1, 1, model.n_x)
+    ya = simulate_dt(model, cfg, traj, x0, record_state=False).y
+    yb = simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=False).y
+    assert np.max(np.abs(ya - yb)) <= 1e-9 * max(1.0, float(np.max(np.abs(ya))))
 
 
 # --- continuous-time reference ---------------------------------------------
