@@ -9,7 +9,10 @@ unit circle equals the continuous-time response at the tan-warped frequency,
     G_d(e^{j w Ts}) = G_ct(j * (2/Ts) * tan(w Ts / 2)),
 
 exactly, for every frequency below Nyquist.  ``warping_residual`` measures the
-failure of that identity with both sides computed by independent code paths.
+failure of that identity: the left side from the discrete step matrices, the
+right side from A..D.  Both responses come from one kernel that solves
+``(s_i I - A) X_i = B`` for all frequencies in one stacked solve, with
+``s = j w`` in continuous time and ``s = e^{j w Ts}`` in discrete time.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ import numpy as np
 
 from .discretize import DiscretizationConfig, StepMatrices, dt_step_matrices
 from .errors import ConfigError, DimensionError, DomainError
-from .model import LpvStateSpace
+from .model import LpvStateSpace, check_in_box
 from .simulate import (
     Scenario,
     sample_scenario,
@@ -85,27 +88,40 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
     return np.logspace(np.log10(top) - decades, np.log10(top), n)
 
 
-def _resolve(E, rhs, omega):
-    # solve E X = rhs, reporting the frequency at which E lost rank
+def _response(s, omegas, A, B, C, D) -> FrequencyResponse:
+    """``C (s_i I - A)^-1 B + D`` for every complex ``s_i``, in one stacked
+    solve; ``omegas[i]`` is the frequency that ``s_i`` stands for."""
+    m, n = s.size, A.shape[0]
+    # fill -A and add s through the diagonal view: forming s I - A by
+    # broadcasting would allocate two more (m, n, n) stacks
+    E = np.empty((m, n, n), dtype=complex)
+    E[:] = -A
+    E.reshape(m, n * n)[:, :: n + 1] += s[:, None]
     try:
-        return np.linalg.solve(E, rhs)
+        X = np.linalg.solve(E, np.broadcast_to(B, (m,) + B.shape))
     except np.linalg.LinAlgError:
+        k = int(np.argmax(np.linalg.det(E) == 0.0))
         raise DomainError(
-            f"resolvent is singular at omega = {float(omega)!r} rad/s"
+            f"resolvent is singular at omega = {float(omegas[k])!r} rad/s"
         ) from None
+    del E  # the (m, n, n) stack is the largest array: free it first
+    values = C @ X
+    values += D
+    return FrequencyResponse(omegas=omegas, values=values)
 
 
 def freqresp_ct(model: LpvStateSpace, p, omegas) -> FrequencyResponse:
-    """Frozen-p continuous-time response C (jwI - A)^-1 B + D."""
+    """Frozen-p continuous-time response C (jwI - A)^-1 B + D.
+
+    Raises
+    ------
+    DomainError
+        If p lies outside the scheduling box or the resolvent is singular
+        at some frequency (the first such one is named).
+    """
     omegas = np.asarray(omegas, dtype=float)
-    A_p, B_p, C_p, D_p = model.matrices_at(p)
-    n = model.n_x
-    values = np.empty((omegas.size, model.n_y, model.n_u), dtype=complex)
-    eye = np.eye(n)
-    for i, w in enumerate(omegas):
-        X = _resolve(1j * w * eye - A_p, B_p.astype(complex), w)
-        values[i] = C_p @ X + D_p
-    return FrequencyResponse(omegas=omegas, values=values)
+    check_in_box(model.domain, p)
+    return _response(1j * omegas, omegas, *model.matrices_at(p))
 
 
 def freqresp_dt(step: StepMatrices, cfg: DiscretizationConfig, omegas) -> FrequencyResponse:
@@ -119,36 +135,22 @@ def freqresp_dt(step: StepMatrices, cfg: DiscretizationConfig, omegas) -> Freque
         raise ConfigError(
             f"omega * Ts must stay below pi, got {float(omegas[-1]) * cfg.ts!r}"
         )
-    n = step.Axi.shape[0]
-    n_y, n_u = step.Dxi.shape
-    values = np.empty((omegas.size, n_y, n_u), dtype=complex)
-    eye = np.eye(n)
-    for i, w in enumerate(omegas):
-        z = np.exp(1j * w * cfg.ts)
-        X = _resolve(z * eye - step.Axi, step.Bxi.astype(complex), w)
-        values[i] = step.Cxi @ X + step.Dxi
-    return FrequencyResponse(omegas=omegas, values=values)
+    z = np.exp(1j * omegas * cfg.ts)
+    return _response(z, omegas, step.Axi, step.Bxi, step.Cxi, step.Dxi)
 
 
 def warping_residual(model: LpvStateSpace, p, cfg: DiscretizationConfig, omegas) -> float:
     """Max entrywise gap between the DT response and the warped CT response.
 
-    Evaluates G_d at each w and G_ct at (2/Ts) tan(w Ts/2); the bilinear
-    map makes the two equal in exact arithmetic, so the return value is a
-    pure roundoff measure for this discretization (and a large number for
-    any other one).
+    Evaluates both sides of G_d(e^{j w Ts}) = G_ct(j (2/Ts) tan(w Ts/2)); the
+    bilinear map makes them equal in exact arithmetic, so the return value
+    is a pure roundoff measure for this discretization (and a large number
+    for any other one).
     """
     omegas = np.asarray(omegas, dtype=float)
-    step = dt_step_matrices(model, p, cfg)
-    dt = freqresp_dt(step, cfg, omegas)
-    warped = (2.0 / cfg.ts) * np.tan(omegas * cfg.ts / 2.0)
-    A_p, B_p, C_p, D_p = model.matrices_at(p)
-    eye = np.eye(model.n_x)
-    gap = 0.0
-    for i, w in enumerate(warped):
-        X = _resolve(1j * w * eye - A_p, B_p.astype(complex), omegas[i])
-        gap = max(gap, float(np.max(np.abs(dt.values[i] - (C_p @ X + D_p)))))
-    return gap
+    dt = freqresp_dt(dt_step_matrices(model, p, cfg), cfg, omegas)
+    ct = freqresp_ct(model, p, (2.0 / cfg.ts) * np.tan(omegas * cfg.ts / 2.0))
+    return float(np.max(np.abs(dt.values - ct.values), initial=0.0))
 
 
 def frequency_response_csv(fr: FrequencyResponse) -> str:
@@ -160,15 +162,11 @@ def frequency_response_csv(fr: FrequencyResponse) -> str:
         for j in range(n_u):
             header.append(f"reOut{i + 1}In{j + 1}")
             header.append(f"imOut{i + 1}In{j + 1}")
+    # complex entries viewed as re, im float pairs: the header's column order
+    parts = fr.values.reshape(m, n_y * n_u).view(float)
     lines = [",".join(header)]
-    for k in range(m):
-        row = [repr(float(fr.omegas[k]))]
-        for i in range(n_y):
-            for j in range(n_u):
-                v = fr.values[k, i, j]
-                row.append(repr(float(v.real)))
-                row.append(repr(float(v.imag)))
-        lines.append(",".join(row))
+    for w, row in zip(fr.omegas.tolist(), parts):
+        lines.append(",".join(map(repr, [w, *row.tolist()])))
     return "\n".join(lines) + "\n"
 
 

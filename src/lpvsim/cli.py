@@ -157,13 +157,19 @@ def _parse_x0(text, n_x):
     return np.array(vals)
 
 
+def _default_p(model):
+    """Box midpoint, the scheduling point used when --p is omitted; only a
+    constant model may omit it."""
+    if not model.is_constant:
+        raise ConfigError(
+            "--p is required when the model depends on the scheduling vector"
+        )
+    return model.domain.midpoint()
+
+
 def _frozen_p(text, model):
     if text is None:
-        if not model.is_constant:
-            raise ConfigError(
-                "--p is required when the model depends on the scheduling vector"
-            )
-        return model.domain.midpoint()
+        return _default_p(model)
     vals = _floats(text, "--p")
     if len(vals) != model.n_p:
         raise DimensionError(f"--p has {len(vals)} entries, model needs {model.n_p}")
@@ -277,11 +283,7 @@ def _scenario_from_args(model, args, ts):
                 f"{len(specs_p)} --p signals given, model needs {model.n_p}"
             )
     else:
-        if not model.is_constant:
-            raise ConfigError(
-                "--p is required when the model depends on the scheduling vector"
-            )
-        specs_p = tuple(SignalSpec.constant(float(v)) for v in model.domain.midpoint())
+        specs_p = tuple(SignalSpec.constant(float(v)) for v in _default_p(model))
     if not args.u:
         raise ConfigError("give --u signals (or --traj with a trajectory table)")
     specs_u = tuple(parse_signal_text(s) for s in args.u)
@@ -535,10 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("converge", help="discretization-order sweep report")
-    sp.add_argument(
-        "--model", required=True,
-        help="model JSON file, or a bundled name: " + ", ".join(FIXTURE_NAMES),
-    )
+    _add_model_ts(sp, ts=False)
     _add_scenario(sp, traj=False)
     sp.add_argument("--ts-list", required=True,
                     help="comma-separated halving sampling times, e.g. 0.2,0.1,0.05")

@@ -7,7 +7,11 @@ dependence into a fixed integrator block plus one frozen resolvent
     Phi(p) = (I - A(p) * Ts/2)^-1,
 
 which exists iff det(I - A(p) Ts/2) != 0.  Everything in this module is a
-pure function of its arguments:
+pure function of its arguments.  The per-point functions check p with the
+model's one box guard, :func:`~lpvsim.model.check_in_box`, and evaluate
+A..D with :func:`~lpvsim.model.eval_pmatrix`, the one-row case of the
+batched evaluator the simulation engines use, so a frozen-p block and an
+engine step at the same p start from bit-identical matrices:
 
 * :func:`phi` -- the resolvent itself, via an LU solve, for one frozen A(p)
   or for a stack of them (one per sample of a trajectory).
@@ -37,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, WellposednessError
-from .model import LpvStateSpace, eval_pmatrix, eval_pmatrix_many, validate_point
+from .errors import ConfigError, WellposednessError
+from .model import LpvStateSpace, check_in_box, eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
     "DiscretizationConfig",
@@ -183,11 +187,7 @@ def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> SigmaReali
     WellposednessError
         Propagated from :func:`phi`.
     """
-    if not validate_point(model.domain, p):
-        raise DomainError(
-            f"scheduling point {[float(v) for v in np.asarray(p, float)]} "
-            "outside the box"
-        )
+    check_in_box(model.domain, p)
     A_p = eval_pmatrix(model.A, p)
     Phi = phi(A_p, cfg)
     half = _read_only(Phi * (cfg.ts / 2.0))
@@ -226,11 +226,7 @@ def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMat
     Ad = Phi (I + A Ts/2), Bd = Phi B Ts, Cd = C Phi,
     Dd = D + C Phi B Ts/2; the stored state is x itself (Xxi = I, Xu = 0).
     """
-    if not validate_point(model.domain, p):
-        raise DomainError(
-            f"scheduling point {[float(v) for v in np.asarray(p, float)]} "
-            "outside the box"
-        )
+    check_in_box(model.domain, p)
     A_p, B_p, C_p, D_p = model.matrices_at(p)
     Phi = phi(A_p, cfg)
     n = model.n_x

@@ -30,6 +30,7 @@ __all__ = [
     "eval_pmatrix",
     "eval_pmatrix_many",
     "validate_point",
+    "check_in_box",
     "parse_model",
     "serialize_model",
 ]
@@ -48,7 +49,7 @@ class SchedulingDomain:
     Parameters
     ----------
     lower, upper : array_like, shape (n_p,)
-        Per-dimension bounds with ``lower[i] <= upper[i]``.
+        Finite per-dimension bounds with ``lower[i] <= upper[i]``.
     """
 
     lower: np.ndarray
@@ -61,6 +62,8 @@ class SchedulingDomain:
             raise DimensionError("domain bounds must be 1-D vectors of equal length")
         if lower.size < 1:
             raise DimensionError("scheduling dimension must be at least 1")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise DomainError(f"domain bounds must be finite: {lower}, {upper}")
         if np.any(lower > upper):
             raise DomainError(f"domain has lower > upper: {lower} > {upper}")
         object.__setattr__(self, "lower", lower)
@@ -213,9 +216,11 @@ class PMatrixFunction:
 
 
 def eval_pmatrix(f: PMatrixFunction, p) -> np.ndarray:
-    """Evaluate ``M(p) = sum_terms coeff * prod_i p_i**e_i``.
+    """Evaluate ``M(p) = sum_terms coeff * prod_i p_i**e_i`` at one point.
 
-    Constant terms (all exponents zero) are returned exactly regardless of p.
+    The one-row case of :func:`eval_pmatrix_many`, so per-point and batched
+    values agree bit for bit.  Constant terms (all exponents zero) are
+    returned exactly regardless of p.
 
     Parameters
     ----------
@@ -229,26 +234,17 @@ def eval_pmatrix(f: PMatrixFunction, p) -> np.ndarray:
     Raises
     ------
     DimensionError
-        If ``len(p)`` does not match the terms' exponent length.
+        If p is not a vector or ``len(p)`` does not match the terms'
+        exponent length.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise DimensionError(f"scheduling point must be a vector, got shape {p.shape}")
-    n_p = f.exponent_length
-    if n_p is not None and p.size != n_p:
-        raise DimensionError(f"scheduling point has length {p.size}, expected {n_p}")
-    out = np.zeros((f.rows, f.cols))
-    for term in f.terms:
-        factor = 1.0
-        for pi, ei in zip(p, term.exponents):
-            if ei:
-                factor *= float(pi) ** ei
-        out += factor * term.coeff
-    return out
+    return eval_pmatrix_many(f, p[None, :])[0]
 
 
 def eval_pmatrix_many(f: PMatrixFunction, points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_pmatrix` over a stack of scheduling points.
+    """Evaluate a matrix polynomial at every row of a stack of points.
 
     ``points`` has shape (m, n_p); the result has shape (m, rows, cols).
     """
@@ -269,14 +265,42 @@ def eval_pmatrix_many(f: PMatrixFunction, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_outside(domain: SchedulingDomain, points):
+    """(rows, k): ``points`` as an (m, n_p) stack and the index of its first
+    row outside the closed box or not finite, or None."""
+    points = np.asarray(points, dtype=float)
+    rows = points[None, :] if points.ndim == 1 else points
+    if rows.ndim != 2 or rows.shape[1] != domain.n_p:
+        raise DimensionError(
+            f"scheduling points of shape {points.shape}, expected width {domain.n_p}"
+        )
+    bad = ~np.all((rows >= domain.lower) & (rows <= domain.upper), axis=1)
+    return rows, (int(np.argmax(bad)) if bad.any() else None)
+
+
 def validate_point(domain: SchedulingDomain, p) -> bool:
-    """True iff p lies in the closed box (boundary inclusive)."""
+    """True iff p lies in the closed box (boundary inclusive) and is finite."""
     p = np.asarray(p, dtype=float)
     if p.shape != domain.lower.shape:
         raise DimensionError(
             f"scheduling point has length {p.size}, expected {domain.n_p}"
         )
-    return bool(np.all(p >= domain.lower) and np.all(p <= domain.upper))
+    return _first_outside(domain, p)[1] is None
+
+
+def check_in_box(domain: SchedulingDomain, points, where=None) -> None:
+    """Raise :class:`DomainError` at the first of ``points`` (one point or an
+    (m, n_p) stack) outside the closed box or not finite.
+
+    ``where`` maps the offending row index to its location, e.g.
+    ``lambda k: f"step {k}"``, shown as ``at step 3`` in the message.
+    """
+    rows, k = _first_outside(domain, points)
+    if k is not None:
+        at = f" at {where(k)}" if where else ""
+        raise DomainError(
+            f"scheduling point {list(map(float, rows[k]))}{at} outside the box"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +312,7 @@ class LpvStateSpace:
     n_x, n_u, n_y, n_p : int
         State, input, output, and scheduling dimensions (all >= 1).
     A, B, C, D : PMatrixFunction
-        Shapes n_x*n_x, n_x*n_u, n_y*n_x, n_y*n_u.
+        Shapes n_x*n_x, n_x*n_u, n_y*n_x, n_y*n_u; every coefficient finite.
     domain : SchedulingDomain
     """
 
@@ -324,6 +348,12 @@ class LpvStateSpace:
                     f"{name} terms use exponent vectors of length "
                     f"{f.exponent_length}, expected n_p={self.n_p}"
                 )
+            for t in f.terms:
+                if not np.all(np.isfinite(t.coeff)):
+                    raise ParseError(
+                        f"{name} term with exponents {list(t.exponents)} has a "
+                        "non-finite coefficient"
+                    )
         if self.domain.n_p != self.n_p:
             raise DimensionError(
                 f"domain dimension {self.domain.n_p} != n_p {self.n_p}"
@@ -405,11 +435,12 @@ def parse_model(text: str) -> LpvStateSpace:
     ------
     ParseError
         Syntax errors (with line/column), missing or unknown keys,
-        malformed terms.
+        malformed terms, a non-finite coefficient (``NaN``, ``Infinity``
+        or an overflowing literal).
     DimensionError
         Coefficient shapes inconsistent with the declared dimensions.
     DomainError
-        ``lower > upper`` in some scheduling dimension.
+        A non-finite bound, or ``lower > upper`` in some scheduling dimension.
     """
     try:
         data = json.loads(text)

@@ -26,14 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import DiscretizationConfig, phi, singular_rows
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionError,
-    DomainError,
-    WellposednessError,
-)
-from .model import eval_pmatrix, eval_pmatrix_many
+from .errors import ConfigError, DataError, DimensionError, WellposednessError
+from .model import check_in_box, eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
     "SignalSpec",
@@ -241,12 +235,6 @@ def sigma_initial_state(model, cfg, p0, u0, x0) -> np.ndarray:
     return _seed_xi(A0, B0 @ u0, x0, cfg.ts)
 
 
-def _first_point_outside(domain, points):
-    """Index of the first row leaving the closed box or not finite, or None."""
-    bad = ~np.all((points >= domain.lower) & (points <= domain.upper), axis=1)
-    return int(np.argmax(bad)) if bad.any() else None
-
-
 def _check_run_inputs(model, cfg, traj, x0):
     """Shared up-front guard of both engines; returns x0 as an (n_x,) array."""
     if traj.p.shape[1] != model.n_p:
@@ -260,12 +248,7 @@ def _check_run_inputs(model, cfg, traj, x0):
             f"trajectory sampled at ts = {traj.ts}, configuration has "
             f"ts = {cfg.ts}"
         )
-    k = _first_point_outside(model.domain, traj.p)
-    if k is not None:
-        raise DomainError(
-            f"scheduling point {list(map(float, traj.p[k]))} at step {k} "
-            "outside the box"
-        )
+    check_in_box(model.domain, traj.p, where=lambda k: f"step {k}")
     bad = ~np.all(np.isfinite(traj.u), axis=1)
     if bad.any():
         k = int(np.argmax(bad))
@@ -395,6 +378,12 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     Integrates with step h = Ts/oversample, evaluating the scenario's p(t)
     and u(t) at the exact stage times, and logs every Ts-multiple.  The
     returned trajectory carries y and x on the sampling grid (xi is None).
+
+    Raises
+    ------
+    DomainError, DataError, ConfigError
+        As :func:`simulate_dt` for the sampled p, u and x0; DomainError also
+        when p(t) leaves the box or is not finite at an RK4 stage time.
     """
     if int(oversample) < 1:
         raise ConfigError(f"oversample must be >= 1, got {oversample}")
@@ -405,6 +394,7 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
         )
     oversample = int(oversample)
     samp = sample_scenario(scenario, cfg)
+    x0 = _check_run_inputs(model, cfg, samp, scenario.x0)
     n_keep = samp.n_steps
     h = cfg.ts / oversample
     n_fine = (n_keep - 1) * oversample
@@ -416,29 +406,17 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     all_t = np.concatenate([t_fine, t_half, t_full])
     p_all = scenario.p_at(all_t)
     u_all = scenario.u_at(all_t)
-    for points, where in ((p_all, all_t), (samp.p, samp.times())):
-        k = _first_point_outside(model.domain, points)
-        if k is not None:
-            raise DomainError(
-                f"scheduling point {list(map(float, points[k]))} at t = "
-                f"{float(where[k])} outside the box"
-            )
+    check_in_box(model.domain, p_all, where=lambda k: f"t = {float(all_t[k])}")
 
-    def stacks(points):
-        A = eval_pmatrix_many(model.A, points)
-        B = eval_pmatrix_many(model.B, points)
-        return A, B
+    # one third at a time: evaluating all stage points at once raises the
+    # allocation peak by the temporaries of two more thirds
+    thirds = np.split(p_all, 3)
+    A0, Ah, A1 = (eval_pmatrix_many(model.A, q) for q in thirds)
+    B0, Bh, B1 = (eval_pmatrix_many(model.B, q) for q in thirds)
+    u0, uh, u1 = np.split(u_all, 3)
 
-    A0, B0 = stacks(p_all[:n_fine])
-    Ah, Bh = stacks(p_all[n_fine:2 * n_fine])
-    A1, B1 = stacks(p_all[2 * n_fine:3 * n_fine])
-    u0 = u_all[:n_fine]
-    uh = u_all[n_fine:2 * n_fine]
-    u1 = u_all[2 * n_fine:3 * n_fine]
-
-    x = np.asarray(scenario.x0, dtype=float).reshape(model.n_x).copy()
     x_log = np.empty((n_keep, model.n_x))
-    x_log[0] = x
+    x_log[0] = x = x0
     for i in range(n_fine):
         k1 = A0[i] @ x + B0[i] @ u0[i]
         k2 = Ah[i] @ (x + 0.5 * h * k1) + Bh[i] @ uh[i]
@@ -448,24 +426,17 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
         if (i + 1) % oversample == 0:
             x_log[(i + 1) // oversample] = x
 
-    C_all = eval_pmatrix_many(model.C, samp.p)
-    D_all = eval_pmatrix_many(model.D, samp.p)
-    y = np.einsum("kij,kj->ki", C_all, x_log) + np.einsum(
-        "kij,kj->ki", D_all, samp.u
-    )
+    y = _matvecs(eval_pmatrix_many(model.C, samp.p), x_log)
+    y += _matvecs(eval_pmatrix_many(model.D, samp.p), samp.u)
     return Trajectory(ts=cfg.ts, p=samp.p, u=samp.u, y=y, x=x_log, xi=None)
-
-
-def _fmt(v) -> str:
-    # shortest round-trip decimal for a python float
-    return repr(float(v))
 
 
 def write_trajectory_csv(traj: Trajectory, include_state=False) -> str:
     """Render a result trajectory as CSV text.
 
     Columns are ``k,t`` then y channels, and with ``include_state`` also the
-    x and xi channels when the trajectory recorded them.
+    x and xi channels when the trajectory recorded them.  Values are written
+    as the shortest decimal that round-trips (``repr`` of a Python float).
     """
     if traj.y is None:
         raise DataError("trajectory has no outputs to write")
@@ -478,16 +449,13 @@ def write_trajectory_csv(traj: Trajectory, include_state=False) -> str:
         header += [f"x{i + 1}" for i in range(traj.x.shape[1])]
         header += [f"xi{i + 1}" for i in range(traj.xi.shape[1])]
         blocks += [traj.x, traj.xi]
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    t = traj.times()
-    for k in range(traj.n_steps):
-        row = [str(k), _fmt(t[k])]
+    lines = [",".join(header)]
+    for k, t in enumerate(traj.times().tolist()):
+        row = [k, t]
         for b in blocks:
-            row.extend(_fmt(v) for v in b[k])
-        w.writerow(row)
-    return out.getvalue()
+            row += b[k].tolist()
+        lines.append(",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
 
 
 def read_trajectory_csv(text: str, ts: float) -> Trajectory:

@@ -90,6 +90,44 @@ def test_ct_response_reports_pole_frequency():
     assert "1.0" in str(exc.value)
 
 
+def test_stacked_kernels_equal_per_frequency_solves():
+    # the per-frequency loop the stacked kernel replaced, as the reference
+    model = constant_model(
+        [[-1.0, 2.0, 0.0], [-2.0, -0.5, 1.0], [0.0, -1.0, -3.0]],
+        [[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]],
+        [[1.0, 0.0, -1.0], [0.0, 2.0, 0.5]],
+        [[0.1, 0.0], [0.0, -0.2]],
+    )
+    cfg = DiscretizationConfig(0.1)
+    grid = log_frequency_grid(cfg, decades=3, points_per_decade=7)
+    A, B, C, D = model.matrices_at([0.0])
+    ct = [C @ np.linalg.solve(1j * w * np.eye(3) - A, B.astype(complex)) + D for w in grid]
+    assert_allclose(freqresp_ct(model, [0.0], grid).values, ct, rtol=0, atol=0)
+    s = dt_step_matrices(model, [0.0], cfg)
+    dt = [
+        s.Cxi @ np.linalg.solve(np.exp(1j * w * cfg.ts) * np.eye(3) - s.Axi,
+                                s.Bxi.astype(complex)) + s.Dxi
+        for w in grid
+    ]
+    assert_allclose(freqresp_dt(s, cfg, grid).values, dt, rtol=0, atol=0)
+
+
+def test_ct_response_names_the_singular_frequency_of_a_grid():
+    # eigenvalues +-j: only the middle grid point omega = 1 is a pole
+    model = constant_model(
+        [[0.0, -1.0], [1.0, 0.0]], [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]]
+    )
+    with pytest.raises(DomainError, match=r"omega = 1\.0 rad/s"):
+        freqresp_ct(model, [0.0], [0.5, 1.0, 2.0])
+
+
+def test_ct_response_rejects_point_outside_box():
+    with pytest.raises(DomainError, match="outside the box"):
+        freqresp_ct(msd_model(), [5.0], [1.0])
+    with pytest.raises(DomainError):
+        freqresp_ct(msd_model(), [np.nan], [1.0])
+
+
 def test_ct_response_conjugate_symmetry():
     # real matrices force G(-jw) = conj(G(jw)); evaluated directly since the
     # public grid is positive-only
@@ -111,6 +149,22 @@ def test_dt_response_feedthrough_only():
     )
     fr = freqresp_dt(step, DiscretizationConfig(0.5), [0.1, 1.0])
     assert_allclose(fr.values, np.full((2, 1, 1), 3.25 + 0.0j), rtol=0, atol=0)
+
+
+def test_dt_response_names_the_singular_frequency_of_a_grid():
+    # Axi is the rotation by w Ts built from the kernel's own e^{j w Ts}, so
+    # e^{j w Ts} I - Axi = [[j b, b], [-b, j b]] with b = 1.0: exactly singular
+    cfg = DiscretizationConfig(1.0)
+    grid = np.array([0.5, np.pi / 2.0, 2.5])
+    z = np.exp(1j * grid * cfg.ts)[1]
+    assert z.imag == 1.0
+    step = StepMatrices(
+        Axi=np.array([[z.real, -z.imag], [z.imag, z.real]]),
+        Bxi=np.array([[1.0], [0.0]]), Cxi=np.array([[1.0, 0.0]]),
+        Dxi=np.zeros((1, 1)), Xxi=np.eye(2), Xu=np.zeros((2, 1)),
+    )
+    with pytest.raises(DomainError, match=f"omega = {np.pi / 2.0!r} rad/s"):
+        freqresp_dt(step, cfg, grid)
 
 
 def test_dt_response_rejects_nyquist_and_above():

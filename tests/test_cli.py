@@ -239,6 +239,28 @@ def test_simulate_rejects_non_finite_u_and_x0(capsys, extra, prefix):
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field, value, prefix",
+    [
+        ("A", [{"exponents": [0], "coeff": [[0.0, 1.0], [float("nan"), -0.5]]}],
+         "E_PARSE:"),
+        ("domain", {"lower": [0.5], "upper": [float("inf")]}, "E_DOMAIN:"),
+    ],
+)
+def test_non_finite_model_numbers_are_exit_1(capsys, tmp_path, field, value, prefix):
+    data = json.loads(fixture_path("msd").read_text())
+    data[field] = value
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(data))  # json writes NaN / Infinity literals
+    for argv in (
+        ("simulate", "--p", "const:2", "--u", "const:1", "--steps", "4"),
+        ("check",),
+    ):
+        code, out, err = run(capsys, *argv, "--model", str(model), "--ts", "0.1")
+        assert code == 1 and out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+
 # --- freqresp -------------------------------------------------------------------
 
 

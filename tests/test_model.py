@@ -51,6 +51,12 @@ def test_eval_zero_function_and_many():
     stacked = eval_pmatrix_many(f, pts)
     expected = np.array([eval_pmatrix(f, p) for p in pts])
     assert_allclose(stacked, expected, rtol=0, atol=0)
+    # cubic and mixed terms: per-point and batched values agree bit for bit
+    g = PMatrixFunction(2, 1, (((3, 0), [[0.7], [-1.3]]), ((1, 2), [[2.9], [0.1]])))
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, (50, 2))
+    stacked = eval_pmatrix_many(g, pts)
+    expected = np.array([eval_pmatrix(g, p) for p in pts])
+    assert_allclose(stacked, expected, rtol=0, atol=0)
 
 
 def test_eval_wrong_p_length():
@@ -146,6 +152,19 @@ def test_parse_rejects_inverted_domain():
     bad["domain"] = {"lower": [1.0], "upper": [-1.0]}
     with pytest.raises(DomainError):
         parse_model(json.dumps(bad))
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("A", [{"exponents": [1], "coeff": [[float("nan")]]}], ParseError),
+    ("A", [{"exponents": [0], "coeff": [[float("inf")]]}], ParseError),
+    ("domain", {"lower": [-1.0], "upper": [float("inf")]}, DomainError),
+    ("domain", {"lower": [float("nan")], "upper": [1.0]}, DomainError),
+])
+def test_parse_rejects_non_finite_numbers(field, value, error):
+    data = json.loads(MINIMAL)
+    data[field] = value
+    with pytest.raises(error, match="finite"):
+        parse_model(json.dumps(data))  # json writes NaN / Infinity literals
 
 
 def test_roundtrip_is_identity_on_canonical_form():

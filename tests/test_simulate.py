@@ -468,6 +468,14 @@ def test_ct_reference_rejects_schedule_leaving_box():
         simulate_ct_reference(integrator_model(), DiscretizationConfig(0.5), scen)
 
 
+def test_ct_reference_rejects_non_finite_u_and_x0():
+    cfg = DiscretizationConfig(0.5)
+    with pytest.raises(DataError):
+        simulate_ct_reference(lag_model(), cfg, unit_scenario(u_value=np.nan))
+    with pytest.raises(ConfigError):
+        simulate_ct_reference(lag_model(), cfg, unit_scenario(x0=(np.inf,)))
+
+
 # --- CSV round trip ---------------------------------------------------------
 
 
