@@ -8,7 +8,10 @@ recurrence runs in a Python loop.  The loop oracle re-solves the implicit
 feedback loop around the trapezoidal integrator block at every step.  Both
 realize the identical map, so their outputs agree to machine precision;
 keeping both is the point, since each checks the other.  A fixed-step RK4
-integrator provides the continuous-time reference.
+integrator provides the continuous-time reference.  The model is linear in x,
+so each RK4 substep is an affine map x+ = T_i x + s_i; the reference builds
+those maps batched from A and B u at the stage times, and again only the
+recurrence over x runs in a Python loop.
 
 The internal state relates to the physical one by
 
@@ -372,12 +375,74 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     return Trajectory(ts=ts, p=p, u=u, y=y, x=x_log, xi=xi_log)
 
 
+#: row budget of one block of RK4 maps: the maps are built a block of whole
+#: samples at a time, so their (rows, n, n) stacks stay this short (or one
+#: sample long, when oversample is larger) whatever t_end is
+_RK4_BLOCK_ROWS = 256
+
+
+def _rk4_affine_maps(model, p_stages, u_stages, h):
+    """Affine maps of a run of RK4 substeps, as (D, s) with T = I + D.
+
+    ``p_stages`` and ``u_stages`` hold the p and u rows at each substep's
+    start, midpoint and end.  The stage slopes k_j = M_j x + c_j of a linear
+    time-varying system are affine in x:
+
+        M1 = A0,  M2 = Ah (I + h/2 M1),  M3 = Ah (I + h/2 M2),
+        M4 = A1 (I + h M3),  D = h/6 (M1 + 2 M2 + 2 M3 + M4),
+
+    and the offsets c_j follow the same recursion from the drives B u, so
+    s = h/6 (c1 + 2 c2 + 2 c3 + c4) and one substep is x+ = x + (D x + s).
+    """
+    (p0, ph, p1), (u0, uh, u1) = p_stages, u_stages
+    # (rows, n, n) stacks are updated in place and dropped once used up, so
+    # at most four are live at once besides the evaluator's temporaries
+    A0 = eval_pmatrix_many(model.A, p0)
+    Ah = eval_pmatrix_many(model.A, ph)
+    c1 = _matvecs(eval_pmatrix_many(model.B, p0), u0)
+    fh = _matvecs(eval_pmatrix_many(model.B, ph), uh)
+    c2 = (0.5 * h) * _matvecs(Ah, c1) + fh
+    c3 = (0.5 * h) * _matvecs(Ah, c2) + fh
+    M2 = Ah @ A0
+    M2 *= 0.5 * h
+    M2 += Ah
+    D = A0
+    del A0
+    D += M2
+    D += M2
+    M3 = Ah @ M2
+    del M2
+    M3 *= 0.5 * h
+    M3 += Ah
+    del Ah
+    D += M3
+    D += M3
+    A1 = eval_pmatrix_many(model.A, p1)
+    c4 = h * _matvecs(A1, c3) + _matvecs(eval_pmatrix_many(model.B, p1), u1)
+    M4 = A1 @ M3
+    del M3
+    M4 *= h
+    M4 += A1
+    D += M4
+    D *= h / 6.0
+    return D, (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+
+
 def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     """Fixed-step RK4 integration of the continuous-time model.
 
     Integrates with step h = Ts/oversample, evaluating the scenario's p(t)
     and u(t) at the exact stage times, and logs every Ts-multiple.  The
     returned trajectory carries y and x on the sampling grid (xi is None).
+
+    For a linear time-varying system one RK4 substep is an affine map
+    x+ = T_i x + s_i, built from A and B u at the substep's three stage
+    times.  The maps are built batched, over blocks of whole samples of at
+    most ``_RK4_BLOCK_ROWS`` substeps (one sample when oversample is
+    larger), so only the recurrence runs substep by substep.  It is stepped
+    as x + (D_i x + s_i) with T_i = I + D_i: like the stagewise form, each
+    substep adds a small increment to x, where the product T_i x would
+    round every entry of x afresh.
 
     Raises
     ------
@@ -405,26 +470,22 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     t_full = t_fine + h
     all_t = np.concatenate([t_fine, t_half, t_full])
     p_all = scenario.p_at(all_t)
-    u_all = scenario.u_at(all_t)
     check_in_box(model.domain, p_all, where=lambda k: f"t = {float(all_t[k])}")
-
-    # one third at a time: evaluating all stage points at once raises the
-    # allocation peak by the temporaries of two more thirds
-    thirds = np.split(p_all, 3)
-    A0, Ah, A1 = (eval_pmatrix_many(model.A, q) for q in thirds)
-    B0, Bh, B1 = (eval_pmatrix_many(model.B, q) for q in thirds)
-    u0, uh, u1 = np.split(u_all, 3)
+    p_stages = np.split(p_all, 3)
+    u_stages = np.split(scenario.u_at(all_t), 3)
 
     x_log = np.empty((n_keep, model.n_x))
     x_log[0] = x = x0
-    for i in range(n_fine):
-        k1 = A0[i] @ x + B0[i] @ u0[i]
-        k2 = Ah[i] @ (x + 0.5 * h * k1) + Bh[i] @ uh[i]
-        k3 = Ah[i] @ (x + 0.5 * h * k2) + Bh[i] @ uh[i]
-        k4 = A1[i] @ (x + h * k3) + B1[i] @ u1[i]
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (i + 1) % oversample == 0:
-            x_log[(i + 1) // oversample] = x
+    per_block = max(1, _RK4_BLOCK_ROWS // oversample)
+    for k0 in range(0, n_keep - 1, per_block):
+        rows = slice(k0 * oversample, min(k0 + per_block, n_keep - 1) * oversample)
+        D, s = _rk4_affine_maps(
+            model, [q[rows] for q in p_stages], [v[rows] for v in u_stages], h
+        )
+        for i in range(D.shape[0]):
+            x = x + (D[i] @ x + s[i])
+            if (i + 1) % oversample == 0:
+                x_log[k0 + (i + 1) // oversample] = x
 
     y = _matvecs(eval_pmatrix_many(model.C, samp.p), x_log)
     y += _matvecs(eval_pmatrix_many(model.D, samp.p), samp.u)

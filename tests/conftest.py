@@ -4,6 +4,7 @@ import numpy as np
 
 from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain
 from lpvsim.discretize import DiscretizationConfig, wellposedness_check
+from lpvsim.model import eval_pmatrix_many
 
 
 def constant_model(A, B, C, D, box=(-1.0, 1.0)):
@@ -81,25 +82,38 @@ def random_constant_model(rng, ts_gate=(0.01, 0.1, 0.5), n_x_max=5, n_io_max=3):
         return constant_model(A, B, C, D)
 
 
+def random_affine_model(rng, n_x_max=4, n_p_max=2, n_io_max=2):
+    """Random affine-in-p model on the box [-1, 1]^n_p, stable-ish at the
+    box center; nothing checks its well-posedness."""
+    n_x = int(rng.integers(1, n_x_max + 1))
+    n_u = int(rng.integers(1, n_io_max + 1))
+    n_y = int(rng.integers(1, n_io_max + 1))
+    n_p = int(rng.integers(1, n_p_max + 1))
+    A0 = -np.diag(0.8 + rng.uniform(0.0, 1.0, n_x)) + 0.4 * rng.uniform(-1, 1, (n_x, n_x))
+    linear = [0.25 * rng.uniform(-1, 1, (n_x, n_x)) for _ in range(n_p)]
+    return LpvStateSpace(
+        n_x=n_x, n_u=n_u, n_y=n_y, n_p=n_p,
+        A=PMatrixFunction.affine(A0, linear),
+        B=PMatrixFunction.constant(rng.uniform(-1, 1, (n_x, n_u)), n_p),
+        C=PMatrixFunction.constant(rng.uniform(-1, 1, (n_y, n_x)), n_p),
+        D=PMatrixFunction.constant(0.5 * rng.uniform(-1, 1, (n_y, n_u)), n_p),
+        domain=SchedulingDomain([-1.0] * n_p, [1.0] * n_p),
+    )
+
+
+def loop_condition(model, points, ts):
+    """Largest 2-norm condition number of I - A(p) Ts/2 over rows of points;
+    property tests ``assume`` a bound on it to keep to well-posed draws."""
+    A = eval_pmatrix_many(model.A, np.atleast_2d(points))
+    return float(np.max(np.linalg.cond(np.eye(model.n_x) - A * (ts / 2.0))))
+
+
 def random_lpv_model(rng, ts, n_x_max=4, n_p_max=2, n_io_max=2):
     """Random affine-in-p model, stable-ish at the box center and
     rejection-sampled to pass a sampled well-posedness sweep at ``ts``."""
     cfg = DiscretizationConfig(ts)
     while True:
-        n_x = int(rng.integers(1, n_x_max + 1))
-        n_u = int(rng.integers(1, n_io_max + 1))
-        n_y = int(rng.integers(1, n_io_max + 1))
-        n_p = int(rng.integers(1, n_p_max + 1))
-        A0 = -np.diag(0.8 + rng.uniform(0.0, 1.0, n_x)) + 0.4 * rng.uniform(-1, 1, (n_x, n_x))
-        linear = [0.25 * rng.uniform(-1, 1, (n_x, n_x)) for _ in range(n_p)]
-        model = LpvStateSpace(
-            n_x=n_x, n_u=n_u, n_y=n_y, n_p=n_p,
-            A=PMatrixFunction.affine(A0, linear),
-            B=PMatrixFunction.constant(rng.uniform(-1, 1, (n_x, n_u)), n_p),
-            C=PMatrixFunction.constant(rng.uniform(-1, 1, (n_y, n_x)), n_p),
-            D=PMatrixFunction.constant(0.5 * rng.uniform(-1, 1, (n_y, n_u)), n_p),
-            domain=SchedulingDomain([-1.0] * n_p, [1.0] * n_p),
-        )
+        model = random_affine_model(rng, n_x_max, n_p_max, n_io_max)
         report = wellposedness_check(
             model, cfg, grid_per_dim=5, random_samples=16,
             seed=int(rng.integers(0, 2**31)),

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import constant_model, integrator_model, lag_model, msd_model
+from conftest import (
+    constant_model,
+    integrator_model,
+    lag_model,
+    loop_condition,
+    msd_model,
+    random_affine_model,
+)
 from lpvsim.analyze import (
     ComparisonMetrics,
     FrequencyResponse,
@@ -24,7 +33,13 @@ from lpvsim.discretize import (
     tustin_frozen,
 )
 from lpvsim.errors import ConfigError, DataError, DimensionError, DomainError
-from lpvsim.simulate import Scenario, SignalSpec, sample_scenario, simulate_dt
+from lpvsim.simulate import (
+    Scenario,
+    SignalSpec,
+    sample_scenario,
+    simulate_ct_reference,
+    simulate_dt,
+)
 
 
 def euler_step_matrices(model, p, ts):
@@ -48,6 +63,13 @@ def test_frequency_grid_shape_and_ceiling():
     assert grid[0] > 0 and np.all(np.diff(grid) > 0)
     with pytest.raises(ConfigError):
         log_frequency_grid(cfg, decades=0)
+
+
+def test_log_grid_rejects_rounding_to_no_points():
+    cfg = DiscretizationConfig(0.1)
+    with pytest.raises(ConfigError):
+        log_frequency_grid(cfg, decades=0.001, points_per_decade=1)
+    assert log_frequency_grid(cfg, decades=0.6, points_per_decade=1).size == 1
 
 
 def test_frequency_response_container_validation():
@@ -212,6 +234,22 @@ def test_warping_residual_is_roundoff_small():
     assert warping_residual(msd_model(), [2.0], cfg, grid) <= 1e-9
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ts=st.floats(min_value=1e-3, max_value=0.5),
+)
+def test_warping_identity_property(seed, ts):
+    rng = np.random.default_rng(seed)
+    cfg = DiscretizationConfig(ts)
+    model = random_affine_model(rng)
+    p = rng.uniform(model.domain.lower, model.domain.upper)
+    assume(loop_condition(model, p, ts) < 1e3)
+    grid = log_frequency_grid(cfg, decades=3, points_per_decade=10)
+    peak = float(np.max(np.abs(freqresp_ct(model, p, grid).values)))
+    assert warping_residual(model, p, cfg, grid) <= 1e-9 * max(1.0, peak)
+
+
 def test_warping_euler_negative_control_fails_loudly():
     cfg = DiscretizationConfig(0.1)
     grid = log_frequency_grid(cfg)
@@ -310,6 +348,46 @@ def test_convergence_second_order_on_frozen_lag():
     assert 1.8 <= study.fitted_order <= 2.2
     assert all(1.5 <= o <= 2.5 for o in study.pairwise_orders)
     assert study.max_errors == tuple(sorted(study.max_errors, reverse=True))
+
+
+def scheduled_msd_scenario(t_end=2.0):
+    return Scenario(
+        p=[SignalSpec.sine(amplitude=1.0, f=0.4, offset=2.0)],
+        u=[SignalSpec.sine(amplitude=1.0, f=0.5)],
+        x0=[1.0, -0.5], t_end=t_end,
+    )
+
+
+def test_convergence_reference_equals_per_ts_runs_bit_for_bit():
+    ts_list, oversample = [0.2, 0.1, 0.05], 10
+    model, scen = msd_model(), scheduled_msd_scenario()
+    study = convergence_order(model, scen, ts_list, oversample=oversample)
+    per_ts = []
+    for ts in ts_list:
+        cfg = DiscretizationConfig(ts)
+        over = int(round(oversample * ts / ts_list[-1]))
+        ct = simulate_ct_reference(model, cfg, scen, oversample=over)
+        dt = simulate_dt(
+            model, cfg, sample_scenario(scen, cfg), scen.x0, record_state=False
+        )
+        per_ts.append(float(np.max(np.abs(dt.y - ct.y))))
+    assert study.max_errors == tuple(per_ts)
+
+
+@pytest.mark.parametrize(
+    "ts_list",
+    [
+        [0.2, 0.1 * (1 - 1e-10), 0.05],
+        [0.2, 0.1 * (1 + 1e-10), 0.05],  # samples one point fewer than 0.1
+        [0.2, 0.1, 0.05 * (1 + 1e-10)],
+    ],
+)
+def test_convergence_accepts_halving_within_tolerance(ts_list):
+    study = convergence_order(
+        msd_model(), scheduled_msd_scenario(), ts_list, oversample=10
+    )
+    assert not study.degenerate
+    assert 1.8 <= study.fitted_order <= 2.2
 
 
 def test_convergence_degenerate_on_exact_scenario():

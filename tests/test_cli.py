@@ -294,6 +294,15 @@ def test_freqresp_stdout_without_prefix(capsys):
     assert "ct_csv" not in data
 
 
+def test_freqresp_grid_rounding_to_no_points_is_one_line(capsys):
+    code, out, err = run(
+        capsys, "freqresp", "--model", "msd", "--ts", "0.1", "--p", "2",
+        "--decades", "0.001", "--points-per-decade", "1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("E_PARSE:") and err.count("\n") == 1
+
+
 # --- compare --------------------------------------------------------------------
 
 

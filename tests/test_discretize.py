@@ -3,12 +3,16 @@ identities that both realizations must satisfy."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
     constant_model,
     integrator_model,
     lag_model,
+    loop_condition,
+    random_affine_model,
     random_constant_model,
     scalar_gain_model,
 )
@@ -223,6 +227,29 @@ def test_realizations_related_by_state_scaling():
             assert_allclose(a.Bxi, (2.0 / ts) * b.Bxi, rtol=1e-10, atol=1e-12)
             assert_allclose(a.Cxi, (ts / 2.0) * b.Cxi, rtol=1e-10, atol=1e-12)
             assert_allclose(a.Dxi, b.Dxi, rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ts=st.floats(min_value=1e-3, max_value=0.5),
+)
+def test_realizations_related_by_state_scaling_property(seed, ts):
+    rng = np.random.default_rng(seed)
+    cfg = DiscretizationConfig(ts)
+    model = random_affine_model(rng)
+    p = rng.uniform(model.domain.lower, model.domain.upper)
+    assume(loop_condition(model, p, ts) < 1e3)
+    a = dt_step_matrices(model, p, cfg)
+    b = tustin_frozen(model, p, cfg)
+    gap = max(
+        np.max(np.abs(a.Axi - b.Axi)),
+        np.max(np.abs(a.Bxi - (2.0 / ts) * b.Bxi)),
+        np.max(np.abs(a.Cxi - (ts / 2.0) * b.Cxi)),
+        np.max(np.abs(a.Dxi - b.Dxi)),
+    )
+    scale = max(1.0, *(np.max(np.abs(m)) for m in (a.Axi, a.Bxi, a.Cxi, a.Dxi)))
+    assert gap <= 1e-10 * scale
 
 
 def test_dc_gain_preserved_exactly():

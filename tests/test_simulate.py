@@ -3,7 +3,7 @@ trajectory CSV round trip."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -11,10 +11,13 @@ from conftest import (
     inbox_p_trajectory,
     integrator_model,
     lag_model,
+    loop_condition,
     msd_model,
+    random_affine_model,
     random_lpv_model,
     scalar_gain_model,
 )
+from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain
 from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, tustin_frozen
 from lpvsim.errors import (
     ConfigError,
@@ -23,7 +26,9 @@ from lpvsim.errors import (
     DomainError,
     WellposednessError,
 )
+from lpvsim.model import eval_pmatrix_many
 from lpvsim.simulate import (
+    _RK4_BLOCK_ROWS,
     Scenario,
     SignalSpec,
     Trajectory,
@@ -393,7 +398,88 @@ def test_engines_agree_property(seed, ts):
     assert np.max(np.abs(ya - yb)) <= 1e-9 * max(1.0, float(np.max(np.abs(ya))))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ts=st.floats(min_value=1e-3, max_value=0.5),
+)
+def test_initial_state_recovered_exactly_property(seed, ts):
+    rng = np.random.default_rng(seed)
+    cfg = DiscretizationConfig(ts)
+    model = random_affine_model(rng)
+    n = 20
+    p = inbox_p_trajectory(rng, model, n, ts)
+    assume(loop_condition(model, p, ts) < 1e3)
+    traj = Trajectory(ts=cfg.ts, p=p, u=rng.uniform(-5, 5, (n, model.n_u)))
+    x0 = rng.uniform(-5, 5, model.n_x)
+    out = simulate_dt(model, cfg, traj, x0)
+    assert np.max(np.abs(out.x[0] - x0)) <= 1e-10
+
+
 # --- continuous-time reference ---------------------------------------------
+
+
+def rk4_stagewise_oracle(model, cfg, scenario, oversample):
+    """Reference x log from the stagewise k1..k4 RK4 loop, one substep at a
+    time at the same stage times as :func:`simulate_ct_reference`."""
+    n_keep = sample_scenario(scenario, cfg).n_steps
+    h = cfg.ts / oversample
+    t = np.arange((n_keep - 1) * oversample) * h
+    stages = (t, t + 0.5 * h, t + h)
+    A0, Ah, A1 = (eval_pmatrix_many(model.A, scenario.p_at(s)) for s in stages)
+    B0, Bh, B1 = (eval_pmatrix_many(model.B, scenario.p_at(s)) for s in stages)
+    u0, uh, u1 = (scenario.u_at(s) for s in stages)
+    x_log = np.empty((n_keep, model.n_x))
+    x_log[0] = x = scenario.x0
+    for i in range(t.size):
+        k1 = A0[i] @ x + B0[i] @ u0[i]
+        k2 = Ah[i] @ (x + 0.5 * h * k1) + Bh[i] @ uh[i]
+        k3 = Ah[i] @ (x + 0.5 * h * k2) + Bh[i] @ uh[i]
+        k4 = A1[i] @ (x + h * k3) + B1[i] @ u1[i]
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (i + 1) % oversample == 0:
+            x_log[(i + 1) // oversample] = x
+    return x_log
+
+
+def random_time_varying_model(rng, n_x, n_u):
+    """Affine model whose A and B both move with a 2-D scheduling vector."""
+    A0 = -np.diag(0.5 + rng.uniform(0.0, 1.0, n_x)) + 0.5 * rng.uniform(-1, 1, (n_x, n_x))
+    return LpvStateSpace(
+        n_x=n_x, n_u=n_u, n_y=1, n_p=2,
+        A=PMatrixFunction.affine(A0, [0.5 * rng.uniform(-1, 1, (n_x, n_x)) for _ in range(2)]),
+        B=PMatrixFunction.affine(
+            rng.uniform(-1, 1, (n_x, n_u)), [rng.uniform(-1, 1, (n_x, n_u)) for _ in range(2)]
+        ),
+        C=PMatrixFunction.constant(rng.uniform(-1, 1, (1, n_x)), 2),
+        D=PMatrixFunction.zero(1, n_u),
+        domain=SchedulingDomain([-1.0, -1.0], [1.0, 1.0]),
+    )
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_u", [1, 2])
+def test_ct_reference_matches_stagewise_oracle(n_x, n_u):
+    rng = np.random.default_rng(10 * n_x + n_u)
+    model = random_time_varying_model(rng, n_x, n_u)
+    cfg = DiscretizationConfig(0.1)
+    for oversample in (1, 3, 20, _RK4_BLOCK_ROWS + 1):
+        per_block = max(1, _RK4_BLOCK_ROWS // oversample)
+        # sample counts below, at and just across one block of maps
+        for n_samples in (per_block - 1, per_block, per_block + 1):
+            scen = Scenario(
+                p=[SignalSpec.sine(amplitude=0.9, f=f, phase=ph)
+                   for f, ph in rng.uniform(0.1, 2.0, (2, 2))],
+                u=[SignalSpec.sine(f=f) for f in rng.uniform(0.1, 2.0, n_u)],
+                x0=rng.uniform(-1, 1, n_x),
+                t_end=max(n_samples, 0.5) * cfg.ts,
+            )
+            got = simulate_ct_reference(model, cfg, scen, oversample=oversample).x
+            want = rk4_stagewise_oracle(model, cfg, scen, oversample)
+            assert got.shape == (n_samples + 1, n_x)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
 
 
 def test_ct_reference_unit_ramp_is_exact():
