@@ -80,7 +80,8 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
 
     The top frequency is 0.9 * pi / Ts, safely below the w_max * Ts < pi
     requirement of :func:`freqresp_dt`.  The grid holds
-    round(decades * points_per_decade) points, which must be at least one.
+    round(decades * points_per_decade) points, which must be at least one;
+    a one-point grid is the top frequency alone.
     """
     if decades <= 0 or points_per_decade < 1:
         raise ConfigError("grid needs decades > 0 and points_per_decade >= 1")
@@ -91,6 +92,8 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
             f"grid of {decades} decades at {points_per_decade} points per "
             "decade rounds to no points"
         )
+    if n == 1:
+        return np.array([top])
     return np.logspace(np.log10(top) - decades, np.log10(top), n)
 
 

@@ -548,10 +548,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser main() reuses; built on main's first call, not at import.
+#: Reuse is safe: parse_args makes a new Namespace per call and copies
+#: ``append`` defaults, so no call sees another's arguments.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except _UsageError as exc:
         print(f"E_PARSE: {exc}", file=sys.stderr)
         return 1

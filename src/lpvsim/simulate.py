@@ -5,7 +5,9 @@ scheduling trajectory.  The loop-free engine builds the paper's per-step
 matrices for every sample at once -- A(p(k)) and B(p(k)) as (N, n, n) and
 (N, n, m) stacks, one stacked factorization for Phi(p(k)) -- so only the xi
 recurrence runs in a Python loop.  The loop oracle re-solves the implicit
-feedback loop around the trapezoidal integrator block at every step.  Both
+feedback loop around the trapezoidal integrator block at every step; only
+its well-posedness check is stacked, one determinant over the loop matrices
+of all steps, while the solve stays per step.  Both
 realize the identical map, so their outputs agree to machine precision;
 keeping both is the point, since each checks the other.  A fixed-step RK4
 integrator provides the continuous-time reference.  The model is linear in x,
@@ -24,6 +26,7 @@ reconstructed state hit x(0) exactly at k = 0.
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,8 +219,12 @@ class Trajectory:
 
 
 def sample_scenario(scenario: Scenario, cfg: DiscretizationConfig) -> Trajectory:
-    """Sample scenario waveforms on the uniform grid k*Ts up to t_end."""
-    n_steps = int(np.floor(scenario.t_end / cfg.ts + 1e-9)) + 1
+    """Sample scenario waveforms on the uniform grid k*Ts up to t_end.
+
+    A Ts that divides t_end to 1e-9 relative keeps the sample at t_end.
+    """
+    ratio = scenario.t_end / cfg.ts
+    n_steps = int(np.floor(ratio + 1e-9 * max(1.0, ratio))) + 1
     t = np.arange(n_steps) * cfg.ts
     return Trajectory(ts=cfg.ts, p=scenario.p_at(t), u=scenario.u_at(t))
 
@@ -333,10 +340,11 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
         [ I        -(Ts/2) I ] [ x  ]   [ (Ts/2) xi ]
         [ -A(p)     I        ] [ rx ] = [ B(p) u    ]
 
-    followed by xi+ = xi + 2 rx.  A..D and B u are evaluated batched, but
-    at every step the loop matrix gets A(p(k)) written into one
-    preallocated buffer, is checked through its own determinant and is
-    solved.  No per-point matrices (Phi or the step blocks) are shared with
+    followed by xi+ = xi + 2 rx.  A..D and B u are evaluated batched, and
+    the loop matrices of all steps are stacked once for one determinant
+    check.  The stack is freed before the loop: at every step the loop
+    matrix gets A(p(k)) written into one preallocated buffer and is solved
+    there.  No per-point matrices (Phi or the step blocks) are shared with
     :func:`simulate_dt`; the two paths share only the model, the input
     guard, the xi(0) seed and the singularity threshold.
     """
@@ -345,22 +353,28 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     n = model.n_x
     p, u = traj.p, traj.u
     A = eval_pmatrix_many(model.A, p)
+    loop = np.eye(2 * n)
+    loop[:n, n:] = -(ts / 2.0) * np.eye(n)
+    loops = np.empty((traj.n_steps, 2 * n, 2 * n))
+    loops[:] = loop
+    np.negative(A, out=loops[:, n:, :n])
+    # same determinant as I - A Ts/2, by block elimination
+    bad = singular_rows(np.linalg.det(loops), A, ts)
+    del loops
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise WellposednessError(
+            f"integrator feedback loop is singular at step {k}",
+            A_p=A[k], ts=ts, step_index=k, p=p[k],
+        )
     Bu = _matvecs(eval_pmatrix_many(model.B, p), u)
     x_log = np.empty((traj.n_steps, n))
     xi_log = np.empty((traj.n_steps, n))
 
     xi = _seed_xi(A[0], Bu[0], x0, ts)
-    loop = np.eye(2 * n)
-    loop[:n, n:] = -(ts / 2.0) * np.eye(n)
     rhs = np.empty(2 * n)
     for k in range(traj.n_steps):
         loop[n:, :n] = -A[k]
-        # same determinant as I - A Ts/2, by block elimination
-        if singular_rows(np.linalg.det(loop), A[k], ts):
-            raise WellposednessError(
-                f"integrator feedback loop is singular at step {k}",
-                A_p=A[k], ts=ts, step_index=k, p=p[k],
-            )
         rhs[:n] = (ts / 2.0) * xi
         rhs[n:] = Bu[k]
         sol = np.linalg.solve(loop, rhs)
@@ -519,11 +533,63 @@ def write_trajectory_csv(traj: Trajectory, include_state=False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _columns(body, width, ts):
+    """The t, p and u columns of a trajectory table, one per row of an
+    array, or None if any row is bad.
+
+    k is parsed with ``int`` and every other cell with ``float``, column by
+    column; the cell counts, k = 0, 1, 2, ... and |t - k ts| <= 1e-9 are
+    checked over whole columns.
+    """
+    if set(map(len, body)) != {width}:
+        return None
+    cols = list(zip(*body))
+    n = len(body)
+    try:
+        if list(map(int, cols[0])) != list(range(n)):
+            return None
+        data = np.fromiter(
+            map(float, itertools.chain.from_iterable(cols[1:])),
+            dtype=float, count=n * (width - 1),
+        ).reshape(width - 1, n)
+    except ValueError:
+        return None
+    if np.any(np.abs(data[0] - np.arange(n) * ts) > 1e-9):
+        return None
+    return data
+
+
+def _raise_first_row_fault(body, width, ts):
+    """Raise the error of the first bad row, scanning row by row.
+
+    Runs only once :func:`_columns` has found a fault, so the error names
+    the first bad row and its first fault whatever the order of checks.
+    """
+    for j, row in enumerate(body):
+        if len(row) != width:
+            raise DataError(f"row {j} has {len(row)} cells, expected {width}")
+        try:
+            k = int(row[0])
+            t = float(row[1])
+            for cell in row[2:]:
+                float(cell)
+        except ValueError as exc:
+            raise DataError(f"row {j}: {exc}") from None
+        if k != j:
+            raise DataError(f"row {j} has k = {k}, expected {j}")
+        if abs(t - j * ts) > 1e-9:
+            raise DataError(
+                f"row {j} has t = {t}, expected k*ts = {j * ts} (ts = {ts})"
+            )
+
+
 def read_trajectory_csv(text: str, ts: float) -> Trajectory:
     """Parse an input trajectory table ``k,t,p1..pN,u1..uM``.
 
     The k column must count 0,1,2,... and every t must equal k*ts within
     1e-9; both guard against feeding a table sampled at a different rate.
+    Cells are parsed and checked column by column; only a table with a
+    fault is scanned row by row, to name its first bad row.
     """
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
@@ -542,27 +608,12 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
             "trajectory header must be k,t,p1..pN,u1..uM in order, got "
             + ",".join(header)
         )
-    p_cols = list(range(2, 2 + n_pc))
-    u_cols = list(range(2 + n_pc, 2 + n_pc + n_uc))
-    n = len(rows) - 1
-    if n < 1:
+    body = rows[1:]
+    if not body:
         raise DataError("trajectory table has a header but no rows")
-    p = np.empty((n, len(p_cols)))
-    u = np.empty((n, len(u_cols)))
-    for j, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise DataError(f"row {j} has {len(row)} cells, expected {len(header)}")
-        try:
-            k = int(row[0])
-            t = float(row[1])
-            p[j] = [float(row[i]) for i in p_cols]
-            u[j] = [float(row[i]) for i in u_cols]
-        except ValueError as exc:
-            raise DataError(f"row {j}: {exc}") from None
-        if k != j:
-            raise DataError(f"row {j} has k = {k}, expected {j}")
-        if abs(t - j * ts) > 1e-9:
-            raise DataError(
-                f"row {j} has t = {t}, expected k*ts = {j * ts} (ts = {ts})"
-            )
-    return Trajectory(ts=float(ts), p=p, u=u)
+    data = _columns(body, len(header), ts)
+    if data is None:
+        _raise_first_row_fault(body, len(header), ts)
+    return Trajectory(
+        ts=float(ts), p=data[1:1 + n_pc].T.copy(), u=data[1 + n_pc:].T.copy()
+    )

@@ -72,6 +72,17 @@ def test_log_grid_rejects_rounding_to_no_points():
     assert log_frequency_grid(cfg, decades=0.6, points_per_decade=1).size == 1
 
 
+def test_one_point_log_grid_is_the_top_frequency():
+    cfg = DiscretizationConfig(0.1)
+    grid = log_frequency_grid(cfg, decades=0.6, points_per_decade=1)
+    assert grid.tolist() == [0.9 * np.pi / 0.1]
+    # grids of two or more points still span the band up to the top
+    grid = log_frequency_grid(cfg, decades=1.5, points_per_decade=2)
+    assert grid.size == 3
+    assert np.array_equal(grid, np.logspace(np.log10(0.9 * np.pi / 0.1) - 1.5,
+                                            np.log10(0.9 * np.pi / 0.1), 3))
+
+
 def test_frequency_response_container_validation():
     with pytest.raises(ConfigError):
         FrequencyResponse(omegas=[2.0, 1.0], values=np.zeros((2, 1, 1)))

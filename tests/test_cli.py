@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: outputs, exit codes, failure lines."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from lpvsim import cli
 from lpvsim.cli import main, parse_signal_text
 from lpvsim.errors import ConfigError, DataError
 from lpvsim.fixtures import fixture_path
@@ -410,3 +415,58 @@ def test_repeat_runs_byte_identical_outputs(capsys, tmp_path):
     assert run(capsys, *args, "--out", str(a))[0] == 0
     assert run(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- one parser per process --------------------------------------------------
+
+_SIM = ("simulate", "--model", "msd", "--ts", "0.1", "--x0", "0.5,0")
+
+
+@pytest.mark.parametrize("first, second", [
+    # append lists must not accumulate across calls
+    ((*_SIM, "--p", "const:2", "--u", "const:1", "--steps", "4"),
+     (*_SIM, "--p", "sine:amp=0.5,offset=2", "--u", "step:amp=2",
+      "--steps", "6", "--emit-state")),
+    # a usage error, then a valid call
+    (("simulate", "--model", "msd", "--bogus"),
+     (*_SIM, "--p", "const:3", "--u", "const:1", "--steps", "3")),
+    # --help, then a valid call
+    (("simulate", "--help"),
+     (*_SIM, "--p", "const:3", "--u", "const:1", "--steps", "3")),
+    # converge sets args.steps on its own namespace only
+    (("converge", "--model", "lag1", "--u", "step:amp=1", "--t-end", "1",
+      "--ts-list", "0.2,0.1,0.05", "--oversample", "4"),
+     ("simulate", "--model", "lag1", "--ts", "0.2", "--u", "const:1",
+      "--steps", "4")),
+], ids=["append", "usage-error", "help", "converge-steps"])
+def test_reused_parser_prints_what_a_fresh_one_would(capsys, monkeypatch, first, second):
+    built, build_parser = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    first_result = run(capsys, *first)
+    reused = run(capsys, *second)
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(capsys, *second) == reused
+    assert len(built) == 2
+    assert reused[0] == 0 and reused[1]
+    assert first_result[0] == (1 if "--bogus" in first else 0)
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_import_does_not_build_the_parser():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = "import lpvsim, lpvsim.cli as cli; raise SystemExit(cli._parser is not None)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -124,6 +124,18 @@ def test_sample_scenario_partial_last_interval_dropped():
     assert traj.n_steps == 2
 
 
+def test_sample_scenario_keeps_end_sample_within_relative_tolerance():
+    # Ts divides t_end to 1e-10 relative: the sample at t_end stays
+    traj = sample_scenario(unit_scenario(t_end=2.0), DiscretizationConfig(0.1 * (1 + 1e-10)))
+    assert traj.n_steps == 21
+    assert abs(traj.times()[-1] - 2.0) < 1e-9
+    # past the tolerance the partial last interval is dropped as before
+    traj = sample_scenario(unit_scenario(t_end=2.0), DiscretizationConfig(0.1 * (1 + 1e-8)))
+    assert traj.n_steps == 20
+    for ts, n in ((0.2, 11), (0.1, 21), (0.05, 41)):
+        assert sample_scenario(unit_scenario(t_end=2.0), DiscretizationConfig(ts)).n_steps == n
+
+
 def test_trajectory_rejects_mismatched_channel_lengths():
     with pytest.raises(DataError):
         Trajectory(ts=0.1, p=np.zeros((4, 1)), u=np.zeros((3, 1)))
@@ -345,6 +357,25 @@ def test_first_of_several_singular_steps_is_reported():
         "step k=1, p=[20.0]: |det(I - A(p)*Ts/2)| = 0.000e+00 is numerically "
         "zero (Ts = 0.1)"
     )
+
+
+def test_loop_oracle_reports_first_of_several_singular_steps():
+    # singular at p = 20: steps 4, 6 and 9 of a longer run
+    model = scalar_gain_model(+1.0, hi=40.0)
+    cfg = DiscretizationConfig(0.1)
+    p = np.linspace(1.0, 10.0, 10)[:, None]
+    p[[4, 6, 9]] = 20.0
+    traj = Trajectory(ts=0.1, p=p, u=np.ones((10, 1)))
+    found = []
+    for engine in (simulate_dt, simulate_dt_loop_oracle):
+        with pytest.raises(WellposednessError) as exc:
+            engine(model, cfg, traj, [0.0])
+        found.append(exc.value.step_index)
+    assert found == [4, 4]
+    assert str(exc.value) == "integrator feedback loop is singular at step 4"
+    assert list(exc.value.p) == [20.0]
+    assert exc.value.ts == 0.1
+    assert np.array_equal(exc.value.A_p, [[20.0]])
 
 
 def test_engines_reject_non_finite_inputs():
@@ -638,6 +669,38 @@ def test_read_trajectory_csv_rejects_malformed_tables():
         read_trajectory_csv("k,t,p1,u1\n1,0.1,1.0,1.0\n", ts=0.1)  # k gap
     with pytest.raises(DataError):
         read_trajectory_csv("k,t,p1,u1\n0,0.5,1.0,1.0\n", ts=0.1)  # t off grid
+
+
+_TABLE_HEAD = "k,t,p1,u1\n0,0.0,1.0,2.0\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,0.1,1.0\n", "row 1 has 3 cells, expected 4"),
+    ("1,0.1,oops,2.0\n", "row 1: could not convert string to float: 'oops'"),
+    ("1.0,0.1,1.0,2.0\n", "row 1: invalid literal for int() with base 10: '1.0'"),
+    ("2,0.2,1.0,2.0\n", "row 1 has k = 2, expected 1"),
+    ("1,0.15,1.0,2.0\n",
+     "row 1 has t = 0.15, expected k*ts = 0.1 (ts = 0.1)"),
+])
+def test_read_trajectory_csv_fault_messages(rows, message):
+    with pytest.raises(DataError) as exc:
+        read_trajectory_csv(_TABLE_HEAD + rows, ts=0.1)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rows, message", [
+    # the earlier row's fault wins, whichever kind is checked first
+    ("1,0.15,1.0,2.0\n2,0.2,1.0\n",
+     "row 1 has t = 0.15, expected k*ts = 0.1 (ts = 0.1)"),
+    ("1,0.1,1.0\n2,0.25,1.0,2.0\n", "row 1 has 3 cells, expected 4"),
+    ("3,0.1,1.0,2.0\n2,0.2,x,2.0\n", "row 1 has k = 3, expected 1"),
+    ("1,0.1,1.0,y\n5,0.2,1.0,2.0,9\n",
+     "row 1: could not convert string to float: 'y'"),
+])
+def test_read_trajectory_csv_names_the_earliest_fault(rows, message):
+    with pytest.raises(DataError) as exc:
+        read_trajectory_csv(_TABLE_HEAD + rows, ts=0.1)
+    assert str(exc.value) == message
 
 
 def test_read_write_pair_is_consistent():
