@@ -15,6 +15,7 @@ right side from A..D.  Both responses come from one kernel that solves
 ``s = j w`` in continuous time and ``s = e^{j w Ts}`` in discrete time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
     """
     if decades <= 0 or points_per_decade < 1:
         raise ConfigError("grid needs decades > 0 and points_per_decade >= 1")
+    if not math.isfinite(decades):
+        raise ConfigError(f"grid needs a finite number of decades, got {decades}")
     top = 0.9 * np.pi / cfg.ts
     n = int(round(decades * points_per_decade))
     if n < 1:
@@ -277,7 +280,8 @@ def convergence_order(
     if len(ts_list) < 3:
         raise ConfigError(f"need at least 3 sampling times, got {len(ts_list)}")
     for a, b in zip(ts_list, ts_list[1:]):
-        if abs(a / b - 2.0) > 1e-9:
+        # written so that a zero or NaN sampling time fails it too
+        if b == 0.0 or not abs(a / b - 2.0) <= 1e-9:
             raise ConfigError(
                 f"sampling times must halve exactly, got {a} then {b}"
             )

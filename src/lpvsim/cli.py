@@ -425,6 +425,8 @@ def cmd_freqresp(args):
 
 
 def cmd_compare(args):
+    if not args.tol >= 0.0:
+        raise ConfigError(f"--tol must be a number >= 0, got {args.tol}")
     model = _load_model(args.model)
     cfg = DiscretizationConfig(args.ts)
     traj, x0 = _input_trajectory(model, args, cfg)

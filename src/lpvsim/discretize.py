@@ -32,8 +32,10 @@ engine step at the same p start from bit-identical matrices:
   p; related to the former by the constant similarity xi = (2/Ts) x.
 * :func:`wellposedness_check` -- a deterministic sampled sweep of the
   determinant condition over the scheduling box (vertices + grid + seeded
-  random draws).  Sampling cannot certify the condition for all p; the
-  report says exactly what was checked.
+  random draws).  Two samples whose determinants differ in sign refute the
+  condition: bisection between them finds a singular point.  Sampling
+  cannot certify the condition for all p; the report says exactly what was
+  checked.
 """
 
 import math
@@ -259,9 +261,11 @@ class WellposednessReport:
     """Sampled evidence for the determinant condition over the box.
 
     ``passed`` is true iff no sampled point fell below the singularity
-    threshold.  Sampling order is vertices, then the row-major grid, then
-    seeded random draws, so identical inputs reproduce the report
-    bit-for-bit.
+    threshold and the sampled determinants do not change sign.  A sign
+    change proves a zero between two samples; the zero found by bisection
+    is then the one entry of ``singular_points``.  Sampling order is
+    vertices, then the row-major grid, then seeded random draws, so
+    identical inputs reproduce the report bit-for-bit.
     """
 
     ts: float
@@ -296,8 +300,11 @@ def wellposedness_check(
 
     Records the minimum |det| and where it occurred, the largest 2-norm
     condition number of I - A(p) Ts/2, and every sampled point whose |det|
-    fell below ``1e-12 * max(1, max|A(p)| * Ts/2)``.  A failing condition
-    yields ``passed=False``, never an exception.
+    fell below ``1e-12 * max(1, max|A(p)| * Ts/2)``.  When none did but
+    the sampled determinants take both signs, the segment between the most
+    negative and the most positive sample is bisected to a singular point,
+    which is reported in ``singular_points``.  A failing condition yields
+    ``passed=False``, never an exception.
 
     Parameters
     ----------
@@ -328,13 +335,46 @@ def wellposedness_check(
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
     k = int(np.argmin(absdet))
-    singular = points[singular_rows(det, A, cfg.ts)]
+    singular = [tuple(map(float, q)) for q in points[singular_rows(det, A, cfg.ts)]]
+    if not singular and det.min() < 0.0 < det.max():
+        zero = _bisect_sign_change(
+            model, cfg.ts, points[np.argmin(det)], points[np.argmax(det)]
+        )
+        singular.append(tuple(map(float, zero)))
     return WellposednessReport(
         ts=cfg.ts,
         samples_checked=points.shape[0],
         min_abs_det=float(absdet[k]),
         argmin_p=tuple(float(v) for v in points[k]),
         max_condition_number=float(np.max(cond)),
-        singular_points=tuple(tuple(float(v) for v in q) for q in singular),
-        passed=singular.shape[0] == 0,
+        singular_points=tuple(singular),
+        passed=not singular,
     )
+
+
+#: bisection steps of a sign-change refutation: 2**-60 of a box diagonal is
+#: below the rounding of any point on it
+_BISECT_STEPS = 60
+
+
+def _bisect_sign_change(model, ts, neg, pos):
+    """A point between ``neg`` and ``pos`` where det(I - A(p) Ts/2) is zero.
+
+    The determinant is negative at ``neg`` and positive at ``pos``; it is
+    continuous in p and the box is convex, so it has a zero on the segment
+    between them, and bisection on its sign closes in on one.  Stops at the
+    first midpoint that :func:`singular_rows` calls singular, or after
+    ``_BISECT_STEPS`` halvings.
+    """
+    eye = np.eye(model.n_x)
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (neg + pos)
+        A = eval_pmatrix(model.A, mid)
+        d = np.linalg.det(eye - A * (ts / 2.0))
+        if singular_rows(d, A, ts):
+            break
+        if d < 0.0:
+            neg = mid
+        else:
+            pos = mid
+    return mid

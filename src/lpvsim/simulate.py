@@ -3,11 +3,12 @@
 Two discrete-time engines advance the same internal state xi over a sampled
 scheduling trajectory.  The loop-free engine builds the paper's per-step
 matrices for every sample at once -- A(p(k)) and B(p(k)) as (N, n, n) and
-(N, n, m) stacks, one stacked factorization for Phi(p(k)) -- so only the xi
-recurrence runs in a Python loop.  The loop oracle re-solves the implicit
-feedback loop around the trapezoidal integrator block at every step; only
-its well-posedness check is stacked, one determinant over the loop matrices
-of all steps, while the solve stays per step.  Both
+(N, n, m) stacks, one stacked factorization for Phi(p(k)) -- and runs the xi
+recurrence as a log-depth scan over its affine maps, so the only Python loop
+left is over the scan's log2(N) levels.  The loop oracle re-solves the
+implicit feedback loop around the trapezoidal integrator block at every
+step; only its well-posedness check is stacked, one determinant over the
+loop matrices of all steps, while the solve stays per step.  Both
 realize the identical map, so their outputs agree to machine precision;
 keeping both is the point, since each checks the other.  A fixed-step RK4
 integrator provides the continuous-time reference.  The model is linear in x,
@@ -27,6 +28,7 @@ reconstructed state hit x(0) exactly at k = 0.
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +163,8 @@ class Scenario:
         object.__setattr__(self, "x0", x0)
         if not (float(self.t_end) > 0.0):
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        if float(self.t_end) == math.inf:
+            raise ConfigError(f"t_end must be finite, got {self.t_end}")
         object.__setattr__(self, "t_end", float(self.t_end))
 
     def p_at(self, t) -> np.ndarray:
@@ -282,11 +286,15 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     Everything that depends only on p(k) is computed for all samples at
     once: A and B are evaluated as stacks, Phi = (I - A Ts/2)^-1 comes from
     one stacked solve, and Axi = I + Phi A Ts and 2 Phi B u are formed
-    batched.  Only the recurrence xi(k+1) = Axi xi(k) + 2 Phi B u(k) runs
-    sample by sample.  The state x = (Ts/2) Phi (xi + B u) and the output
-    y = C x + D u are then reconstructed batched; these are the Xxi/Xu and
-    Cxi/Dxi blocks of :func:`~lpvsim.discretize.dt_step_matrices` applied
-    without forming them.
+    batched.  The recurrence xi(k+1) = Axi xi(k) + 2 Phi B u(k) is a chain
+    of affine maps, and composing affine maps is associative, so it runs as
+    a Hillis-Steele scan: log2(N) levels, each one batched product of the
+    stacks.  Only that loop over levels runs in Python; its rounding differs
+    from stepping sample by sample only in the last digits.  The state
+    x = (Ts/2) Phi (xi + B u) and the output y = C x + D u are then
+    reconstructed batched; these are the Xxi/Xu and Cxi/Dxi blocks of
+    :func:`~lpvsim.discretize.dt_step_matrices` applied without forming
+    them.
 
     Raises
     ------
@@ -319,9 +327,18 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     Axi += np.eye(model.n_x)
     del A
     drive = 2.0 * _matvecs(Phi, Bu)
-    for k in range(traj.n_steps - 1):
-        xis[k + 1] = Axi[k] @ xis[k] + drive[k]
-    del Axi
+    # Hillis-Steele scan over the affine maps xi -> M[k] xi + d[k]: after
+    # the level of stride s, row k holds the composition of maps
+    # k-2s+1 .. k, so after the last level it maps xi(0) to xi(k+1).  d is
+    # updated first, because it must use the M of the previous level.
+    M, d = Axi[:-1], drive[:-1]
+    s = 1
+    while s < len(M):
+        d[s:] += _matvecs(M[s:], d[:-s])
+        M[s:] = M[s:] @ M[:-s]
+        s *= 2
+    xis[1:] = M @ xis[0] + d
+    del Axi, M
 
     x = (ts / 2.0) * _matvecs(Phi, xis + Bu)
     y = _matvecs(eval_pmatrix_many(model.C, p), x)
@@ -342,11 +359,14 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
 
     followed by xi+ = xi + 2 rx.  A..D and B u are evaluated batched, and
     the loop matrices of all steps are stacked once for one determinant
-    check.  The stack is freed before the loop: at every step the loop
-    matrix gets A(p(k)) written into one preallocated buffer and is solved
-    there.  No per-point matrices (Phi or the step blocks) are shared with
-    :func:`simulate_dt`; the two paths share only the model, the input
-    guard, the xi(0) seed and the singularity threshold.
+    check.  The stack is freed before the loop, and A is negated in place
+    once.  The right-hand sides of all steps are one array with B u already
+    in its lower half; at every step -A(p(k)) is copied into one
+    preallocated loop matrix, (Ts/2) xi(k) is written into the step's row
+    and the system is solved there.  No per-point matrices (Phi or the step
+    blocks) are shared with :func:`simulate_dt`; the two paths share only
+    the model, the input guard, the xi(0) seed and the singularity
+    threshold.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
     ts = cfg.ts
@@ -368,19 +388,23 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
             A_p=A[k], ts=ts, step_index=k, p=p[k],
         )
     Bu = _matvecs(eval_pmatrix_many(model.B, p), u)
-    x_log = np.empty((traj.n_steps, n))
-    xi_log = np.empty((traj.n_steps, n))
-
-    xi = _seed_xi(A[0], Bu[0], x0, ts)
-    rhs = np.empty(2 * n)
-    for k in range(traj.n_steps):
-        loop[n:, :n] = -A[k]
-        rhs[:n] = (ts / 2.0) * xi
-        rhs[n:] = Bu[k]
-        sol = np.linalg.solve(loop, rhs)
-        x_log[k] = sol[:n]
-        xi_log[k] = xi
-        xi = xi + 2.0 * sol[n:]
+    xi_log = np.empty((traj.n_steps + 1, n))
+    xi_log[0] = _seed_xi(A[0], Bu[0], x0, ts)
+    np.negative(A, out=A)
+    rhs = np.empty((traj.n_steps, 2 * n))
+    rhs[:, n:] = Bu
+    sol = np.empty_like(rhs)
+    lower, half = loop[n:, :n], ts / 2.0
+    # the rows of each log are views, zipped once, so a step indexes nothing
+    steps = zip(A, rhs, rhs[:, :n], sol, sol[:, n:], xi_log, xi_log[1:])
+    for minus_A_k, rhs_k, top_k, sol_k, rx_k, xi_k, xi_next in steps:
+        lower[:] = minus_A_k
+        np.multiply(half, xi_k, out=top_k)
+        sol_k[:] = np.linalg.solve(loop, rhs_k)
+        np.multiply(2.0, rx_k, out=xi_next)
+        xi_next += xi_k
+    x_log = sol[:, :n]
+    xi_log = xi_log[:-1]
 
     y = _matvecs(eval_pmatrix_many(model.C, p), x_log)
     y += _matvecs(eval_pmatrix_many(model.D, p), u)
@@ -592,7 +616,7 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
     fault is scanned row by row, to name its first bad row.
     """
     rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    rows = [r for r in rows if "".join(r).strip()]
     if not rows:
         raise DataError("empty trajectory table")
     header = [h.strip() for h in rows[0]]

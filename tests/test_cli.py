@@ -94,6 +94,17 @@ def test_check_failing_model_exit_3(capsys):
     assert report["max_condition_number"] == "inf"
 
 
+def test_check_refutes_a_zero_between_grid_points(capsys):
+    # det = 1 - 0.35 p on [0, 40] is zero at p = 2/0.7, off the 11-point grid
+    code, out, err = run(capsys, "check", "--model", "scalar_p", "--ts", "0.7")
+    assert code == 3
+    assert err.startswith("E_WELLPOSED:") and err.count("\n") == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    (point,) = report["singular_points"]
+    assert abs(point[0] - 2.0 / 0.7) <= 1e-9
+
+
 # --- discretize ----------------------------------------------------------------
 
 
@@ -357,6 +368,27 @@ def test_converge_rejects_non_halving_list(capsys):
     )
     assert code == 1
     assert err.startswith("E_PARSE:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("freqresp", "--model", "lag1", "--ts", "0.1", "--decades", "nan"),
+    ("freqresp", "--model", "lag1", "--ts", "0.1", "--decades", "inf"),
+    ("simulate", "--model", "lag1", "--ts", "0.1", "--u", "const:1", "--t-end", "inf"),
+    ("converge", "--model", "lag1", "--u", "step:amp=1", "--t-end", "inf",
+     "--ts-list", "0.2,0.1,0.05"),
+    ("converge", "--model", "lag1", "--u", "step:amp=1", "--t-end", "4",
+     "--ts-list", "0.2,0.1,nan"),
+    ("converge", "--model", "lag1", "--u", "step:amp=1", "--t-end", "4",
+     "--ts-list", "0.2,0.1,0"),
+    ("compare", "--model", "lag1", "--ts", "0.1", "--u", "const:1", "--t-end", "1",
+     "--tol", "nan"),
+    ("compare", "--model", "lag1", "--ts", "0.1", "--u", "const:1", "--t-end", "1",
+     "--tol", "-1"),
+])
+def test_bad_cli_numbers_end_in_one_parse_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("E_PARSE:") and err.count("\n") == 1
 
 
 # --- generic dispatch -----------------------------------------------------------

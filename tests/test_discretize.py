@@ -16,6 +16,7 @@ from conftest import (
     random_constant_model,
     scalar_gain_model,
 )
+from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain
 from lpvsim.discretize import (
     DiscretizationConfig,
     det_scale,
@@ -328,6 +329,54 @@ def test_wellposedness_negative_gain_always_passes():
     assert report.passed
     assert report.min_abs_det >= 1.0
     assert report.argmin_p == (0.0,)
+
+
+@pytest.mark.parametrize("ts", [0.7, 0.6, 0.45, 1.3])
+def test_wellposedness_refutes_a_zero_between_samples(ts):
+    # A(p) = p on [0, 40]: det = 1 - p Ts/2 is zero at p = 2/Ts, which
+    # falls between the grid points at these Ts; the sampled dets take
+    # both signs, so bisection must find it
+    report = wellposedness_check(
+        scalar_gain_model(+1.0, hi=40.0), DiscretizationConfig(ts),
+        grid_per_dim=11, random_samples=100, seed=42,
+    )
+    assert not report.passed
+    assert report.min_abs_det > 1e-3  # no sampled point is singular
+    (point,) = report.singular_points
+    assert abs(point[0] - 2.0 / ts) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    ts=st.floats(min_value=1e-3, max_value=2.0),
+    gain=st.floats(min_value=0.1, max_value=5.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    lo=st.floats(min_value=-10.0, max_value=10.0),
+    width=st.floats(min_value=0.1, max_value=50.0),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    grid=st.integers(min_value=2, max_value=11),
+    samples=st.integers(min_value=0, max_value=50),
+)
+def test_wellposedness_never_passes_a_zero_inside_the_box(
+    ts, gain, sign, lo, width, frac, grid, samples
+):
+    # A(p) = a0 + c p with 1 - A(p*) Ts/2 = 0 at p* inside [lo, lo + width]
+    c = sign * gain
+    p_star = lo + frac * width
+    model = LpvStateSpace(
+        n_x=1, n_u=1, n_y=1, n_p=1,
+        A=PMatrixFunction.affine([[2.0 / ts - c * p_star]], [[[c]]]),
+        B=PMatrixFunction.constant([[1.0]], 1),
+        C=PMatrixFunction.constant([[1.0]], 1),
+        D=PMatrixFunction.zero(1, 1),
+        domain=SchedulingDomain([lo], [lo + width]),
+    )
+    report = wellposedness_check(
+        model, DiscretizationConfig(ts), grid_per_dim=grid,
+        random_samples=samples, seed=0,
+    )
+    assert not report.passed
+    assert all(lo <= q[0] <= lo + width for q in report.singular_points)
 
 
 def test_wellposedness_report_is_deterministic():

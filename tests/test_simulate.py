@@ -18,7 +18,7 @@ from conftest import (
     scalar_gain_model,
 )
 from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain
-from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, tustin_frozen
+from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, phi, tustin_frozen
 from lpvsim.errors import (
     ConfigError,
     DataError,
@@ -447,6 +447,67 @@ def test_initial_state_recovered_exactly_property(seed, ts):
     assert np.max(np.abs(out.x[0] - x0)) <= 1e-10
 
 
+def xi_loop_reference(model, cfg, traj, x0):
+    """xi, x and y of simulate_dt's per-step matrices, with the recurrence
+    xi(k+1) = Axi[k] xi(k) + drive[k] stepped one sample at a time."""
+    ts = cfg.ts
+    A = eval_pmatrix_many(model.A, traj.p)
+    Bu = np.einsum("kij,kj->ki", eval_pmatrix_many(model.B, traj.p), traj.u)
+    Phi = phi(A, cfg)
+    Axi = np.eye(model.n_x) + ts * (Phi @ A)
+    drive = 2.0 * np.einsum("kij,kj->ki", Phi, Bu)
+    xi = np.empty((traj.n_steps, model.n_x))
+    xi[0] = sigma_initial_state(model, cfg, traj.p[0], traj.u[0], x0)
+    for k in range(traj.n_steps - 1):
+        xi[k + 1] = Axi[k] @ xi[k] + drive[k]
+    x = (ts / 2.0) * np.einsum("kij,kj->ki", Phi, xi + Bu)
+    y = np.einsum("kij,kj->ki", eval_pmatrix_many(model.C, traj.p), x)
+    y += np.einsum("kij,kj->ki", eval_pmatrix_many(model.D, traj.p), traj.u)
+    return xi, x, y
+
+
+def scan_run(rng, n_x, n):
+    model = random_time_varying_model(rng, n_x, 2)
+    p = 0.9 * np.sin(np.arange(n)[:, None] * rng.uniform(0.01, 0.5, 2))
+    return model, Trajectory(ts=0.05, p=p, u=rng.uniform(-1, 1, (n, 2)))
+
+
+def assert_matches_loop_reference(model, traj, x0):
+    cfg = DiscretizationConfig(traj.ts)
+    out = simulate_dt(model, cfg, traj, x0)
+    for got, want in zip((out.xi, out.x, out.y), xi_loop_reference(model, cfg, traj, x0)):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3, 4])
+def test_scan_matches_step_loop(n_x):
+    # run lengths on both sides of the scan's power-of-two level boundaries
+    rng = np.random.default_rng(40 + n_x)
+    for n in (1, 2, 3, 4, 5, 31, 32, 33, 64, 65, 1000):
+        model, traj = scan_run(rng, n_x, n)
+        assert_matches_loop_reference(model, traj, rng.uniform(-1, 1, n_x))
+
+
+def test_scan_matches_step_loop_over_a_long_run():
+    rng = np.random.default_rng(44)
+    model, traj = scan_run(rng, 4, 10_000)
+    assert_matches_loop_reference(model, traj, rng.uniform(-1, 1, 4))
+
+
+def test_engines_accept_one_sample_and_unrecorded_state():
+    rng = np.random.default_rng(45)
+    cfg = DiscretizationConfig(0.05)
+    for n in (1, 40):
+        model, traj = scan_run(rng, 3, n)
+        x0 = rng.uniform(-1, 1, 3)
+        for engine in (simulate_dt, simulate_dt_loop_oracle):
+            out = engine(model, cfg, traj, x0)
+            assert out.y.shape == (n, 1) and out.xi.shape == (n, 3)
+            assert_allclose(out.x[0], x0, rtol=0, atol=1e-12)
+            assert np.array_equal(engine(model, cfg, traj, x0, record_state=False).y, out.y)
+
+
 # --- continuous-time reference ---------------------------------------------
 
 
@@ -701,6 +762,17 @@ def test_read_trajectory_csv_names_the_earliest_fault(rows, message):
     with pytest.raises(DataError) as exc:
         read_trajectory_csv(_TABLE_HEAD + rows, ts=0.1)
     assert str(exc.value) == message
+
+
+def test_read_trajectory_csv_skips_only_blank_rows():
+    text = "k,t,p1,u1\n , \n0,0.0,1.0,2.0\n\t\n\n1,0.1,1.5,2.5\n \t, ,\n"
+    traj = read_trajectory_csv(text, ts=0.1)
+    assert np.array_equal(traj.p, [[1.0], [1.5]])
+    assert np.array_equal(traj.u, [[2.0], [2.5]])
+    # one non-blank cell keeps the row, which is then parsed as row 1
+    with pytest.raises(DataError) as exc:
+        read_trajectory_csv(_TABLE_HEAD + " , ,3, \n", ts=0.1)
+    assert str(exc.value) == "row 1: invalid literal for int() with base 10: ' '"
 
 
 def test_read_write_pair_is_consistent():
