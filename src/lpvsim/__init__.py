@@ -47,7 +47,6 @@ from .model import (
     eval_pmatrix_many,
     parse_model,
     serialize_model,
-    validate_point,
 )
 from .simulate import (
     Scenario,

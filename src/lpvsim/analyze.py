@@ -72,9 +72,6 @@ class FrequencyResponse:
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
 
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
 
 def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=50):
     """Logarithmic grid ending at 0.9 of the Nyquist angle.
@@ -195,14 +192,6 @@ class ComparisonMetrics:
     relative_to: float
     per_channel: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_abs_error": self.max_abs_error,
-            "rms_error": self.rms_error,
-            "relative_to": self.relative_to,
-            "per_channel": list(self.per_channel),
-        }
-
 
 def compare_traj(a, b, channel="y") -> ComparisonMetrics:
     """Max and RMS entrywise difference of one channel of two trajectories."""
@@ -236,15 +225,6 @@ class ConvergenceStudy:
     pairwise_orders: tuple
     fitted_order: float
     degenerate: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ts_list": list(self.ts_list),
-            "max_errors": list(self.max_errors),
-            "pairwise_orders": list(self.pairwise_orders),
-            "fitted_order": self.fitted_order,
-            "degenerate": self.degenerate,
-        }
 
 
 def convergence_order(

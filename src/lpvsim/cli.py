@@ -16,6 +16,7 @@ check or threshold fails.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -68,13 +69,20 @@ _SIGNAL_HELP = (
     "linear interpolation, ends held); a bare number is a constant"
 )
 
+#: CLI kind -> (SignalSpec kind, {CLI key: SignalSpec field}, the defaults
+#: that differ from SignalSpec's own).  Keys parse in map order.
 _SIGNAL_GRAMMAR = {
-    "const": ("value",),
-    "step": ("amp", "t0", "offset"),
-    "sine": ("amp", "f", "phase", "offset"),
-    "chirp": ("amp", "f0", "f1", "t1", "offset"),
-    "csv": ("path", "col", "offset", "amp"),
+    "const": ("constant", {"value": "offset"}, {"amplitude": 0.0}),
+    "step": ("step", {"amp": "amplitude", "t0": "t0", "offset": "offset"}, {}),
+    "sine": ("sine", {"amp": "amplitude", "f": "f", "phase": "phase",
+                      "offset": "offset"}, {}),
+    "chirp": ("chirp", {"amp": "amplitude", "f0": "f0", "f1": "f1", "t1": "t1",
+                        "offset": "offset"}, {}),
+    "csv": ("csv_column", {"path": "path", "col": "column", "offset": "offset",
+                           "amp": "amplitude"}, {"column": 1}),
 }
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SignalSpec)}
 
 
 class _UsageError(Exception):
@@ -148,12 +156,13 @@ def _floats(text, what):
     return vals
 
 
-def _parse_x0(text, n_x):
+def _vector(text, what, n, default):
+    """``text`` as exactly n comma-separated numbers; ``default()`` if None."""
     if text is None:
-        return np.zeros(n_x)
-    vals = _floats(text, "--x0")
-    if len(vals) != n_x:
-        raise DimensionError(f"--x0 has {len(vals)} entries, model needs {n_x}")
+        return default()
+    vals = _floats(text, what)
+    if len(vals) != n:
+        raise DimensionError(f"{what} has {len(vals)} entries, model needs {n}")
     return np.array(vals)
 
 
@@ -165,15 +174,6 @@ def _default_p(model):
             "--p is required when the model depends on the scheduling vector"
         )
     return model.domain.midpoint()
-
-
-def _frozen_p(text, model):
-    if text is None:
-        return _default_p(model)
-    vals = _floats(text, "--p")
-    if len(vals) != model.n_p:
-        raise DimensionError(f"--p has {len(vals)} entries, model needs {model.n_p}")
-    return np.array(vals)
 
 
 def _load_signal_table(path, col):
@@ -198,8 +198,25 @@ def _load_signal_table(path, col):
             f"signal table {path!r} has no value column {col} "
             f"(column 0 is time, values in 1..{data.shape[1] - 1})"
         )
+    if not np.all(np.isfinite(data[:, 0])):
+        raise DataError(f"signal table {path!r} has a non-finite time")
     order = np.argsort(data[:, 0], kind="stable")
     return np.column_stack([data[order, 0], data[order, col]])
+
+
+def _signal_option(key, text, field_type):
+    """One option value as its SignalSpec field's type (str, int or float)."""
+    if field_type is str:
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"signal option {key}={text!r} is not a number") from None
+    if field_type is int:
+        if not value.is_integer():
+            raise ConfigError(f"signal option {key}={text!r} is not an integer")
+        return int(value)
+    return value
 
 
 def parse_signal_text(text) -> SignalSpec:
@@ -219,7 +236,7 @@ def parse_signal_text(text) -> SignalSpec:
             f"unknown signal kind {kind!r}; expected one of "
             + ", ".join(_SIGNAL_GRAMMAR)
         )
-    allowed = _SIGNAL_GRAMMAR[kind]
+    spec_kind, keys, defaults = _SIGNAL_GRAMMAR[kind]
     body = body.strip()
     kv = {}
     if kind == "const" and body and "=" not in body:
@@ -230,49 +247,23 @@ def parse_signal_text(text) -> SignalSpec:
             key = key.strip()
             if not eq or not key:
                 raise ConfigError(f"signal option {part!r} is not key=value")
-            if key not in allowed:
+            if key not in keys:
                 raise ConfigError(
                     f"signal kind {kind!r} does not take {key!r} "
-                    f"(takes {', '.join(allowed)})"
+                    f"(takes {', '.join(keys)})"
                 )
             if key in kv:
                 raise ConfigError(f"duplicate signal option {key!r}")
             kv[key] = value.strip()
-
-    def num(key, default=0.0):
-        if key not in kv:
-            return default
-        try:
-            return float(kv[key])
-        except ValueError:
-            raise ConfigError(
-                f"signal option {key}={kv[key]!r} is not a number"
-            ) from None
-
-    if kind == "const":
-        return SignalSpec.constant(num("value", 0.0))
-    if kind == "step":
-        return SignalSpec.step(
-            amplitude=num("amp", 1.0), t0=num("t0", 0.0), offset=num("offset", 0.0)
-        )
-    if kind == "sine":
-        return SignalSpec.sine(
-            amplitude=num("amp", 1.0), f=num("f", 1.0),
-            phase=num("phase", 0.0), offset=num("offset", 0.0),
-        )
-    if kind == "chirp":
-        return SignalSpec.chirp(
-            amplitude=num("amp", 1.0), f0=num("f0", 0.0),
-            f1=num("f1", 1.0), t1=num("t1", 1.0), offset=num("offset", 0.0),
-        )
-    if "path" not in kv:
+    if kind == "csv" and "path" not in kv:
         raise ConfigError("csv signal needs path=FILE")
-    col = int(num("col", 1.0))
-    table = _load_signal_table(kv["path"], col)
-    return SignalSpec.csv_column(
-        kv["path"], col, offset=num("offset", 0.0), amplitude=num("amp", 1.0),
-        table=table,
-    )
+    fields = dict(defaults)
+    for key, name in keys.items():
+        if key in kv:
+            fields[name] = _signal_option(key, kv[key], _FIELD_TYPES[name])
+        if name == "column":  # so a missing table outranks a bad offset or amp
+            fields["table"] = _load_signal_table(fields["path"], fields["column"])
+    return SignalSpec(kind=spec_kind, **fields)
 
 
 def _scenario_from_args(model, args, ts):
@@ -301,14 +292,13 @@ def _scenario_from_args(model, args, ts):
         t_end = args.t_end
     else:
         raise ConfigError("give --t-end (or --steps) with signal specs")
-    return Scenario(
-        p=specs_p, u=specs_u, x0=_parse_x0(args.x0, model.n_x), t_end=t_end
-    )
+    x0 = _vector(args.x0, "--x0", model.n_x, lambda: np.zeros(model.n_x))
+    return Scenario(p=specs_p, u=specs_u, x0=x0, t_end=t_end)
 
 
 def _input_trajectory(model, args, cfg):
     """Trajectory plus x0 from either --traj or inline signal specs."""
-    x0 = _parse_x0(args.x0, model.n_x)
+    x0 = _vector(args.x0, "--x0", model.n_x, lambda: np.zeros(model.n_x))
     if args.traj:
         if args.p or args.u:
             raise ConfigError("--traj replaces --p/--u signals; give one or the other")
@@ -316,13 +306,6 @@ def _input_trajectory(model, args, cfg):
         return traj, x0
     scen = _scenario_from_args(model, args, cfg.ts)
     return sample_scenario(scen, cfg), scen.x0
-
-
-def _step_blocks(m):
-    return {
-        "Axi": m.Axi, "Bxi": m.Bxi, "Cxi": m.Cxi,
-        "Dxi": m.Dxi, "Xxi": m.Xxi, "Xu": m.Xu,
-    }
 
 
 def cmd_check(args):
@@ -333,7 +316,7 @@ def cmd_check(args):
         seed=args.seed,
     )
     payload = {"schema_version": SCHEMA_VERSION, "command": "check"}
-    payload.update(report.to_json_dict())
+    payload.update(dataclasses.asdict(report))
     _emit(_json_text(payload), args.out)
     if not report.passed:
         first = list(report.singular_points[0])
@@ -349,7 +332,7 @@ def cmd_check(args):
 def cmd_discretize(args):
     model = _load_model(args.model)
     cfg = DiscretizationConfig(args.ts)
-    p = _frozen_p(args.p, model)
+    p = _vector(args.p, "--p", model.n_p, lambda: _default_p(model))
     a = dt_step_matrices(model, p, cfg)
     b = tustin_frozen(model, p, cfg)
     gaps = (
@@ -366,15 +349,18 @@ def cmd_discretize(args):
         "command": "discretize",
         "ts": cfg.ts,
         "p": list(p),
-        "wprime": _step_blocks(a),
-        "tustin": _step_blocks(b),
+        "wprime": vars(a),
+        "tustin": vars(b),
         "similarity_residual": float(max(gaps)) / scale,
     }
     _emit(_json_text(payload), args.out)
     return 0
 
 
-def _cmd_simulate(args, engine):
+def _cmd_simulate(args):
+    # the engine is looked up per call, not bound into the reused parser, so
+    # a function rebound in this module (e.g. by a tracer) is the one called
+    engine = simulate_dt if args.command == "simulate" else simulate_dt_loop_oracle
     model = _load_model(args.model)
     cfg = DiscretizationConfig(args.ts)
     traj, x0 = _input_trajectory(model, args, cfg)
@@ -383,18 +369,10 @@ def _cmd_simulate(args, engine):
     return 0
 
 
-def cmd_simulate(args):
-    return _cmd_simulate(args, simulate_dt)
-
-
-def cmd_loop_simulate(args):
-    return _cmd_simulate(args, simulate_dt_loop_oracle)
-
-
 def cmd_freqresp(args):
     model = _load_model(args.model)
     cfg = DiscretizationConfig(args.ts)
-    p = _frozen_p(args.p, model)
+    p = _vector(args.p, "--p", model.n_p, lambda: _default_p(model))
     grid = log_frequency_grid(
         cfg, decades=args.decades, points_per_decade=args.points_per_decade
     )
@@ -439,7 +417,7 @@ def cmd_compare(args):
         "command": "compare",
         "tol": args.tol,
     }
-    payload.update(metrics.to_json_dict())
+    payload.update(dataclasses.asdict(metrics))
     payload["passed"] = passed
     _emit(_json_text(payload), args.out)
     if not passed:
@@ -508,18 +486,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write the JSON blocks here (default stdout)")
     sp.set_defaults(func=cmd_discretize)
 
-    for name, fn in (("simulate", cmd_simulate), ("loop-simulate", cmd_loop_simulate)):
+    for name, kind in (("simulate", "loop-free"), ("loop-simulate", "loop-solving")):
         sp = sub.add_parser(
-            name,
-            help="run the %s engine over a scenario or trajectory table"
-            % ("loop-free" if name == "simulate" else "loop-solving"),
+            name, help=f"run the {kind} engine over a scenario or trajectory table"
         )
         _add_model_ts(sp)
         _add_scenario(sp)
         sp.add_argument("--emit-state", action="store_true",
                         help="append x and xi columns to the output CSV")
         sp.add_argument("--out", help="write the output CSV here (default stdout)")
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("freqresp", help="frozen-p responses and warping residual")
     _add_model_ts(sp)

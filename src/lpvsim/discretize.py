@@ -107,8 +107,9 @@ class StepMatrices:
     y(k)    = Cxi xi(k) + Dxi u(k)
     x(k)    = Xxi xi(k) + Xu  u(k)
 
-    For the Tustin form the stored state is x itself (Xxi = I, Xu = 0), so
-    one stepping code path serves both discretizations.
+    :func:`dt_step_matrices` stores xi; :func:`tustin_frozen` stores x
+    itself (Xxi = I, Xu = 0).  The engines do not step these frozen blocks:
+    they serve the frozen-p checks (similarity, frequency response).
     """
 
     Axi: np.ndarray
@@ -275,17 +276,6 @@ class WellposednessReport:
     max_condition_number: float
     singular_points: tuple
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ts": self.ts,
-            "samples_checked": self.samples_checked,
-            "min_abs_det": self.min_abs_det,
-            "argmin_p": list(self.argmin_p),
-            "max_condition_number": self.max_condition_number,
-            "singular_points": [list(q) for q in self.singular_points],
-            "passed": self.passed,
-        }
 
 
 def wellposedness_check(

@@ -15,6 +15,7 @@ and safe to share across threads.
 Model files are JSON; see :func:`parse_model` for the format.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -29,7 +30,6 @@ __all__ = [
     "LpvStateSpace",
     "eval_pmatrix",
     "eval_pmatrix_many",
-    "validate_point",
     "check_in_box",
     "parse_model",
     "serialize_model",
@@ -73,23 +73,16 @@ class SchedulingDomain:
     def n_p(self) -> int:
         return self.lower.size
 
-    def contains(self, p) -> bool:
-        return validate_point(self, p)
-
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
     def vertices(self) -> np.ndarray:
         """All 2**n_p box corners, last dimension cycling fastest."""
-        import itertools
-
         rows = list(itertools.product(*[(lo, hi) for lo, hi in zip(self.lower, self.upper)]))
         return np.array(rows, dtype=float)
 
     def grid(self, points_per_dim: int) -> np.ndarray:
         """Endpoint-inclusive uniform grid, row-major over dimensions."""
-        import itertools
-
         axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in zip(self.lower, self.upper)]
         return np.array(list(itertools.product(*axes)), dtype=float)
 
@@ -265,29 +258,6 @@ def eval_pmatrix_many(f: PMatrixFunction, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_outside(domain: SchedulingDomain, points):
-    """(rows, k): ``points`` as an (m, n_p) stack and the index of its first
-    row outside the closed box or not finite, or None."""
-    points = np.asarray(points, dtype=float)
-    rows = points[None, :] if points.ndim == 1 else points
-    if rows.ndim != 2 or rows.shape[1] != domain.n_p:
-        raise DimensionError(
-            f"scheduling points of shape {points.shape}, expected width {domain.n_p}"
-        )
-    bad = ~np.all((rows >= domain.lower) & (rows <= domain.upper), axis=1)
-    return rows, (int(np.argmax(bad)) if bad.any() else None)
-
-
-def validate_point(domain: SchedulingDomain, p) -> bool:
-    """True iff p lies in the closed box (boundary inclusive) and is finite."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != domain.lower.shape:
-        raise DimensionError(
-            f"scheduling point has length {p.size}, expected {domain.n_p}"
-        )
-    return _first_outside(domain, p)[1] is None
-
-
 def check_in_box(domain: SchedulingDomain, points, where=None) -> None:
     """Raise :class:`DomainError` at the first of ``points`` (one point or an
     (m, n_p) stack) outside the closed box or not finite.
@@ -295,8 +265,15 @@ def check_in_box(domain: SchedulingDomain, points, where=None) -> None:
     ``where`` maps the offending row index to its location, e.g.
     ``lambda k: f"step {k}"``, shown as ``at step 3`` in the message.
     """
-    rows, k = _first_outside(domain, points)
-    if k is not None:
+    points = np.asarray(points, dtype=float)
+    rows = points[None, :] if points.ndim == 1 else points
+    if rows.ndim != 2 or rows.shape[1] != domain.n_p:
+        raise DimensionError(
+            f"scheduling points of shape {points.shape}, expected width {domain.n_p}"
+        )
+    bad = ~np.all((rows >= domain.lower) & (rows <= domain.upper), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
         at = f" at {where(k)}" if where else ""
         raise DomainError(
             f"scheduling point {list(map(float, rows[k]))}{at} outside the box"

@@ -130,14 +130,13 @@ def generate_signal(spec: SignalSpec, t) -> np.ndarray:
         rate = (spec.f1 - spec.f0) / spec.t1
         phase = 2.0 * np.pi * (spec.f0 * t + 0.5 * rate * t * t)
         return spec.offset + spec.amplitude * np.sin(phase)
-    if spec.kind == "csv_column":
-        if spec.table is None:
-            raise DataError(
-                f"csv_column signal has no loaded table (path {spec.path!r})"
-            )
-        tab = np.asarray(spec.table, dtype=float)
-        return spec.offset + spec.amplitude * np.interp(t, tab[:, 0], tab[:, 1])
-    raise ConfigError(f"unknown signal kind {spec.kind!r}")
+    # csv_column, the one kind left: SignalSpec rejects any other
+    if spec.table is None:
+        raise DataError(
+            f"csv_column signal has no loaded table (path {spec.path!r})"
+        )
+    tab = np.asarray(spec.table, dtype=float)
+    return spec.offset + spec.amplitude * np.interp(t, tab[:, 0], tab[:, 1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, failure lines."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ from lpvsim import cli
 from lpvsim.cli import main, parse_signal_text
 from lpvsim.errors import ConfigError, DataError
 from lpvsim.fixtures import fixture_path
-from lpvsim.simulate import generate_signal
+from lpvsim.simulate import SignalSpec, generate_signal
 
 
 def run(capsys, *argv):
@@ -65,6 +66,100 @@ def test_signal_grammar_csv_table(tmp_path):
         parse_signal_text(f"csv:path={table},col=7")
     with pytest.raises(DataError):
         parse_signal_text("csv:path=/nonexistent.csv")
+
+
+_SPEC_FIELDS = [f.name for f in dataclasses.fields(SignalSpec) if f.name != "table"]
+
+
+def _spec_fields(spec):
+    return {name: (type(getattr(spec, name)), getattr(spec, name)) for name in _SPEC_FIELDS}
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("-1.5", lambda T: SignalSpec.constant(-1.5)),
+    ("const:2.5", lambda T: SignalSpec.constant(2.5)),
+    ("const:value=2.5", lambda T: SignalSpec.constant(2.5)),
+    ("const:", lambda T: SignalSpec.constant(0.0)),
+    ("step:", lambda T: SignalSpec.step()),
+    ("sine:", lambda T: SignalSpec.sine()),
+    ("chirp:", lambda T: SignalSpec.chirp()),
+    ("csv:path={T}", lambda T: SignalSpec.csv_column(T, 1)),
+    ("step:amp=2,t0=0.5,offset=-1",
+     lambda T: SignalSpec.step(amplitude=2.0, t0=0.5, offset=-1.0)),
+    ("sine:amp=3,f=0.25,phase=1.5,offset=1",
+     lambda T: SignalSpec.sine(amplitude=3.0, f=0.25, phase=1.5, offset=1.0)),
+    ("chirp:amp=2,f0=0.1,f1=3,t1=4,offset=-2",
+     lambda T: SignalSpec.chirp(amplitude=2.0, f0=0.1, f1=3.0, t1=4.0, offset=-2.0)),
+    ("csv:path={T},col=2,offset=0.5,amp=3",
+     lambda T: SignalSpec.csv_column(T, 2, offset=0.5, amplitude=3.0)),
+])
+def test_signal_grammar_matches_the_constructors_field_by_field(tmp_path, text, expected):
+    table = tmp_path / "u.csv"
+    table.write_text("t,a,b\n0.0,0.0,1.0\n1.0,2.0,3.0\n")
+    got = parse_signal_text(text.format(T=table))
+    assert _spec_fields(got) == _spec_fields(expected(str(table)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("square:amp=1",
+     "unknown signal kind 'square'; expected one of const, step, sine, chirp, csv"),
+    ("sine:freq=1", "signal kind 'sine' does not take 'freq' (takes amp, f, phase, offset)"),
+    ("csv:column=1",
+     "signal kind 'csv' does not take 'column' (takes path, col, offset, amp)"),
+    ("sine:f=1,f=2", "duplicate signal option 'f'"),
+    ("sine:amp", "signal option 'amp' is not key=value"),
+    ("step:amp=1,,t0=2", "signal option '' is not key=value"),
+    ("sine:f=fast", "signal option f='fast' is not a number"),
+    ("const:abc", "signal option value='abc' is not a number"),
+    ("csv:col=1", "csv signal needs path=FILE"),
+    ("notanumber", "signal 'notanumber' has no kind prefix; " + cli._SIGNAL_HELP),
+])
+def test_signal_grammar_fault_messages(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_signal_text(text)
+    assert str(info.value) == message
+
+
+def test_signal_grammar_reports_the_first_of_two_faults(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    # csv: path=, then col, then the table, then offset and amp
+    with pytest.raises(ConfigError, match="csv signal needs path=FILE"):
+        parse_signal_text("csv:col=zz")
+    with pytest.raises(ConfigError, match="col='zz' is not a number"):
+        parse_signal_text(f"csv:path={missing},col=zz")
+    with pytest.raises(ConfigError, match="does not take 'bad'"):
+        parse_signal_text("sine:f=zz,bad=1")
+    code, out, err = run(
+        capsys, "simulate", "--model", "lag1", "--ts", "0.1", "--steps", "3",
+        "--u", f"csv:path={missing},offset=zz",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("E_IO: cannot read signal table") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("col", ["nan", "inf", "1.7"])
+def test_csv_signal_column_must_be_an_integer(capsys, tmp_path, col):
+    table = tmp_path / "u.csv"
+    table.write_text("t,a,b\n0.0,0.0,1.0\n1.0,2.0,3.0\n")
+    code, out, err = run(
+        capsys, "simulate", "--model", "lag1", "--ts", "0.1", "--steps", "3",
+        "--u", f"csv:path={table},col={col}",
+    )
+    assert code == 1 and out == ""
+    assert err == f"E_PARSE: signal option col={col!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+def test_signal_table_rejects_a_non_finite_time(capsys, tmp_path, time):
+    table = tmp_path / "u.csv"
+    table.write_text(f"t,v\n0,0\n{time},1\n2,0.5\n")
+    code, out, err = run(
+        capsys, "simulate", "--model", "lag1", "--ts", "0.1", "--steps", "3",
+        "--u", f"csv:path={table}",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"E_IO: signal table {str(table)!r}") and err.count("\n") == 1
+    assert "non-finite time" in err
 
 
 # --- check -------------------------------------------------------------------
@@ -142,6 +237,56 @@ def test_discretize_model_by_explicit_path(capsys):
     assert json.loads(out)["wprime"]["Bxi"] == [[2.0]]
 
 
+# --- JSON layout -----------------------------------------------------------------
+
+_STEP_BLOCKS = ["Axi", "Bxi", "Cxi", "Dxi", "Xxi", "Xu"]
+_CHECK_KEYS = ["schema_version", "command", "ts", "samples_checked", "min_abs_det",
+               "argmin_p", "max_condition_number", "singular_points", "passed"]
+
+
+@pytest.mark.parametrize("model, ts, code", [("msd", "0.1", 0), ("scalar_p", "0.1", 3)])
+def test_check_json_layout(capsys, model, ts, code):
+    got, out, _ = run(capsys, "check", "--model", model, "--ts", ts)
+    assert got == code
+    data = json.loads(out)
+    assert list(data) == _CHECK_KEYS
+    assert isinstance(data["argmin_p"], list)
+    assert isinstance(data["singular_points"], list)
+    assert all(isinstance(q, list) for q in data["singular_points"])
+    if code:
+        assert data["singular_points"] == [[20.0]]
+        assert data["min_abs_det"] == 0.0
+        assert '"max_condition_number": "inf",' in out
+    else:
+        assert data["singular_points"] == []
+        assert isinstance(data["max_condition_number"], float)
+
+
+def test_discretize_json_layout(capsys):
+    code, out, _ = run(capsys, "discretize", "--model", "msd", "--ts", "0.1", "--p", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["schema_version", "command", "ts", "p", "wprime", "tustin",
+                          "similarity_residual"]
+    assert list(data["wprime"]) == _STEP_BLOCKS
+    assert list(data["tustin"]) == _STEP_BLOCKS
+    assert data["tustin"]["Xxi"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert data["tustin"]["Xu"] == [[0.0], [0.0]]
+
+
+def test_compare_json_layout(capsys):
+    code, out, _ = run(
+        capsys, "compare", "--model", "msd", "--ts", "0.05", "--p", "const:2",
+        "--u", "const:1", "--x0", "1,0", "--t-end", "1",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["schema_version", "command", "tol", "max_abs_error",
+                          "rms_error", "relative_to", "per_channel", "passed"]
+    assert isinstance(data["per_channel"], list) and len(data["per_channel"]) == 1
+    assert data["passed"] is True
+
+
 # --- simulate / loop-simulate --------------------------------------------------
 
 
@@ -172,6 +317,21 @@ def test_engines_byte_identical_on_integrator(capsys):
     _, out_a, _ = run(capsys, "simulate", *args)
     _, out_b, _ = run(capsys, "loop-simulate", *args)
     assert out_a == out_b
+
+
+def test_simulate_engines_are_looked_up_per_call(capsys, monkeypatch):
+    # a tracer rebinds the engines in this module after main built its parser
+    argv = ("--model", "integrator", "--ts", "0.5", "--u", "const:1", "--steps", "3")
+    assert run(capsys, "simulate", *argv)[0] == 0
+    called = []
+    for name in ("simulate_dt", "simulate_dt_loop_oracle"):
+        def spy(*args, _engine=getattr(cli, name), _name=name):
+            called.append(_name)
+            return _engine(*args)
+        monkeypatch.setattr(cli, name, spy)
+    assert run(capsys, "simulate", *argv)[0] == 0
+    assert run(capsys, "loop-simulate", *argv)[0] == 0
+    assert called == ["simulate_dt", "simulate_dt_loop_oracle"]
 
 
 def test_simulate_from_trajectory_table(capsys, tmp_path):

@@ -15,8 +15,8 @@ from lpvsim import (
     eval_pmatrix_many,
     parse_model,
     serialize_model,
-    validate_point,
 )
+from lpvsim.model import check_in_box
 
 MINIMAL = json.dumps(
     {
@@ -190,12 +190,13 @@ def test_roundtrip_is_identity_on_canonical_form():
 
 def test_validate_point_closed_box():
     box = SchedulingDomain([-1.0], [1.0])
-    assert validate_point(box, [0.0]) is True
-    assert validate_point(box, [1.0]) is True  # boundary inclusive
+    check_in_box(box, [0.0])
+    check_in_box(box, [1.0])  # boundary inclusive
     box2 = SchedulingDomain([-1.0, 0.0], [1.0, 2.0])
-    assert validate_point(box2, [0.0, 2.5]) is False
+    with pytest.raises(DomainError):
+        check_in_box(box2, [0.0, 2.5])
     with pytest.raises(DimensionError):
-        validate_point(box2, [0.0])
+        check_in_box(box2, [0.0])
 
 
 def test_domain_helpers():
