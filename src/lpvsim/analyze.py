@@ -148,16 +148,20 @@ def freqresp_dt(step: StepMatrices, cfg: DiscretizationConfig, omegas) -> Freque
     return _response(z, omegas, step.Axi, step.Bxi, step.Cxi, step.Dxi)
 
 
-def warping_residual(model: LpvStateSpace, p, cfg: DiscretizationConfig, omegas) -> float:
+def warping_residual(
+    model: LpvStateSpace, p, cfg: DiscretizationConfig, omegas, *, dt=None
+) -> float:
     """Max entrywise gap between the DT response and the warped CT response.
 
     Evaluates both sides of G_d(e^{j w Ts}) = G_ct(j (2/Ts) tan(w Ts/2)); the
     bilinear map makes them equal in exact arithmetic, so the return value
     is a pure roundoff measure for this discretization (and a large number
-    for any other one).
+    for any other one).  ``dt`` is the :func:`freqresp_dt` response on
+    ``omegas`` when the caller already has it; otherwise it is computed here.
     """
     omegas = np.asarray(omegas, dtype=float)
-    dt = freqresp_dt(dt_step_matrices(model, p, cfg), cfg, omegas)
+    if dt is None:
+        dt = freqresp_dt(dt_step_matrices(model, p, cfg), cfg, omegas)
     ct = freqresp_ct(model, p, (2.0 / cfg.ts) * np.tan(omegas * cfg.ts / 2.0))
     return float(np.max(np.abs(dt.values - ct.values), initial=0.0))
 

@@ -133,7 +133,7 @@ def _read_file(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {str(path)!r}: {exc}") from None
 
 
@@ -266,7 +266,14 @@ def parse_signal_text(text) -> SignalSpec:
     return SignalSpec(kind=spec_kind, **fields)
 
 
-def _scenario_from_args(model, args, ts):
+def _parse_x0(model, args):
+    return _vector(args.x0, "--x0", model.n_x, lambda: np.zeros(model.n_x))
+
+
+def _scenario_from_args(model, args, ts, x0=None):
+    """Scenario from the signal specs; ``x0`` is the parsed --x0, or None to
+    parse it here, after the signals, so that a bad signal is reported first.
+    """
     if args.p:
         specs_p = tuple(parse_signal_text(s) for s in args.p)
         if len(specs_p) != model.n_p:
@@ -292,19 +299,20 @@ def _scenario_from_args(model, args, ts):
         t_end = args.t_end
     else:
         raise ConfigError("give --t-end (or --steps) with signal specs")
-    x0 = _vector(args.x0, "--x0", model.n_x, lambda: np.zeros(model.n_x))
+    if x0 is None:
+        x0 = _parse_x0(model, args)
     return Scenario(p=specs_p, u=specs_u, x0=x0, t_end=t_end)
 
 
 def _input_trajectory(model, args, cfg):
     """Trajectory plus x0 from either --traj or inline signal specs."""
-    x0 = _vector(args.x0, "--x0", model.n_x, lambda: np.zeros(model.n_x))
+    x0 = _parse_x0(model, args)
     if args.traj:
         if args.p or args.u:
             raise ConfigError("--traj replaces --p/--u signals; give one or the other")
         traj = read_trajectory_csv(_read_file(args.traj, "trajectory table"), cfg.ts)
         return traj, x0
-    scen = _scenario_from_args(model, args, cfg.ts)
+    scen = _scenario_from_args(model, args, cfg.ts, x0)
     return sample_scenario(scen, cfg), scen.x0
 
 
@@ -386,7 +394,7 @@ def cmd_freqresp(args):
         "omega_min": float(grid[0]),
         "omega_max": float(grid[-1]),
         "n_points": int(grid.size),
-        "warping_residual": warping_residual(model, p, cfg, grid),
+        "warping_residual": warping_residual(model, p, cfg, grid, dt=dt),
     }
     if args.out:
         ct_path = f"{args.out}_ct.csv"

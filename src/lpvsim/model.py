@@ -250,11 +250,15 @@ def eval_pmatrix_many(f: PMatrixFunction, points: np.ndarray) -> np.ndarray:
         raise DimensionError(f"points have width {points.shape[1]}, expected {n_p}")
     out = np.zeros((m, f.rows, f.cols))
     for term in f.terms:
-        factor = np.ones(m)
+        factor = None
         for i, ei in enumerate(term.exponents):
             if ei:
-                factor = factor * points[:, i] ** ei
-        out += factor[:, None, None] * term.coeff
+                power = points[:, i] if ei == 1 else points[:, i] ** ei
+                factor = power if factor is None else factor * power
+        if factor is None:  # a constant term
+            out += term.coeff
+        else:
+            out += factor[:, None, None] * term.coeff
     return out
 
 

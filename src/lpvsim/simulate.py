@@ -7,8 +7,9 @@ matrices for every sample at once -- A(p(k)) and B(p(k)) as (N, n, n) and
 recurrence as a log-depth scan over its affine maps, so the only Python loop
 left is over the scan's log2(N) levels.  The loop oracle re-solves the
 implicit feedback loop around the trapezoidal integrator block at every
-step; only its well-posedness check is stacked, one determinant over the
-loop matrices of all steps, while the solve stays per step.  Both
+step, written in xi itself: each step solves for x and the increment of xi
+and adds that increment.  Only its loop matrices are stacked, once, for one
+determinant check and the per-step solves; the solve stays per step.  Both
 realize the identical map, so their outputs agree to machine precision;
 keeping both is the point, since each checks the other.  A fixed-step RK4
 integrator provides the continuous-time reference.  The model is linear in x,
@@ -20,7 +21,8 @@ The internal state relates to the physical one by
 
     xi(k) = (2/Ts) x(k) - r x(k),    r x = A(p) x + B(p) u,
 
-so a simulation started from a physical x(0) seeds
+and the trapezoidal integrator advances it by xi(k+1) = xi(k) + 2 r x(k).
+A simulation started from a physical x(0) seeds
 xi(0) = (2/Ts) x(0) - A(p(0)) x(0) - B(p(0)) u(0), which makes the
 reconstructed state hit x(0) exactly at k = 0.
 """
@@ -347,22 +349,41 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     return Trajectory(ts=ts, p=p, u=u, y=y, x=x, xi=xis)
 
 
+def _solve_loop_steps(loops, rhs):
+    """Step the closed loop of the oracle through all its samples.
+
+    Step k solves ``loops[k] (x, w) = rhs[k]`` into row k of the returned
+    solutions and writes xi(k+1) = xi(k) + w into the top half of
+    ``rhs[k + 1]``.  A function of its own, so that the loop's row views
+    are gone once it returns and the caller can free the stack.
+    """
+    n = loops.shape[1] // 2
+    sol = np.empty((len(loops), 2 * n))
+    solve, add = np.linalg.solve, np.add
+    # the rows of each array are views, zipped once, so a step indexes nothing
+    steps = zip(loops, rhs, sol, rhs[:, :n], sol[:, n:], rhs[1:, :n])
+    for loop_k, rhs_k, sol_k, xi_k, w_k, xi_next in steps:
+        sol_k[:] = solve(loop_k, rhs_k)
+        add(xi_k, w_k, out=xi_next)
+    return sol
+
+
 def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajectory:
     """Independent engine: re-solve the integrator feedback loop each step.
 
-    The trapezoidal integrator block maps (xi, r x) to (xi+, x); closing
-    x -> r x = A x + B u around it gives, at every step, the linear system
+    The trapezoidal integrator block holds xi = (2/Ts) x - r x and advances
+    it by xi+ = xi + 2 r x.  Closing x -> r x = A x + B u around it gives,
+    at every step, a linear system in the unknowns (x, 2 r x):
 
-        [ I        -(Ts/2) I ] [ x  ]   [ (Ts/2) xi ]
-        [ -A(p)     I        ] [ rx ] = [ B(p) u    ]
+        [ (2/Ts) I   -I/2 ] [ x     ]   [ xi     ]
+        [ -A(p)       I/2 ] [ 2 r x ] = [ B(p) u ]
 
-    followed by xi+ = xi + 2 rx.  A..D and B u are evaluated batched, and
-    the loop matrices of all steps are stacked once for one determinant
-    check.  The stack is freed before the loop, and A is negated in place
-    once.  The right-hand sides of all steps are one array with B u already
-    in its lower half; at every step -A(p(k)) is copied into one
-    preallocated loop matrix, (Ts/2) xi(k) is written into the step's row
-    and the system is solved there.  No per-point matrices (Phi or the step
+    The top half of each right-hand side is xi itself, so a step is one
+    solve into its solution row and one add of 2 r x into the next step's
+    top half.  A..D and B u are evaluated batched, and the loop matrices of
+    all steps are stacked once; the stack serves both one stacked
+    determinant check, det = Ts^-n det(I - A Ts/2) by block elimination,
+    and the per-step solves.  No per-point matrices (Phi or the step
     blocks) are shared with :func:`simulate_dt`; the two paths share only
     the model, the input guard, the xi(0) seed and the singularity
     threshold.
@@ -372,38 +393,31 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     n = model.n_x
     p, u = traj.p, traj.u
     A = eval_pmatrix_many(model.A, p)
-    loop = np.eye(2 * n)
-    loop[:n, n:] = -(ts / 2.0) * np.eye(n)
+    # the rows (xi(k), B u(k)); the last row's top half takes xi(N), unused.
+    # B u and the seed come before the stack, which sets the allocation peak
+    rhs = np.empty((traj.n_steps + 1, 2 * n))
+    rhs[:-1, n:] = Bu = _matvecs(eval_pmatrix_many(model.B, p), u)
+    rhs[0, :n] = _seed_xi(A[0], Bu[0], x0, ts)
+    del Bu
+    eye = np.eye(n)
     loops = np.empty((traj.n_steps, 2 * n, 2 * n))
-    loops[:] = loop
+    loops[:] = np.block([[(2.0 / ts) * eye, -0.5 * eye], [0.0 * eye, 0.5 * eye]])
     np.negative(A, out=loops[:, n:, :n])
-    # same determinant as I - A Ts/2, by block elimination
-    bad = singular_rows(np.linalg.det(loops), A, ts)
-    del loops
+    # det(loop) = Ts^-n det(I - A Ts/2) by block elimination; taken through
+    # logarithms, since Ts^-n alone overflows for large n
+    sign, logdet = np.linalg.slogdet(loops)
+    bad = singular_rows(sign * np.exp(logdet + n * math.log(ts)), A, ts)
     if bad.any():
         k = int(np.argmax(bad))
         raise WellposednessError(
             f"integrator feedback loop is singular at step {k}",
             A_p=A[k], ts=ts, step_index=k, p=p[k],
         )
-    Bu = _matvecs(eval_pmatrix_many(model.B, p), u)
-    xi_log = np.empty((traj.n_steps + 1, n))
-    xi_log[0] = _seed_xi(A[0], Bu[0], x0, ts)
-    np.negative(A, out=A)
-    rhs = np.empty((traj.n_steps, 2 * n))
-    rhs[:, n:] = Bu
-    sol = np.empty_like(rhs)
-    lower, half = loop[n:, :n], ts / 2.0
-    # the rows of each log are views, zipped once, so a step indexes nothing
-    steps = zip(A, rhs, rhs[:, :n], sol, sol[:, n:], xi_log, xi_log[1:])
-    for minus_A_k, rhs_k, top_k, sol_k, rx_k, xi_k, xi_next in steps:
-        lower[:] = minus_A_k
-        np.multiply(half, xi_k, out=top_k)
-        sol_k[:] = np.linalg.solve(loop, rhs_k)
-        np.multiply(2.0, rx_k, out=xi_next)
-        xi_next += xi_k
+    del A
+    sol = _solve_loop_steps(loops, rhs)
+    del loops
     x_log = sol[:, :n]
-    xi_log = xi_log[:-1]
+    xi_log = rhs[:-1, :n]
 
     y = _matvecs(eval_pmatrix_many(model.C, p), x_log)
     y += _matvecs(eval_pmatrix_many(model.D, p), u)

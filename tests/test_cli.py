@@ -10,10 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from lpvsim import cli
+from lpvsim import analyze, cli
+from lpvsim.analyze import log_frequency_grid, warping_residual
 from lpvsim.cli import main, parse_signal_text
+from lpvsim.discretize import DiscretizationConfig
 from lpvsim.errors import ConfigError, DataError
 from lpvsim.fixtures import fixture_path
+from lpvsim.model import parse_model
 from lpvsim.simulate import SignalSpec, generate_signal
 
 
@@ -160,6 +163,38 @@ def test_signal_table_rejects_a_non_finite_time(capsys, tmp_path, time):
     assert code == 1 and out == ""
     assert err.startswith(f"E_IO: signal table {str(table)!r}") and err.count("\n") == 1
     assert "non-finite time" in err
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("model file", ("check", "--model", "{bad}", "--ts", "0.1")),
+    ("trajectory table",
+     ("simulate", "--model", "lag1", "--ts", "0.1", "--traj", "{bad}")),
+    ("signal table",
+     ("simulate", "--model", "lag1", "--ts", "0.1", "--steps", "3",
+      "--u", "csv:path={bad}")),
+])
+def test_non_utf8_input_file_is_one_io_line(capsys, tmp_path, what, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"E_IO: cannot read {what} {str(bad)!r}: ")
+    assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, message", [
+    # simulate and compare read --x0 before the signals, converge after them
+    ("simulate", "E_PARSE: --x0 must be comma-separated numbers, got 'zz'\n"),
+    ("compare", "E_PARSE: --x0 must be comma-separated numbers, got 'zz'\n"),
+    ("converge", "E_PARSE: signal option f='zz' is not a number\n"),
+])
+def test_bad_x0_and_bad_signal_report_the_same_fault_first(capsys, command, message):
+    timing = ("--ts-list", "0.2,0.1,0.05") if command == "converge" else ("--ts", "0.1")
+    code, out, err = run(
+        capsys, command, "--model", "lag1", *timing, "--t-end", "1",
+        "--x0", "zz", "--u", "sine:f=zz",
+    )
+    assert (code, out, err) == (1, "", message)
 
 
 # --- check -------------------------------------------------------------------
@@ -468,6 +503,29 @@ def test_freqresp_stdout_without_prefix(capsys):
     data = json.loads(out)
     assert data["n_points"] == 20
     assert "ct_csv" not in data
+
+
+def test_freqresp_computes_the_dt_response_once(capsys, monkeypatch):
+    # the warping residual reuses the DT response the command writes out
+    calls = []
+    real = analyze.freqresp_dt
+
+    def counting_freqresp_dt(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "freqresp_dt", counting_freqresp_dt)
+    monkeypatch.setattr(analyze, "freqresp_dt", counting_freqresp_dt)
+    code, out, _ = run(
+        capsys, "freqresp", "--model", "msd", "--ts", "0.1", "--p", "2.0",
+        "--decades", "2", "--points-per-decade", "10",
+    )
+    assert code == 0 and len(calls) == 1
+    cfg = DiscretizationConfig(0.1)
+    grid = log_frequency_grid(cfg, decades=2, points_per_decade=10)
+    model = parse_model(fixture_path("msd").read_text())
+    assert json.loads(out)["warping_residual"] == warping_residual(model, [2.0], cfg, grid)
+    assert len(calls) == 2
 
 
 def test_freqresp_grid_rounding_to_no_points_is_one_line(capsys):

@@ -57,6 +57,23 @@ def test_eval_zero_function_and_many():
     stacked = eval_pmatrix_many(g, pts)
     expected = np.array([eval_pmatrix(g, p) for p in pts])
     assert_allclose(stacked, expected, rtol=0, atol=0)
+    # -0.0 coefficients, a constant term and an exponent-1 factor on the
+    # second dimension: bit for bit the sum of coeff * prod_i p_i**e_i with
+    # each product started from ones, signed zeros included
+    h = PMatrixFunction(2, 2, (((0, 0), [[-0.0, 1.5], [0.3, -0.0]]),
+                               ((0, 1), [[-0.0, 2.0], [-1.1, 0.4]]),
+                               ((2, 1), [[0.9, -0.0], [0.0, 1.7]])))
+    pts = np.random.default_rng(4).uniform(-2.0, 2.0, (40, 2))
+    pts[:3] = [[-0.0, -0.0], [0.0, -0.0], [-1.0, 0.0]]
+    want = np.zeros((40, 2, 2))
+    for term in h.terms:
+        factor = np.ones(40)
+        for i, e in enumerate(term.exponents):
+            if e:
+                factor = factor * pts[:, i] ** e
+        want += factor[:, None, None] * term.coeff
+    assert eval_pmatrix_many(h, pts).tobytes() == want.tobytes()
+    assert eval_pmatrix(h, pts[0]).tobytes() == want[0].tobytes()
 
 
 def test_eval_wrong_p_length():

@@ -508,6 +508,67 @@ def test_engines_accept_one_sample_and_unrecorded_state():
             assert np.array_equal(engine(model, cfg, traj, x0, record_state=False).y, out.y)
 
 
+def test_loop_oracle_solves_once_per_step(monkeypatch):
+    # the oracle checks the closed-form loop elimination by solving the loop
+    # itself: one solve of one (2n, 2n) loop matrix at every step
+    rng = np.random.default_rng(46)
+    model, traj = scan_run(rng, 3, 57)
+    shapes = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    simulate_dt_loop_oracle(model, DiscretizationConfig(traj.ts), traj, np.zeros(3))
+    assert shapes == [(6, 6)] * 57
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3, 4])
+def test_loop_oracle_satisfies_the_trapezoidal_loop(n_x):
+    # the oracle alone against the relations it solves, with r x = A x + B u:
+    # (2/Ts) x(k) - r x(k) = xi(k) and xi(k+1) = xi(k) + 2 r x(k)
+    rng = np.random.default_rng(50 + n_x)
+    model, traj = scan_run(rng, n_x, 200)
+    x0 = rng.uniform(-1, 1, n_x)
+    out = simulate_dt_loop_oracle(model, DiscretizationConfig(traj.ts), traj, x0)
+    rx = np.einsum("kij,kj->ki", eval_pmatrix_many(model.A, traj.p), out.x)
+    rx += np.einsum("kij,kj->ki", eval_pmatrix_many(model.B, traj.p), traj.u)
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(out.xi), axis=1, keepdims=True))
+    assert np.all(np.abs((2.0 / traj.ts) * out.x - rx - out.xi) <= tol)
+    step_tol = np.maximum(tol[1:], tol[:-1])
+    assert np.all(np.abs(out.xi[1:] - (out.xi[:-1] + 2.0 * rx[:-1])) <= step_tol)
+
+
+@pytest.mark.parametrize("n_x, ts", [(3, 0.05), (120, 1e-3)])
+def test_engines_name_the_same_first_near_singular_step(n_x, ts):
+    # A(p) = diag(p, -1, -2, ...): I - A Ts/2 is singular at p = 2/Ts.  Step
+    # 3 sits 1e-11 off it, with |det(I - A Ts/2)| near 2e-13, under the
+    # 1e-12 threshold, where the oracle's (2n, 2n) loop matrix has a
+    # determinant Ts^-n times larger (8000, and past the float range at
+    # n_x = 120); step 6 is singular too
+    model = LpvStateSpace(
+        n_x=n_x, n_u=1, n_y=1, n_p=1,
+        A=PMatrixFunction(n_x, n_x, (((0,), -np.diag(np.arange(n_x, dtype=float))),
+                                     ((1,), np.diag([1.0] + [0.0] * (n_x - 1))))),
+        B=PMatrixFunction.constant(np.ones((n_x, 1)), 1),
+        C=PMatrixFunction.constant(np.ones((1, n_x)), 1),
+        D=PMatrixFunction.zero(1, 1),
+        domain=SchedulingDomain([0.0], [4.0 / ts]),
+    )
+    cfg = DiscretizationConfig(ts)
+    p = np.linspace(1.0, 1.5 / ts, 10)[:, None]
+    p[3], p[6] = 2.0 / ts + 1e-11, 2.0 / ts
+    traj = Trajectory(ts=ts, p=p, u=np.ones((10, 1)))
+    for engine in (simulate_dt, simulate_dt_loop_oracle):
+        with pytest.raises(WellposednessError) as exc:
+            engine(model, cfg, traj, np.zeros(n_x))
+        assert exc.value.step_index == 3
+        assert list(exc.value.p) == [2.0 / ts + 1e-11]
+    assert str(exc.value) == "integrator feedback loop is singular at step 3"
+
+
 # --- continuous-time reference ---------------------------------------------
 
 
