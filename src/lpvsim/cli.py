@@ -131,7 +131,7 @@ def _emit(text, out_path):
 
 def _read_file(path, what):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {str(path)!r}: {exc}") from None
@@ -328,11 +328,14 @@ def cmd_check(args):
     _emit(_json_text(payload), args.out)
     if not report.passed:
         first = list(report.singular_points[0])
-        print(
-            f"E_WELLPOSED: {len(report.singular_points)} singular point(s) "
-            f"in the sweep, first at p={first}",
-            file=sys.stderr,
-        )
+        if report.refuted_by == "sample":
+            evidence = (f"{len(report.singular_points)} singular point(s) in "
+                        f"the sweep, first at p={first}")
+        else:
+            evidence = ("bisection between two samples of the sweep, where "
+                        "det(I - A(p) Ts/2) changes sign, found a singular "
+                        f"point at p={first}")
+        print(f"E_WELLPOSED: {evidence}", file=sys.stderr)
         return 3
     return 0
 

@@ -264,7 +264,9 @@ class WellposednessReport:
     ``passed`` is true iff no sampled point fell below the singularity
     threshold and the sampled determinants do not change sign.  A sign
     change proves a zero between two samples; the zero found by bisection
-    is then the one entry of ``singular_points``.  Sampling order is
+    is then the one entry of ``singular_points``.  ``refuted_by`` says which
+    evidence failed the condition: None when it passed, ``"sample"`` or
+    ``"sign_change"``.  Sampling order is
     vertices, then the row-major grid, then seeded random draws, so
     identical inputs reproduce the report bit-for-bit.
     """
@@ -276,6 +278,7 @@ class WellposednessReport:
     max_condition_number: float
     singular_points: tuple
     passed: bool
+    refuted_by: str
 
 
 def wellposedness_check(
@@ -326,11 +329,13 @@ def wellposedness_check(
         cond = np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
     k = int(np.argmin(absdet))
     singular = [tuple(map(float, q)) for q in points[singular_rows(det, A, cfg.ts)]]
+    refuted_by = "sample" if singular else None
     if not singular and det.min() < 0.0 < det.max():
         zero = _bisect_sign_change(
             model, cfg.ts, points[np.argmin(det)], points[np.argmax(det)]
         )
         singular.append(tuple(map(float, zero)))
+        refuted_by = "sign_change"
     return WellposednessReport(
         ts=cfg.ts,
         samples_checked=points.shape[0],
@@ -339,6 +344,7 @@ def wellposedness_check(
         max_condition_number=float(np.max(cond)),
         singular_points=tuple(singular),
         passed=not singular,
+        refuted_by=refuted_by,
     )
 
 

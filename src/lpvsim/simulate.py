@@ -13,9 +13,10 @@ determinant check and the per-step solves; the solve stays per step.  Both
 realize the identical map, so their outputs agree to machine precision;
 keeping both is the point, since each checks the other.  A fixed-step RK4
 integrator provides the continuous-time reference.  The model is linear in x,
-so each RK4 substep is an affine map x+ = T_i x + s_i; the reference builds
-those maps batched from A and B u at the stage times, and again only the
-recurrence over x runs in a Python loop.
+so each RK4 substep is an increment map x+ = x + (D_i x + s_i); the reference
+builds those maps batched from A and B u at the stage times, in fixed windows
+of the fine grid, and composes them by the same kind of log-depth scan, so
+its only Python loops are over the windows and the scan's levels.
 
 The internal state relates to the physical one by
 
@@ -426,10 +427,13 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     return Trajectory(ts=ts, p=p, u=u, y=y, x=x_log, xi=xi_log)
 
 
-#: row budget of one block of RK4 maps: the maps are built a block of whole
-#: samples at a time, so their (rows, n, n) stacks stay this short (or one
-#: sample long, when oversample is larger) whatever t_end is
-_RK4_BLOCK_ROWS = 256
+#: fine substeps per window of the RK4 reference's scan.  Windows start at
+#: multiples of this length on the fine grid, so a substep's prefix map
+#: depends only on its fine-grid index, whatever Ts and oversample are.  The
+#: length bounds the window's (rows, n, n) stacks whatever t_end is.  It was
+#: set by measurement on 800-substep runs at n_x <= 4: a window of 128 took
+#: about 12% longer, and one of 512 raised the allocation peak by about 60%
+_RK4_WINDOW = 256
 
 
 def _rk4_affine_maps(model, p_stages, u_stages, h):
@@ -479,6 +483,33 @@ def _rk4_affine_maps(model, p_stages, u_stages, h):
     return D, (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
 
 
+def _scan_increments(D, s):
+    """In-place prefix scan of the increment maps x -> x + (D[i] x + s[i]).
+
+    An earlier map (D_a, s_a) followed by a later one (D_b, s_b) is again an
+    increment, D = D_a + D_b + D_b D_a and s = s_a + s_b + D_b s_a, and
+    composition is associative, so a Hillis-Steele scan applies: after the
+    level of stride w, row i holds the composition of maps i-2w+1 .. i.
+    I + D is never formed, so like the stagewise form the maps only add
+    small increments.  s is updated first, because it must use the D of the
+    previous level.
+    """
+    # each product is formed whole before its in-place add, which would
+    # otherwise read rows it has already written; deleting it keeps one
+    # (rows, n, n) product live at a time
+    w = 1
+    while w < len(D):
+        ds = _matvecs(D[w:], s[:-w])
+        ds += s[:-w]
+        s[w:] += ds
+        del ds
+        dd = D[w:] @ D[:-w]
+        dd += D[:-w]
+        D[w:] += dd
+        del dd
+        w *= 2
+
+
 def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     """Fixed-step RK4 integration of the continuous-time model.
 
@@ -487,28 +518,39 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     returned trajectory carries y and x on the sampling grid (xi is None).
 
     For a linear time-varying system one RK4 substep is an affine map
-    x+ = T_i x + s_i, built from A and B u at the substep's three stage
-    times.  The maps are built batched, over blocks of whole samples of at
-    most ``_RK4_BLOCK_ROWS`` substeps (one sample when oversample is
-    larger), so only the recurrence runs substep by substep.  It is stepped
-    as x + (D_i x + s_i) with T_i = I + D_i: like the stagewise form, each
-    substep adds a small increment to x, where the product T_i x would
-    round every entry of x afresh.
+    x+ = x + (D_i x + s_i), built from A and B u at the substep's three
+    stage times.  The fine grid is cut into windows of ``_RK4_WINDOW``
+    substeps that start at multiples of that length.  Per window the maps
+    are built batched and composed by a log-depth prefix scan in this
+    increment form, never as I + D_i, whose product would round every entry
+    of x afresh.  x is then formed only at the window's rows that end a
+    sample and at its last row, in one batched step
+    x_start + (D_pref x_start + s_pref), and the last row's x starts the
+    next window.  The only Python loops are over the windows and the scan's
+    log2(window) levels.  Since the windows are fixed on the fine grid, runs
+    at (Ts, oversample) and (2 Ts, 2 oversample) agree bit for bit at the
+    samples they share.
 
     Raises
     ------
+    ConfigError
+        If oversample is not an integer >= 1.
     DomainError, DataError, ConfigError
         As :func:`simulate_dt` for the sampled p, u and x0; DomainError also
         when p(t) leaves the box or is not finite at an RK4 stage time.
     """
-    if int(oversample) < 1:
-        raise ConfigError(f"oversample must be >= 1, got {oversample}")
+    try:  # int() would truncate 2.9 to 2 and raise its own error on nan
+        counts = int(oversample) == oversample >= 1
+    except (TypeError, ValueError, OverflowError):
+        counts = False
+    if not counts:
+        raise ConfigError(f"oversample must be an integer >= 1, got {oversample}")
+    oversample = int(oversample)
     if len(scenario.p) != model.n_p or len(scenario.u) != model.n_u:
         raise DimensionError(
             f"scenario has {len(scenario.p)} p and {len(scenario.u)} u "
             f"channels, model needs {model.n_p} and {model.n_u}"
         )
-    oversample = int(oversample)
     samp = sample_scenario(scenario, cfg)
     x0 = _check_run_inputs(model, cfg, samp, scenario.x0)
     n_keep = samp.n_steps
@@ -527,16 +569,24 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
 
     x_log = np.empty((n_keep, model.n_x))
     x_log[0] = x = x0
-    per_block = max(1, _RK4_BLOCK_ROWS // oversample)
-    for k0 in range(0, n_keep - 1, per_block):
-        rows = slice(k0 * oversample, min(k0 + per_block, n_keep - 1) * oversample)
+    for i0 in range(0, n_fine, _RK4_WINDOW):
+        rows = slice(i0, min(i0 + _RK4_WINDOW, n_fine))
         D, s = _rk4_affine_maps(
             model, [q[rows] for q in p_stages], [v[rows] for v in u_stages], h
         )
-        for i in range(D.shape[0]):
-            x = x + (D[i] @ x + s[i])
-            if (i + 1) % oversample == 0:
-                x_log[k0 + (i + 1) // oversample] = x
+        _scan_increments(D, s)
+        # x after the rows that end a sample, and after the window's last
+        # row, which starts the next window
+        reached = np.arange(rows.start + 1, rows.stop + 1)
+        keep = reached % oversample == 0
+        keep[-1] = True
+        xs = x + (D[keep] @ x + s[keep])
+        reached = reached[keep]
+        ends = reached % oversample == 0
+        x_log[reached[ends] // oversample] = xs[ends]
+        x = xs[-1]
+        # the next window's maps are built with these gone
+        del D, s
 
     y = _matvecs(eval_pmatrix_many(model.C, samp.p), x_log)
     y += _matvecs(eval_pmatrix_many(model.D, samp.p), samp.u)

@@ -351,8 +351,9 @@ def test_convergence_validations():
         convergence_order(lag_model(), scen, [0.2, 0.1, 0.04])
     with pytest.raises(ConfigError):
         convergence_order(lag_model(), scen, [0.3, 0.15, 0.075])  # 0.075 vs 4.0
-    with pytest.raises(ConfigError):
-        convergence_order(lag_model(), scen, [0.2, 0.1, 0.05], oversample=0)
+    for oversample in (0, 2.9, 7.9, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="oversample must be an integer >= 1"):
+            convergence_order(lag_model(), scen, [0.2, 0.1, 0.05], oversample=oversample)
 
 
 def test_convergence_second_order_on_frozen_lag():

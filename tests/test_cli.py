@@ -182,6 +182,36 @@ def test_non_utf8_input_file_is_one_io_line(capsys, tmp_path, what, argv):
     assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("kind", ["model file", "trajectory table", "signal table"])
+def test_a_utf8_byte_order_mark_is_ignored(capsys, tmp_path, kind):
+    # spreadsheet tools start UTF-8 files with a BOM; each input file kind
+    # must read the same with and without it
+    files = {
+        "model file": ("m.json", fixture_path("msd").read_bytes()),
+        "trajectory table": (
+            "t.csv", b"k,t,p1,u1\n0,0.0,1.0,0.5\n1,0.1,1.0,0.5\n2,0.2,1.5,0.0\n"),
+        "signal table": ("u.csv", b"t,v\n0,0\n0.1,1\n0.3,0.5\n"),
+    }
+    name, data = files[kind]
+    got = []
+    for prefix in (b"", _BOM):
+        path = tmp_path / f"{len(prefix)}-{name}"
+        path.write_bytes(prefix + data)
+        argv = {
+            "model file": ("--model", str(path), "--p", "1.5", "--u", "sine:f=2",
+                           "--steps", "3"),
+            "trajectory table": ("--model", "msd", "--traj", str(path)),
+            "signal table": ("--model", "msd", "--p", "1.5", "--steps", "3",
+                             "--u", f"csv:path={path}"),
+        }[kind]
+        got.append(run(capsys, "simulate", "--ts", "0.1", "--emit-state", *argv))
+    assert got[0][0] == 0 and got[0][2] == ""
+    assert got[1] == got[0]
+
+
 @pytest.mark.parametrize("command, message", [
     # simulate and compare read --x0 before the signals, converge after them
     ("simulate", "E_PARSE: --x0 must be comma-separated numbers, got 'zz'\n"),
@@ -222,6 +252,8 @@ def test_check_failing_model_exit_3(capsys):
     assert report["passed"] is False
     assert [20.0] in report["singular_points"]
     assert report["max_condition_number"] == "inf"
+    assert report["refuted_by"] == "sample"
+    assert err == "E_WELLPOSED: 1 singular point(s) in the sweep, first at p=[20.0]\n"
 
 
 def test_check_refutes_a_zero_between_grid_points(capsys):
@@ -231,8 +263,14 @@ def test_check_refutes_a_zero_between_grid_points(capsys):
     assert err.startswith("E_WELLPOSED:") and err.count("\n") == 1
     report = json.loads(out)
     assert report["passed"] is False
+    assert report["refuted_by"] == "sign_change"
     (point,) = report["singular_points"]
     assert abs(point[0] - 2.0 / 0.7) <= 1e-9
+    assert err == (
+        "E_WELLPOSED: bisection between two samples of the sweep, where "
+        "det(I - A(p) Ts/2) changes sign, found a singular point at "
+        f"p={point}\n"
+    )
 
 
 # --- discretize ----------------------------------------------------------------
@@ -276,7 +314,8 @@ def test_discretize_model_by_explicit_path(capsys):
 
 _STEP_BLOCKS = ["Axi", "Bxi", "Cxi", "Dxi", "Xxi", "Xu"]
 _CHECK_KEYS = ["schema_version", "command", "ts", "samples_checked", "min_abs_det",
-               "argmin_p", "max_condition_number", "singular_points", "passed"]
+               "argmin_p", "max_condition_number", "singular_points", "passed",
+               "refuted_by"]
 
 
 @pytest.mark.parametrize("model, ts, code", [("msd", "0.1", 0), ("scalar_p", "0.1", 3)])
@@ -288,6 +327,7 @@ def test_check_json_layout(capsys, model, ts, code):
     assert isinstance(data["argmin_p"], list)
     assert isinstance(data["singular_points"], list)
     assert all(isinstance(q, list) for q in data["singular_points"])
+    assert data["refuted_by"] == ("sample" if code else None)
     if code:
         assert data["singular_points"] == [[20.0]]
         assert data["min_abs_det"] == 0.0

@@ -307,6 +307,7 @@ def test_wellposedness_clean_model_passes():
     assert report.min_abs_det == 1.0
     assert report.max_condition_number == 1.0
     assert report.singular_points == ()
+    assert report.refuted_by is None
     # 2 vertices + 5 grid points + 10 draws
     assert report.samples_checked == 17
 
@@ -319,6 +320,7 @@ def test_wellposedness_finds_singular_grid_point():
     )
     assert not report.passed
     assert (20.0,) in report.singular_points
+    assert report.refuted_by == "sample"
     assert report.argmin_p == (20.0,)
     assert report.min_abs_det == 0.0
     assert report.max_condition_number == np.inf
@@ -348,6 +350,7 @@ def test_wellposedness_refutes_a_zero_between_samples(ts):
     assert report.min_abs_det > 1e-3  # no sampled point is singular
     (point,) = report.singular_points
     assert abs(point[0] - 2.0 / ts) <= 1e-9
+    assert report.refuted_by == "sign_change"
 
 
 @settings(max_examples=50, deadline=None)
@@ -411,4 +414,5 @@ def test_wellposedness_report_json_dict():
     assert d["ts"] == 0.5
     assert d["samples_checked"] == 4
     assert d["singular_points"] == []
+    assert d["refuted_by"] is None
     assert isinstance(d["argmin_p"], list)

@@ -28,7 +28,7 @@ from lpvsim.errors import (
 )
 from lpvsim.model import eval_pmatrix_many
 from lpvsim.simulate import (
-    _RK4_BLOCK_ROWS,
+    _RK4_WINDOW,
     Scenario,
     SignalSpec,
     Trajectory,
@@ -572,23 +572,32 @@ def test_engines_name_the_same_first_near_singular_step(n_x, ts):
 # --- continuous-time reference ---------------------------------------------
 
 
-def rk4_stagewise_oracle(model, cfg, scenario, oversample):
+def rk4_stagewise_oracle(model, cfg, scenario, oversample, dtype=float):
     """Reference x log from the stagewise k1..k4 RK4 loop, one substep at a
-    time at the same stage times as :func:`simulate_ct_reference`."""
+    time at the same stage times as :func:`simulate_ct_reference`.  With
+    ``dtype=np.longdouble`` the loop runs in extended precision from the
+    same float A, B u and x0, so it differs from the reference only in the
+    rounding of the recurrence."""
     n_keep = sample_scenario(scenario, cfg).n_steps
     h = cfg.ts / oversample
     t = np.arange((n_keep - 1) * oversample) * h
     stages = (t, t + 0.5 * h, t + h)
-    A0, Ah, A1 = (eval_pmatrix_many(model.A, scenario.p_at(s)) for s in stages)
-    B0, Bh, B1 = (eval_pmatrix_many(model.B, scenario.p_at(s)) for s in stages)
-    u0, uh, u1 = (scenario.u_at(s) for s in stages)
+    A0, Ah, A1 = (
+        eval_pmatrix_many(model.A, scenario.p_at(s)).astype(dtype) for s in stages
+    )
+    f0, fh, f1 = (
+        np.einsum("kij,kj->ki", eval_pmatrix_many(model.B, scenario.p_at(s)),
+                  scenario.u_at(s)).astype(dtype)
+        for s in stages
+    )
+    h = dtype(h)
     x_log = np.empty((n_keep, model.n_x))
-    x_log[0] = x = scenario.x0
+    x_log[0] = x = scenario.x0.astype(dtype)
     for i in range(t.size):
-        k1 = A0[i] @ x + B0[i] @ u0[i]
-        k2 = Ah[i] @ (x + 0.5 * h * k1) + Bh[i] @ uh[i]
-        k3 = Ah[i] @ (x + 0.5 * h * k2) + Bh[i] @ uh[i]
-        k4 = A1[i] @ (x + h * k3) + B1[i] @ u1[i]
+        k1 = A0[i] @ x + f0[i]
+        k2 = Ah[i] @ (x + 0.5 * h * k1) + fh[i]
+        k3 = Ah[i] @ (x + 0.5 * h * k2) + fh[i]
+        k4 = A1[i] @ (x + h * k3) + f1[i]
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (i + 1) % oversample == 0:
             x_log[(i + 1) // oversample] = x
@@ -616,10 +625,12 @@ def test_ct_reference_matches_stagewise_oracle(n_x, n_u):
     rng = np.random.default_rng(10 * n_x + n_u)
     model = random_time_varying_model(rng, n_x, n_u)
     cfg = DiscretizationConfig(0.1)
-    for oversample in (1, 3, 20, _RK4_BLOCK_ROWS + 1):
-        per_block = max(1, _RK4_BLOCK_ROWS // oversample)
-        # sample counts below, at and just across one block of maps
-        for n_samples in (per_block - 1, per_block, per_block + 1):
+    for oversample in (1, 3, 16, 20, _RK4_WINDOW + 1):
+        # sample counts whose fine substeps end below one window of maps,
+        # reach or cross its end (at it when oversample divides the window
+        # length), and end inside the next window
+        below = (_RK4_WINDOW - 1) // oversample
+        for n_samples in (below, below + 1, below + 2):
             scen = Scenario(
                 p=[SignalSpec.sine(amplitude=0.9, f=f, phase=ph)
                    for f, ph in rng.uniform(0.1, 2.0, (2, 2))],
@@ -633,6 +644,53 @@ def test_ct_reference_matches_stagewise_oracle(n_x, n_u):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+
+
+@pytest.mark.parametrize("oversample", [2, 20, 2 * _RK4_WINDOW + 2])
+def test_ct_reference_is_the_same_on_a_twice_coarser_grid(oversample):
+    # (0.1, ov) and (0.05, ov/2) share the substep h and the fine grid, so
+    # every sample of the first run is every second sample of the second,
+    # bit for bit: with fixed windows, a substep's prefix map depends only
+    # on its fine-grid index.  The sample counts put the samples below, at
+    # and across window boundaries
+    rng = np.random.default_rng(oversample)
+    model = random_time_varying_model(rng, 3, 2)
+    n_fine = 2 * _RK4_WINDOW + 3 * oversample
+    scen = Scenario(
+        p=[SignalSpec.sine(amplitude=0.9, f=f, phase=ph)
+           for f, ph in rng.uniform(0.1, 2.0, (2, 2))],
+        u=[SignalSpec.sine(f=f) for f in rng.uniform(0.1, 2.0, 2)],
+        x0=rng.uniform(-1, 1, 3),
+        t_end=0.1 * -(-n_fine // oversample),
+    )
+    coarse = simulate_ct_reference(model, DiscretizationConfig(0.1), scen, oversample)
+    fine = simulate_ct_reference(
+        model, DiscretizationConfig(0.05), scen, oversample // 2
+    )
+    assert (coarse.n_steps - 1) * oversample >= n_fine
+    assert fine.n_steps == 2 * coarse.n_steps - 1
+    assert coarse.x.tobytes() == fine.x[::2].tobytes()
+    assert coarse.y.tobytes() == fine.y[::2].tobytes()
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3, 4])
+def test_ct_reference_matches_long_double_oracle(n_x):
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float on this platform")
+    rng = np.random.default_rng(40 + n_x)
+    model = random_time_varying_model(rng, n_x, 2)
+    cfg = DiscretizationConfig(0.05)
+    scen = Scenario(
+        p=[SignalSpec.sine(amplitude=0.9, f=f, phase=ph)
+           for f, ph in rng.uniform(0.1, 2.0, (2, 2))],
+        u=[SignalSpec.sine(f=f) for f in rng.uniform(0.1, 2.0, 2)],
+        x0=rng.uniform(-1, 1, n_x),
+        t_end=2.0,
+    )
+    got = simulate_ct_reference(model, cfg, scen, oversample=20).x
+    want = rk4_stagewise_oracle(model, cfg, scen, 20, dtype=np.longdouble)
+    assert (got.shape[0] - 1) * 20 >= 800
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
 def test_ct_reference_unit_ramp_is_exact():
@@ -681,11 +739,26 @@ def test_ct_reference_fourth_order_in_substep():
     assert np.all(orders > 3.7)
 
 
-def test_ct_reference_validates_inputs():
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize(
+    "oversample", [0, -3, 2.9, 7.9, float("nan"), float("inf"), "4"]
+)
+def test_ct_reference_rejects_an_oversample_that_is_not_a_count(oversample):
+    with pytest.raises(ConfigError, match="oversample must be an integer >= 1"):
         simulate_ct_reference(
-            integrator_model(), DiscretizationConfig(0.5), unit_scenario(), oversample=0
+            integrator_model(), DiscretizationConfig(0.5), unit_scenario(),
+            oversample=oversample,
         )
+
+
+@pytest.mark.parametrize("oversample", [2.0, np.int64(2)])
+def test_ct_reference_accepts_an_integral_oversample_of_any_type(oversample):
+    cfg, scen = DiscretizationConfig(0.5), unit_scenario()
+    got = simulate_ct_reference(lag_model(), cfg, scen, oversample=oversample)
+    want = simulate_ct_reference(lag_model(), cfg, scen, oversample=2)
+    assert got.x.tobytes() == want.x.tobytes()
+
+
+def test_ct_reference_validates_inputs():
     bad = Scenario(
         p=[SignalSpec.constant(0.0), SignalSpec.constant(0.0)],
         u=[SignalSpec.constant(0.0)],
