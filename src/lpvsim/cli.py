@@ -200,6 +200,12 @@ def _load_signal_table(path, col):
         )
     if not np.all(np.isfinite(data[:, 0])):
         raise DataError(f"signal table {path!r} has a non-finite time")
+    bad = ~np.isfinite(data[:, col])
+    if bad.any():
+        raise DataError(
+            f"signal table {path!r} has a non-finite value in column {col} "
+            f"at t = {float(data[np.argmax(bad), 0])}"
+        )
     order = np.argsort(data[:, 0], kind="stable")
     return np.column_stack([data[order, 0], data[order, col]])
 

@@ -14,7 +14,7 @@ realize the identical map, so their outputs agree to machine precision;
 keeping both is the point, since each checks the other.  A fixed-step RK4
 integrator provides the continuous-time reference.  The model is linear in x,
 so each RK4 substep is an increment map x+ = x + (D_i x + s_i); the reference
-builds those maps batched from A and B u at the stage times, in fixed windows
+builds those maps batched from A and B u on a half-step grid, in fixed windows
 of the fine grid, and composes them by the same kind of log-depth scan, so
 its only Python loops are over the windows and the scan's levels.
 
@@ -251,6 +251,15 @@ def sigma_initial_state(model, cfg, p0, u0, x0) -> np.ndarray:
     return _seed_xi(A0, B0 @ u0, x0, cfg.ts)
 
 
+def _check_finite_u(u, where):
+    """Raise :class:`DataError` at the first non-finite row of ``u``; ``where``
+    maps its index to its location, as in :func:`check_in_box`."""
+    bad = ~np.all(np.isfinite(u), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DataError(f"input {list(map(float, u[k]))} at {where(k)} is not finite")
+
+
 def _check_run_inputs(model, cfg, traj, x0):
     """Shared up-front guard of both engines; returns x0 as an (n_x,) array."""
     if traj.p.shape[1] != model.n_p:
@@ -265,12 +274,7 @@ def _check_run_inputs(model, cfg, traj, x0):
             f"ts = {cfg.ts}"
         )
     check_in_box(model.domain, traj.p, where=lambda k: f"step {k}")
-    bad = ~np.all(np.isfinite(traj.u), axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise DataError(
-            f"input {list(map(float, traj.u[k]))} at step {k} is not finite"
-        )
+    _check_finite_u(traj.u, where=lambda k: f"step {k}")
     x0 = np.asarray(x0, dtype=float).reshape(model.n_x)
     if not np.all(np.isfinite(x0)):
         raise ConfigError(f"initial state {list(map(float, x0))} is not finite")
@@ -430,18 +434,20 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
 #: fine substeps per window of the RK4 reference's scan.  Windows start at
 #: multiples of this length on the fine grid, so a substep's prefix map
 #: depends only on its fine-grid index, whatever Ts and oversample are.  The
-#: length bounds the window's (rows, n, n) stacks whatever t_end is.  It was
-#: set by measurement on 800-substep runs at n_x <= 4: a window of 128 took
-#: about 12% longer, and one of 512 raised the allocation peak by about 60%
+#: length bounds the window's stage samples and (rows, n, n) stacks, and so
+#: the reference's memory, whatever t_end is.  It was set by measurement on
+#: 800-substep runs at n_x <= 4: a window of 128 took about 12% longer, and
+#: one of 512 raised the allocation peak by about 60%
 _RK4_WINDOW = 256
 
 
-def _rk4_affine_maps(model, p_stages, u_stages, h):
+def _rk4_affine_maps(model, p, u, h):
     """Affine maps of a run of RK4 substeps, as (D, s) with T = I + D.
 
-    ``p_stages`` and ``u_stages`` hold the p and u rows at each substep's
-    start, midpoint and end.  The stage slopes k_j = M_j x + c_j of a linear
-    time-varying system are affine in x:
+    ``p`` and ``u`` hold the rows of the run's half-step grid: substep i
+    starts at row 2i, has its midpoint at 2i+1 and ends at 2i+2, the next
+    one's start, so A and B u are evaluated once per row and sliced.  The
+    stage slopes k_j = M_j x + c_j of a linear system are affine in x:
 
         M1 = A0,  M2 = Ah (I + h/2 M1),  M3 = Ah (I + h/2 M2),
         M4 = A1 (I + h M3),  D = h/6 (M1 + 2 M2 + 2 M3 + M4),
@@ -449,31 +455,26 @@ def _rk4_affine_maps(model, p_stages, u_stages, h):
     and the offsets c_j follow the same recursion from the drives B u, so
     s = h/6 (c1 + 2 c2 + 2 c3 + c4) and one substep is x+ = x + (D x + s).
     """
-    (p0, ph, p1), (u0, uh, u1) = p_stages, u_stages
-    # (rows, n, n) stacks are updated in place and dropped once used up, so
-    # at most four are live at once besides the evaluator's temporaries
-    A0 = eval_pmatrix_many(model.A, p0)
-    Ah = eval_pmatrix_many(model.A, ph)
-    c1 = _matvecs(eval_pmatrix_many(model.B, p0), u0)
-    fh = _matvecs(eval_pmatrix_many(model.B, ph), uh)
+    A = eval_pmatrix_many(model.A, p)
+    f = _matvecs(eval_pmatrix_many(model.B, p), u)
+    A0, Ah, A1 = A[:-1:2], A[1::2], A[2::2]
+    c1, fh, f1 = f[:-1:2], f[1::2], f[2::2]
     c2 = (0.5 * h) * _matvecs(Ah, c1) + fh
     c3 = (0.5 * h) * _matvecs(Ah, c2) + fh
+    c4 = h * _matvecs(A1, c3) + f1
+    # the views share A, so D is a fresh stack; the (rows, n, n) products
+    # are updated in place and dropped once used up
     M2 = Ah @ A0
     M2 *= 0.5 * h
     M2 += Ah
-    D = A0
-    del A0
-    D += M2
+    D = A0 + M2
     D += M2
     M3 = Ah @ M2
     del M2
     M3 *= 0.5 * h
     M3 += Ah
-    del Ah
     D += M3
     D += M3
-    A1 = eval_pmatrix_many(model.A, p1)
-    c4 = h * _matvecs(A1, c3) + _matvecs(eval_pmatrix_many(model.B, p1), u1)
     M4 = A1 @ M3
     del M3
     M4 *= h
@@ -514,21 +515,23 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     """Fixed-step RK4 integration of the continuous-time model.
 
     Integrates with step h = Ts/oversample, evaluating the scenario's p(t)
-    and u(t) at the exact stage times, and logs every Ts-multiple.  The
-    returned trajectory carries y and x on the sampling grid (xi is None).
+    and u(t) at the stage times on the half-step grid t_j = j h/2, and logs
+    every Ts-multiple.  The returned trajectory carries y and x on the
+    sampling grid (xi is None).
 
     For a linear time-varying system one RK4 substep is an affine map
     x+ = x + (D_i x + s_i), built from A and B u at the substep's three
     stage times.  The fine grid is cut into windows of ``_RK4_WINDOW``
-    substeps that start at multiples of that length.  Per window the maps
-    are built batched and composed by a log-depth prefix scan in this
-    increment form, never as I + D_i, whose product would round every entry
-    of x afresh.  x is then formed only at the window's rows that end a
-    sample and at its last row, in one batched step
-    x_start + (D_pref x_start + s_pref), and the last row's x starts the
-    next window.  The only Python loops are over the windows and the scan's
-    log2(window) levels.  Since the windows are fixed on the fine grid, runs
-    at (Ts, oversample) and (2 Ts, 2 oversample) agree bit for bit at the
+    substeps that start at multiples of that length.  Per window, p and u
+    are sampled on its half-step grid, and the maps are built batched and
+    composed by a log-depth prefix scan in this increment form, never as
+    I + D_i, whose product would round every entry of x afresh.  x is then
+    formed only at the window's rows that end a sample and at its last row,
+    in one batched step x_start + (D_pref x_start + s_pref), and the last
+    row's x starts the next window.  So memory is bounded by the window plus
+    the output log, and the only Python loops are over the windows and the
+    scan's levels.  Since the windows are fixed on the fine grid, runs at
+    (Ts, oversample) and (2 Ts, 2 oversample) agree bit for bit at the
     samples they share.
 
     Raises
@@ -536,8 +539,9 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     ConfigError
         If oversample is not an integer >= 1.
     DomainError, DataError, ConfigError
-        As :func:`simulate_dt` for the sampled p, u and x0; DomainError also
-        when p(t) leaves the box or is not finite at an RK4 stage time.
+        As :func:`simulate_dt` for the sampled p, u and x0; DomainError and
+        DataError also when p(t) leaves the box or u(t) is not finite at an
+        RK4 stage time, naming the earliest such t.
     """
     try:  # int() would truncate 2.9 to 2 and raise its own error on nan
         counts = int(oversample) == oversample >= 1
@@ -557,27 +561,21 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     h = cfg.ts / oversample
     n_fine = (n_keep - 1) * oversample
 
-    # stage times: t, t + h/2, t + h for every fine step
-    t_fine = np.arange(n_fine) * h
-    t_half = t_fine + 0.5 * h
-    t_full = t_fine + h
-    all_t = np.concatenate([t_fine, t_half, t_full])
-    p_all = scenario.p_at(all_t)
-    check_in_box(model.domain, p_all, where=lambda k: f"t = {float(all_t[k])}")
-    p_stages = np.split(p_all, 3)
-    u_stages = np.split(scenario.u_at(all_t), 3)
-
     x_log = np.empty((n_keep, model.n_x))
     x_log[0] = x = x0
     for i0 in range(0, n_fine, _RK4_WINDOW):
-        rows = slice(i0, min(i0 + _RK4_WINDOW, n_fine))
-        D, s = _rk4_affine_maps(
-            model, [q[rows] for q in p_stages], [v[rows] for v in u_stages], h
-        )
+        i1 = min(i0 + _RK4_WINDOW, n_fine)
+        # the window's half-step grid: substep i starts at 2i, ends at 2i+2
+        t = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
+        p = scenario.p_at(t)
+        check_in_box(model.domain, p, where=lambda j: f"t = {float(t[j])}")
+        u = scenario.u_at(t)
+        _check_finite_u(u, where=lambda j: f"t = {float(t[j])}")
+        D, s = _rk4_affine_maps(model, p, u, h)
         _scan_increments(D, s)
         # x after the rows that end a sample, and after the window's last
         # row, which starts the next window
-        reached = np.arange(rows.start + 1, rows.stop + 1)
+        reached = np.arange(i0 + 1, i1 + 1)
         keep = reached % oversample == 0
         keep[-1] = True
         xs = x + (D[keep] @ x + s[keep])

@@ -165,6 +165,39 @@ def test_signal_table_rejects_a_non_finite_time(capsys, tmp_path, time):
     assert "non-finite time" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--ts", "0.05", "--t-end", "0.2"),
+    ("converge", "--t-end", "2", "--ts-list", "0.2,0.1,0.05", "--oversample", "20"),
+])
+def test_signal_table_rejects_a_non_finite_value(capsys, tmp_path, value, argv):
+    # the bad row lies between two samples: simulate used to interpolate
+    # around it and converge to print a NaN report, both with exit 0
+    table = tmp_path / "u.csv"
+    rows = [f"{k / 100!r},{value if k == 2 else '1.0'}" for k in range(201)]
+    table.write_text("t,v\n" + "\n".join(rows) + "\n")
+    code, out, err = run(
+        capsys, argv[0], "--model", "lag1", *argv[1:],
+        "--u", f"csv:path={table},col=1",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        f"E_IO: signal table {str(table)!r} has a non-finite value in column 1 "
+        "at t = 0.02\n"
+    )
+
+
+def test_signal_table_checks_only_the_selected_column(capsys, tmp_path):
+    table = tmp_path / "u.csv"
+    table.write_text("t,a,b\n0,0,nan\n1,2,3\n")
+    code, out, err = run(
+        capsys, "simulate", "--model", "lag1", "--ts", "0.1", "--steps", "3",
+        "--u", f"csv:path={table},col=1",
+    )
+    assert code == 0 and err == ""
+    assert out.startswith("k,t,y1\n")
+
+
 @pytest.mark.parametrize("what, argv", [
     ("model file", ("check", "--model", "{bad}", "--ts", "0.1")),
     ("trajectory table",

@@ -1,6 +1,8 @@
 """Signal generation, the two discrete engines, the RK4 reference, and the
 trajectory CSV round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -580,8 +582,11 @@ def rk4_stagewise_oracle(model, cfg, scenario, oversample, dtype=float):
     rounding of the recurrence."""
     n_keep = sample_scenario(scenario, cfg).n_steps
     h = cfg.ts / oversample
-    t = np.arange((n_keep - 1) * oversample) * h
-    stages = (t, t + 0.5 * h, t + h)
+    # substep i starts at t_2i, has its midpoint at t_2i+1 and ends at
+    # t_2i+2 on the half-step grid t_j = j h/2
+    grid = np.arange(2 * (n_keep - 1) * oversample + 1) * (0.5 * h)
+    t = grid[:-1:2]
+    stages = (t, grid[1::2], grid[2::2])
     A0, Ah, A1 = (
         eval_pmatrix_many(model.A, scenario.p_at(s)).astype(dtype) for s in stages
     )
@@ -786,6 +791,72 @@ def test_ct_reference_rejects_non_finite_u_and_x0():
         simulate_ct_reference(lag_model(), cfg, unit_scenario(u_value=np.nan))
     with pytest.raises(ConfigError):
         simulate_ct_reference(lag_model(), cfg, unit_scenario(x0=(np.inf,)))
+
+
+def test_ct_reference_names_the_earliest_stage_time_outside_the_box():
+    # p spikes out of [-1, 1] between the samples at 0.75 and 0.8, inside
+    # the second window of fine substeps (h = 0.0025, so substeps 256..511
+    # cover [0.64, 1.28)).  The spike is above 1 on (0.7635, 0.7655): it
+    # holds the midpoint t_611 = 0.76375 of substep 305 and the start
+    # t_612 = 0.765 of substep 306, and the earlier midpoint is named
+    cfg, oversample = DiscretizationConfig(0.05), 20
+    table = np.array(
+        [[0.0, 0.0], [0.763, 0.0], [0.7645, 3.0], [0.766, 0.0], [2.0, 0.0]]
+    )
+    spike = SignalSpec.csv_column("spike.csv", 1, table=table)
+    scen = Scenario(p=[spike], u=[SignalSpec.constant(1.0)], x0=[0.0], t_end=2.0)
+    assert np.all(np.abs(sample_scenario(scen, cfg).p) <= 1.0)
+    half = 0.5 * (cfg.ts / oversample)
+    t = 611 * half
+    p = float(generate_signal(spike, [t])[0])
+    assert 1.0 < p < generate_signal(spike, [612 * half])[0]
+    with pytest.raises(DomainError) as exc:
+        simulate_ct_reference(integrator_model(), cfg, scen, oversample)
+    assert str(exc.value) == f"scheduling point [{p}] at t = {t} outside the box"
+
+
+def test_ct_reference_rejects_a_non_finite_u_between_samples():
+    # np.interp keeps the samples at t = 0 and 0.05 finite around the NaN
+    # row, so only the check at the RK4 stage times can see it.  A library
+    # table skips the CLI loader, which rejects such a row on its own
+    cfg, oversample = DiscretizationConfig(0.05), 20
+    table = np.column_stack([np.arange(11) * 0.01, np.ones(11)])
+    table[2, 1] = np.nan
+    spec = SignalSpec.csv_column("u_nan.csv", 1, table=table)
+    scen = Scenario(p=[SignalSpec.constant(0.0)], u=[spec], x0=[0.0], t_end=0.1)
+    assert np.all(np.isfinite(sample_scenario(scen, cfg).u))
+    grid = np.arange(2 * 2 * oversample + 1) * (0.5 * cfg.ts / oversample)
+    j = int(np.argmax(np.isnan(generate_signal(spec, grid))))
+    assert 0.01 <= grid[j] < 0.02
+    with pytest.raises(DataError) as exc:
+        simulate_ct_reference(lag_model(), cfg, scen, oversample)
+    assert str(exc.value) == f"input [nan] at t = {float(grid[j])} is not finite"
+
+
+def test_ct_reference_memory_is_bounded_by_the_window():
+    # stage samples and substep maps exist one window at a time, so a run
+    # ten times longer costs only its longer output arrays
+    model, cfg = msd_model(), DiscretizationConfig(0.05)
+
+    def peak_and_outputs(n_fine):
+        scen = Scenario(
+            p=[SignalSpec.sine(amplitude=1.5, f=0.3, offset=2.0)],
+            u=[SignalSpec.sine(f=0.7)],
+            x0=[0.1, 0.0],
+            t_end=n_fine / 20 * cfg.ts,
+        )
+        tracemalloc.start()
+        try:
+            out = simulate_ct_reference(model, cfg, scen, oversample=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.n_steps - 1) * 20 == n_fine
+        return peak, sum(a.nbytes for a in (out.p, out.u, out.y, out.x))
+
+    peak_and_outputs(800)  # first-call allocations are not the run's
+    short, long_ = peak_and_outputs(8_000), peak_and_outputs(80_000)
+    assert long_[0] - short[0] <= long_[1] - short[1] + 64 * 1024
 
 
 # --- CSV round trip ---------------------------------------------------------
