@@ -146,14 +146,11 @@ def _load_model(spec):
 
 def _floats(text, what):
     try:
-        vals = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(
             f"{what} must be comma-separated numbers, got {text!r}"
         ) from None
-    if not vals:
-        raise ConfigError(f"{what} is empty")
-    return vals
 
 
 def _vector(text, what, n, default):
@@ -198,16 +195,13 @@ def _load_signal_table(path, col):
             f"signal table {path!r} has no value column {col} "
             f"(column 0 is time, values in 1..{data.shape[1] - 1})"
         )
-    if not np.all(np.isfinite(data[:, 0])):
-        raise DataError(f"signal table {path!r} has a non-finite time")
     bad = ~np.isfinite(data[:, col])
     if bad.any():
         raise DataError(
             f"signal table {path!r} has a non-finite value in column {col} "
             f"at t = {float(data[np.argmax(bad), 0])}"
         )
-    order = np.argsort(data[:, 0], kind="stable")
-    return np.column_stack([data[order, 0], data[order, col]])
+    return data[:, [0, col]]
 
 
 def _signal_option(key, text, field_type):
@@ -450,7 +444,6 @@ def cmd_compare(args):
 def cmd_converge(args):
     model = _load_model(args.model)
     ts_list = _floats(args.ts_list, "--ts-list")
-    args.steps = None
     scen = _scenario_from_args(model, args, ts_list[-1])
     study = convergence_order(model, scen, ts_list, oversample=args.oversample)
     _emit(render_convergence_report(study), args.out)
@@ -562,12 +555,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except WellposednessError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 2
     except LpvError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, WellposednessError) else 1
     except OSError as exc:
         print(f"E_IO: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,9 @@ engine step at the same p start from bit-identical matrices:
 * :func:`rinv_matrices` -- the parameter-independent trapezoidal integrator
   block [[I, 2I], [Ts/2 I, Ts/2 I]] acting on (xi, r x).
 * :func:`sigma_step` -- the loop-free update blocks obtained by solving the
-  instantaneous feedback through the integrator block in closed form:
+  instantaneous feedback through the integrator block in closed form (a
+  function apart from its one caller, :func:`dt_step_matrices`, because
+  ``perfbench/tracing.py`` wraps it by name):
 
       xi(k+1) = (I + Phi A Ts) xi(k) + 2 Phi ubar(k)
       x(k)    = Phi Ts/2 xi(k) + Phi Ts/2 ubar(k),     ubar = B(p) u
@@ -248,7 +250,9 @@ def rinv_matrices(n_x: int, cfg: DiscretizationConfig) -> np.ndarray:
     """Trapezoidal integrator block ``[[I, 2I], [Ts/2 I, Ts/2 I]]``.
 
     Acts on the stacked vector (xi(k), r x(k)) and returns
-    (xi(k+1), x(k)); identity blocks have size ``n_x``.
+    (xi(k+1), x(k)); identity blocks have size ``n_x``.  No engine steps
+    it: the loop oracle's top row (2/Ts) x - r x = xi is this block's
+    second row solved for xi, and its first row is the oracle's add.
     """
     if n_x < 1:
         raise ConfigError(f"n_x must be >= 1, got {n_x}")

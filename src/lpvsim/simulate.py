@@ -4,8 +4,8 @@ Two discrete-time engines advance the same internal state xi over a sampled
 scheduling trajectory.  The loop-free engine builds the paper's per-step
 matrices for every sample at once -- A(p(k)) and B(p(k)) as (N, n, n) and
 (N, n, m) stacks, one stacked factorization for Phi(p(k)) -- and runs the xi
-recurrence as a log-depth scan over its affine maps, so the only Python loop
-left is over the scan's log2(N) levels.  The loop oracle re-solves the
+recurrence as a log-depth scan over its increment maps, so the only Python
+loop left is over the scan's log2(N) levels.  The loop oracle re-solves the
 implicit feedback loop around the trapezoidal integrator block at every
 step, written in xi itself: each step solves for x and the increment of xi
 and adds that increment.  Only its loop matrices are stacked, once, for one
@@ -15,8 +15,8 @@ keeping both is the point, since each checks the other.  A fixed-step RK4
 integrator provides the continuous-time reference.  The model is linear in x,
 so each RK4 substep is an increment map x+ = x + (D_i x + s_i); the reference
 builds those maps batched from A and B u on a half-step grid, in fixed windows
-of the fine grid, and composes them by the same kind of log-depth scan, so
-its only Python loops are over the windows and the scan's levels.
+of the fine grid, and composes them by the loop-free engine's scan, so its
+only Python loops are over the windows and the scan's levels.
 
 The internal state relates to the physical one by
 
@@ -67,8 +67,9 @@ class SignalSpec:
     f, phase : sine frequency [Hz] and phase [rad]
     t0 : step onset time; the step is 0 before t0 and on from t0 inclusive
     f0, f1, t1 : chirp sweeps linearly from f0 at t=0 to f1 at t=t1
-    path, column : CSV source and 0-based value column, linearly
-        interpolated between samples and held constant beyond the ends
+    path, column, table : CSV source, 0-based value column and its loaded
+        (t, value) rows, stored stably sorted by t; linearly interpolated
+        between samples and held constant beyond the ends
     """
 
     kind: str
@@ -96,6 +97,11 @@ class SignalSpec:
                 raise ConfigError(
                     f"chirp needs 0 <= f0 <= f1, got f0={self.f0}, f1={self.f1}"
                 )
+        if self.kind == "csv_column" and self.table is not None:
+            tab = np.array(self.table, dtype=float)
+            if not np.all(np.isfinite(tab[:, 0])):
+                raise DataError(f"signal table {self.path!r} has a non-finite time")
+            object.__setattr__(self, "table", tab[np.argsort(tab[:, 0], kind="stable")])
 
     @classmethod
     def constant(cls, value):
@@ -138,7 +144,7 @@ def generate_signal(spec: SignalSpec, t) -> np.ndarray:
         raise DataError(
             f"csv_column signal has no loaded table (path {spec.path!r})"
         )
-    tab = np.asarray(spec.table, dtype=float)
+    tab = spec.table
     return spec.offset + spec.amplitude * np.interp(t, tab[:, 0], tab[:, 1])
 
 
@@ -291,12 +297,12 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
 
     Everything that depends only on p(k) is computed for all samples at
     once: A and B are evaluated as stacks, Phi = (I - A Ts/2)^-1 comes from
-    one stacked solve, and Axi = I + Phi A Ts and 2 Phi B u are formed
-    batched.  The recurrence xi(k+1) = Axi xi(k) + 2 Phi B u(k) is a chain
-    of affine maps, and composing affine maps is associative, so it runs as
-    a Hillis-Steele scan: log2(N) levels, each one batched product of the
-    stacks.  Only that loop over levels runs in Python; its rounding differs
-    from stepping sample by sample only in the last digits.  The state
+    one stacked solve, and D = Ts Phi A and s = 2 Phi B u are formed
+    batched.  The recurrence xi(k+1) = xi(k) + (D xi(k) + s(k)) is a chain
+    of increment maps, the form of the RK4 reference's substeps, so it runs
+    through the same log-depth scan, :func:`_scan_increments`.  Only the
+    scan's loop over levels runs in Python; its rounding differs from
+    stepping sample by sample only in the last digits.  The state
     x = (Ts/2) Phi (xi + B u) and the output y = C x + D u are then
     reconstructed batched; these are the Xxi/Xu and Cxi/Dxi blocks of
     :func:`~lpvsim.discretize.dt_step_matrices` applied without forming
@@ -328,23 +334,13 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
         raise exc.at_step(exc.step_index, p[exc.step_index]) from None
     # at most three (N, n, n) stacks are live at once: each is dropped as
     # soon as it is used, since their count sets the run's allocation peak
-    Axi = Phi @ A
-    Axi *= ts
-    Axi += np.eye(model.n_x)
+    D = Phi[:-1] @ A[:-1]
+    D *= ts
     del A
-    drive = 2.0 * _matvecs(Phi, Bu)
-    # Hillis-Steele scan over the affine maps xi -> M[k] xi + d[k]: after
-    # the level of stride s, row k holds the composition of maps
-    # k-2s+1 .. k, so after the last level it maps xi(0) to xi(k+1).  d is
-    # updated first, because it must use the M of the previous level.
-    M, d = Axi[:-1], drive[:-1]
-    s = 1
-    while s < len(M):
-        d[s:] += _matvecs(M[s:], d[:-s])
-        M[s:] = M[s:] @ M[:-s]
-        s *= 2
-    xis[1:] = M @ xis[0] + d
-    del Axi, M
+    s = 2.0 * _matvecs(Phi[:-1], Bu[:-1])
+    _scan_increments(D, s)  # now row k maps xi(0) to xi(k+1)
+    xis[1:] = xis[0] + (D @ xis[0] + s)
+    del D
 
     x = (ts / 2.0) * _matvecs(Phi, xis + Bu)
     y = _matvecs(eval_pmatrix_many(model.C, p), x)

@@ -99,6 +99,26 @@ def test_csv_column_signal_interpolates_and_holds_ends():
     assert_allclose(got, [0.0, 1.0, 2.0, 2.0], rtol=0, atol=0)
 
 
+def test_csv_column_signal_sorts_an_unsorted_library_table():
+    spec = SignalSpec.csv_column("mem", 1, table=[[2, 0.5], [0, 0], [1, 1]])
+    got = generate_signal(spec, [0.0, 0.5, 1.0, 1.5, 2.0])
+    assert_allclose(got, [0.0, 0.5, 1.0, 0.75, 0.5], rtol=0, atol=0)
+
+
+def test_csv_column_signal_keeps_the_order_of_rows_sharing_a_time():
+    # a jump from 0 to 1 at t = 1, written out of order around it
+    table = [[2.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
+    spec = SignalSpec.csv_column("mem", 1, table=table)
+    assert spec.table.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]]
+
+
+@pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+def test_csv_column_signal_rejects_a_non_finite_time(time):
+    with pytest.raises(DataError) as exc:
+        SignalSpec.csv_column("mem.csv", 1, table=[[0.0, 0.0], [time, 1.0]])
+    assert str(exc.value) == "signal table 'mem.csv' has a non-finite time"
+
+
 def test_csv_column_signal_requires_table():
     spec = SignalSpec.csv_column("missing.csv", 0)
     with pytest.raises(DataError):
@@ -527,14 +547,18 @@ def test_loop_oracle_solves_once_per_step(monkeypatch):
     assert shapes == [(6, 6)] * 57
 
 
-@pytest.mark.parametrize("n_x", [1, 2, 3, 4])
-def test_loop_oracle_satisfies_the_trapezoidal_loop(n_x):
-    # the oracle alone against the relations it solves, with r x = A x + B u:
-    # (2/Ts) x(k) - r x(k) = xi(k) and xi(k+1) = xi(k) + 2 r x(k)
+@pytest.mark.parametrize("n_x, engine", [
+    *(pytest.param(n, simulate_dt_loop_oracle, id=f"{n}") for n in (1, 2, 3, 4)),
+    *(pytest.param(n, simulate_dt, id=f"simulate_dt-{n}") for n in (1, 2, 3, 4)),
+])
+def test_loop_oracle_satisfies_the_trapezoidal_loop(n_x, engine):
+    # each engine alone against the relations the oracle solves, with
+    # r x = A x + B u: (2/Ts) x(k) - r x(k) = xi(k) and
+    # xi(k+1) = xi(k) + 2 r x(k)
     rng = np.random.default_rng(50 + n_x)
     model, traj = scan_run(rng, n_x, 200)
     x0 = rng.uniform(-1, 1, n_x)
-    out = simulate_dt_loop_oracle(model, DiscretizationConfig(traj.ts), traj, x0)
+    out = engine(model, DiscretizationConfig(traj.ts), traj, x0)
     rx = np.einsum("kij,kj->ki", eval_pmatrix_many(model.A, traj.p), out.x)
     rx += np.einsum("kij,kj->ki", eval_pmatrix_many(model.B, traj.p), traj.u)
     tol = 1e-12 * np.maximum(1.0, np.max(np.abs(out.xi), axis=1, keepdims=True))
