@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .discretize import DiscretizationConfig, phi, singular_rows
 from .errors import ConfigError, DataError, DimensionError, WellposednessError
@@ -98,7 +99,15 @@ class SignalSpec:
                     f"chirp needs 0 <= f0 <= f1, got f0={self.f0}, f1={self.f1}"
                 )
         if self.kind == "csv_column" and self.table is not None:
-            tab = np.array(self.table, dtype=float)
+            try:
+                tab = np.array(self.table, dtype=float)
+            except (TypeError, ValueError) as exc:  # ragged rows, non-numbers
+                raise DataError(f"signal table {self.path!r}: {exc}") from None
+            if tab.ndim != 2 or tab.shape[0] < 1 or tab.shape[1] != 2:
+                raise DataError(
+                    f"signal table {self.path!r} must hold (t, value) rows, "
+                    f"got an array of shape {tab.shape}"
+                )
             if not np.all(np.isfinite(tab[:, 0])):
                 raise DataError(f"signal table {self.path!r} has a non-finite time")
             object.__setattr__(self, "table", tab[np.argsort(tab[:, 0], kind="stable")])
@@ -230,13 +239,31 @@ class Trajectory:
         return got
 
 
+#: the fewest float64 samples that one array cannot hold: numpy sizes an
+#: array in bytes, as a signed pointer-width integer
+_SAMPLE_LIMIT = (np.iinfo(np.intp).max + 1) // 8
+
+
 def sample_scenario(scenario: Scenario, cfg: DiscretizationConfig) -> Trajectory:
     """Sample scenario waveforms on the uniform grid k*Ts up to t_end.
 
     A Ts that divides t_end to 1e-9 relative keeps the sample at t_end.
+
+    Raises
+    ------
+    ConfigError
+        If the grid has more samples than one float64 array can hold.
     """
     ratio = scenario.t_end / cfg.ts
-    n_steps = int(np.floor(ratio + 1e-9 * max(1.0, ratio))) + 1
+    n_steps = np.floor(ratio + 1e-9 * max(1.0, ratio)) + 1.0
+    # np.arange would fail on such a count with a bare ValueError, or on
+    # inf with an OverflowError from int()
+    if not n_steps < _SAMPLE_LIMIT:
+        raise ConfigError(
+            f"t_end = {scenario.t_end} at ts = {cfg.ts} gives {n_steps:.6g} "
+            f"samples, more than one array can hold"
+        )
+    n_steps = int(n_steps)
     t = np.arange(n_steps) * cfg.ts
     return Trajectory(ts=cfg.ts, p=scenario.p_at(t), u=scenario.u_at(t))
 
@@ -350,6 +377,11 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     return Trajectory(ts=ts, p=p, u=u, y=y, x=x, xi=xis)
 
 
+#: the LAPACK gesv gufunc that ``np.linalg.solve`` calls for one matrix and
+#: one right-hand side; bound once, so the oracle's loop calls it directly
+_solve1 = _umath_linalg.solve1
+
+
 def _solve_loop_steps(loops, rhs):
     """Step the closed loop of the oracle through all its samples.
 
@@ -357,15 +389,29 @@ def _solve_loop_steps(loops, rhs):
     solutions and writes xi(k+1) = xi(k) + w into the top half of
     ``rhs[k + 1]``.  A function of its own, so that the loop's row views
     are gone once it returns and the caller can free the stack.
+
+    Each solve is the gufunc that ``np.linalg.solve`` itself calls, with the
+    same ``dd->d`` signature, so its bits are those of ``np.linalg.solve``.
+    The public function is skipped because its wrapper costs more than the
+    solve: on an 8 x 8 loop matrix (numpy 2.4, one BLAS thread, 2-core
+    x86-64 Xeon) ``np.linalg.solve`` took 5.7-7.9 us, of which 1.7-2.4 us
+    was the gufunc and the rest its type checks and the ``np.errstate`` it
+    enters at every call.  The loop enters numpy's errstate once instead,
+    so a failed factorization still raises rather than writing NaN, as
+    FloatingPointError where the wrapper raises LinAlgError; the caller's
+    determinant check rejects a singular loop matrix before the loop, so no
+    step meets a zero pivot.  The add runs under the same errstate, so a
+    diverging run overflows to inf without a RuntimeWarning.
     """
     n = loops.shape[1] // 2
     sol = np.empty((len(loops), 2 * n))
-    solve, add = np.linalg.solve, np.add
+    solve, add = _solve1, np.add
     # the rows of each array are views, zipped once, so a step indexes nothing
     steps = zip(loops, rhs, sol, rhs[:, :n], sol[:, n:], rhs[1:, :n])
-    for loop_k, rhs_k, sol_k, xi_k, w_k, xi_next in steps:
-        sol_k[:] = solve(loop_k, rhs_k)
-        add(xi_k, w_k, out=xi_next)
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        for loop_k, rhs_k, sol_k, xi_k, w_k, xi_next in steps:
+            solve(loop_k, rhs_k, out=sol_k, signature="dd->d")
+            add(xi_k, w_k, out=xi_next)
     return sol
 
 
@@ -384,9 +430,12 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     top half.  A..D and B u are evaluated batched, and the loop matrices of
     all steps are stacked once; the stack serves both one stacked
     determinant check, det = Ts^-n det(I - A Ts/2) by block elimination,
-    and the per-step solves.  No per-point matrices (Phi or the step
-    blocks) are shared with :func:`simulate_dt`; the two paths share only
-    the model, the input guard, the xi(0) seed and the singularity
+    and the per-step solves.  Each solve calls LAPACK's gesv gufunc
+    directly, the one ``np.linalg.solve`` wraps, with the same bits: the
+    wrapper's per-call checks and errstate cost about twice the solve
+    itself (see :func:`_solve_loop_steps`).  No per-point matrices (Phi or
+    the step blocks) are shared with :func:`simulate_dt`; the two paths
+    share only the model, the input guard, the xi(0) seed and the singularity
     threshold.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)

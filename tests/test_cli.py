@@ -260,6 +260,24 @@ def test_bad_x0_and_bad_signal_report_the_same_fault_first(capsys, command, mess
     assert (code, out, err) == (1, "", message)
 
 
+# each count here is far beyond what numpy can size, so nothing is allocated;
+# never add a count that an array could hold
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--ts", "0.1", "--t-end", "1e300"),
+     "t_end = 1e+300 at ts = 0.1 gives 1e+301 samples"),
+    (("simulate", "--ts", "1e-300", "--t-end", "1"),
+     "t_end = 1.0 at ts = 1e-300 gives 1e+300 samples"),
+    (("converge", "--ts-list", "0.2,0.1,0.05", "--t-end", "1e300"),
+     "t_end = 1e+300 at ts = 0.05 gives 2e+301 samples"),
+])
+def test_a_run_too_long_for_an_array_is_one_parse_line(capsys, argv, message):
+    code, out, err = run(
+        capsys, argv[0], "--model", "msd", *argv[1:], "--p", "1", "--u", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"E_PARSE: {message}, more than one array can hold\n"
+
+
 # --- check -------------------------------------------------------------------
 
 

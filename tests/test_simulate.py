@@ -19,7 +19,7 @@ from conftest import (
     random_lpv_model,
     scalar_gain_model,
 )
-from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain
+from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain, simulate
 from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, phi, tustin_frozen
 from lpvsim.errors import (
     ConfigError,
@@ -117,6 +117,19 @@ def test_csv_column_signal_rejects_a_non_finite_time(time):
     with pytest.raises(DataError) as exc:
         SignalSpec.csv_column("mem.csv", 1, table=[[0.0, 0.0], [time, 1.0]])
     assert str(exc.value) == "signal table 'mem.csv' has a non-finite time"
+
+
+@pytest.mark.parametrize("table", [
+    pytest.param([[]], id="no-columns"),
+    pytest.param(np.empty((0, 2)), id="no-rows"),
+    pytest.param([1.0, 2.0, 3.0], id="1-d"),
+    pytest.param([[0.0], [1.0]], id="one-column"),
+    pytest.param([[0.0, 1.0], [2.0]], id="ragged"),
+    pytest.param([["t", "u"]], id="not-numbers"),
+])
+def test_csv_column_signal_rejects_a_table_without_time_value_rows(table):
+    with pytest.raises(DataError, match="^signal table 'mem.csv'"):
+        SignalSpec.csv_column("mem.csv", 1, table=table)
 
 
 def test_csv_column_signal_requires_table():
@@ -536,15 +549,49 @@ def test_loop_oracle_solves_once_per_step(monkeypatch):
     rng = np.random.default_rng(46)
     model, traj = scan_run(rng, 3, 57)
     shapes = []
-    solve = np.linalg.solve
+    solve = simulate._solve1
 
-    def counting_solve(a, b):
+    def counting_solve(a, b, **kwargs):
         shapes.append(np.shape(a))
-        return solve(a, b)
+        return solve(a, b, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(simulate, "_solve1", counting_solve)
     simulate_dt_loop_oracle(model, DiscretizationConfig(traj.ts), traj, np.zeros(3))
     assert shapes == [(6, 6)] * 57
+
+
+def oracle_step_loop(model, cfg, traj, x0):
+    """x, xi and y of the loop oracle, each step's loop matrix built alone
+    and solved by ``np.linalg.solve``."""
+    ts, n = cfg.ts, model.n_x
+    A = eval_pmatrix_many(model.A, traj.p)
+    Bu = np.einsum("kij,kj->ki", eval_pmatrix_many(model.B, traj.p), traj.u)
+    eye = np.eye(n)
+    x = np.empty((traj.n_steps, n))
+    xi = np.empty((traj.n_steps + 1, n))
+    xi[0] = (2.0 / ts) * x0 - A[0] @ x0 - Bu[0]
+    for k in range(traj.n_steps):
+        loop = np.block([[(2.0 / ts) * eye, -0.5 * eye], [-A[k], 0.5 * eye]])
+        sol = np.linalg.solve(loop, np.concatenate([xi[k], Bu[k]]))
+        x[k] = sol[:n]
+        xi[k + 1] = xi[k] + sol[n:]
+    y = np.einsum("kij,kj->ki", eval_pmatrix_many(model.C, traj.p), x)
+    y += np.einsum("kij,kj->ki", eval_pmatrix_many(model.D, traj.p), traj.u)
+    return x, xi[:-1], y
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 3, 4])
+def test_loop_oracle_matches_np_linalg_solve_bit_for_bit(n_x):
+    # the oracle calls the LAPACK gufunc behind np.linalg.solve directly;
+    # a numpy whose public solve computes differently fails here
+    rng = np.random.default_rng(60 + n_x)
+    for n in (1, 2, 57, 320):
+        model, traj = scan_run(rng, n_x, n)
+        x0 = rng.uniform(-1, 1, n_x)
+        cfg = DiscretizationConfig(traj.ts)
+        out = simulate_dt_loop_oracle(model, cfg, traj, x0)
+        for got, want in zip((out.x, out.xi, out.y), oracle_step_loop(model, cfg, traj, x0)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n_x, engine", [
