@@ -34,6 +34,7 @@ from .errors import (
     DimensionError,
     DomainError,
     LpvError,
+    NonFiniteError,
     ParseError,
     WellposednessError,
 )

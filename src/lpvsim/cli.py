@@ -10,8 +10,8 @@ Models are JSON files; ``--model`` also accepts a bundled example name.
 Signals use a small inline grammar, e.g. ``--u "sine:amp=1,f=0.5"`` (see
 ``--help`` of the simulate command).  Every failure prints one line
 ``E_CODE: detail`` to stderr; exit status is 1 for usage, parse, and I/O
-problems, 2 for a well-posedness failure during an operation, and 3 when a
-check or threshold fails.
+problems, 2 for a well-posedness failure or a diverging run during an
+operation, and 3 when a check or threshold fails.
 """
 
 import argparse
@@ -20,7 +20,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
+import stat
 import sys
 
 import numpy as np
@@ -46,6 +48,7 @@ from .errors import (
     DataError,
     DimensionError,
     LpvError,
+    NonFiniteError,
     WellposednessError,
 )
 from .fixtures import FIXTURE_NAMES, fixture_path
@@ -122,11 +125,39 @@ def _json_text(payload) -> str:
 
 
 def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    """Write ``text`` to the file ``out_path``, or to stdout if it is None.
+
+    The one place the CLI writes a file.  An existing file is overwritten in
+    place and then cut to the new length, rather than truncated on open: on
+    ext4, truncating a non-empty file to zero costs about 90 us in ``open``
+    and makes the close start a writeback that the next rewrite waits for.
+    Only a regular file is cut; a FIFO, ``/dev/null`` or a terminal is just
+    written.  If the write raises, a regular file is emptied before the error
+    propagates.  This is weaker than truncating on open: a process killed
+    (or a host crashing) between the write and the cut leaves the new bytes
+    followed by the old file's tail, where ``open(path, "w")`` left at worst
+    a short file.  The old tail is removed only when this function returns or
+    raises.
+    """
+    if not out_path:
         sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            rest = memoryview(data)
+            while rest:  # os.write may write less than it is given
+                rest = rest[os.write(fd, rest):]
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _read_file(path, what):
@@ -557,7 +588,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except LpvError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, WellposednessError) else 1
+        return 2 if isinstance(exc, (WellposednessError, NonFiniteError)) else 1
     except OSError as exc:
         print(f"E_IO: {exc}", file=sys.stderr)
         return 1

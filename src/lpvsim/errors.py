@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all lpvsim modules.
 
 Every exception carries a short machine-greppable ``code`` (``E_PARSE``,
-``E_DIM``, ``E_WELLPOSED``, ``E_DOMAIN``, ``E_IO``, ``E_THRESHOLD``) that the
-command-line front end prints on its single-line failure path.
+``E_DIM``, ``E_WELLPOSED``, ``E_NONFINITE``, ``E_DOMAIN``, ``E_IO``,
+``E_THRESHOLD``) that the command-line front end prints on its single-line
+failure path.
 """
 
 import numpy as np
@@ -71,3 +72,17 @@ class WellposednessError(LpvError):
             step_index=step_index,
             p=p,
         )
+
+
+class NonFiniteError(LpvError):
+    """A run from finite inputs reached a non-finite state or output.
+
+    The model diverges, or grows past the float range, over the run;
+    ``step_index`` is the first sample whose x, xi or y is not finite.
+    """
+
+    code = "E_NONFINITE"
+
+    def __init__(self, message, step_index=None):
+        super().__init__(message)
+        self.step_index = step_index

@@ -38,7 +38,13 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .discretize import DiscretizationConfig, phi, singular_rows
-from .errors import ConfigError, DataError, DimensionError, WellposednessError
+from .errors import (
+    ConfigError,
+    DataError,
+    DimensionError,
+    NonFiniteError,
+    WellposednessError,
+)
 from .model import check_in_box, eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
@@ -319,6 +325,20 @@ def _matvecs(M, v):
     return np.einsum("kij,kj->ki", M, v)
 
 
+def _check_finite_run(engine, ts, *logs):
+    """Shared result guard of the engines: raise :class:`NonFiniteError` at
+    the first step where a row of the (N, width) logs (x, xi, y) is not
+    finite, which a run from finite inputs reaches only by diverging."""
+    finite = np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in logs])
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteError(
+            f"{engine}: state or output is not finite at step k={k} "
+            f"(t = {k * ts!r}); the run diverges",
+            step_index=k,
+        )
+
+
 def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     """Run the loop-free per-step matrices over a sampled trajectory.
 
@@ -347,6 +367,9 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     WellposednessError
         If I - A(p(k)) Ts/2 is numerically singular; carries the index of
         the first such step.
+    NonFiniteError
+        If x, xi or y is not finite at some step, because the run diverges;
+        carries the index of the first such step.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
     ts = cfg.ts
@@ -365,13 +388,17 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     D *= ts
     del A
     s = 2.0 * _matvecs(Phi[:-1], Bu[:-1])
-    _scan_increments(D, s)  # now row k maps xi(0) to xi(k+1)
-    xis[1:] = xis[0] + (D @ xis[0] + s)
-    del D
+    # a diverging run overflows from here on; the check below reports it
+    # as one error, so numpy's warnings are off
+    with np.errstate(over="ignore", invalid="ignore"):
+        _scan_increments(D, s)  # now row k maps xi(0) to xi(k+1)
+        xis[1:] = xis[0] + (D @ xis[0] + s)
+        del D
 
-    x = (ts / 2.0) * _matvecs(Phi, xis + Bu)
-    y = _matvecs(eval_pmatrix_many(model.C, p), x)
-    y += _matvecs(eval_pmatrix_many(model.D, p), u)
+        x = (ts / 2.0) * _matvecs(Phi, xis + Bu)
+        y = _matvecs(eval_pmatrix_many(model.C, p), x)
+        y += _matvecs(eval_pmatrix_many(model.D, p), u)
+    _check_finite_run("simulate_dt", ts, x, xis, y)
     if not record_state:
         x = xis = None
     return Trajectory(ts=ts, p=p, u=u, y=y, x=x, xi=xis)
@@ -396,19 +423,19 @@ def _solve_loop_steps(loops, rhs):
     solve: on an 8 x 8 loop matrix (numpy 2.4, one BLAS thread, 2-core
     x86-64 Xeon) ``np.linalg.solve`` took 5.7-7.9 us, of which 1.7-2.4 us
     was the gufunc and the rest its type checks and the ``np.errstate`` it
-    enters at every call.  The loop enters numpy's errstate once instead,
-    so a failed factorization still raises rather than writing NaN, as
-    FloatingPointError where the wrapper raises LinAlgError; the caller's
-    determinant check rejects a singular loop matrix before the loop, so no
-    step meets a zero pivot.  The add runs under the same errstate, so a
-    diverging run overflows to inf without a RuntimeWarning.
+    enters at every call.  The loop enters one errstate instead, with every
+    floating-point warning off: the caller's determinant check rejects a
+    singular loop matrix before the loop, so no step meets a zero pivot, and
+    a diverging run, which overflows to inf and then NaN, is reported by the
+    caller's finiteness check on the logs, not by a warning or a raise
+    midway.
     """
     n = loops.shape[1] // 2
     sol = np.empty((len(loops), 2 * n))
     solve, add = _solve1, np.add
     # the rows of each array are views, zipped once, so a step indexes nothing
     steps = zip(loops, rhs, sol, rhs[:, :n], sol[:, n:], rhs[1:, :n])
-    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+    with np.errstate(all="ignore"):
         for loop_k, rhs_k, sol_k, xi_k, w_k, xi_next in steps:
             solve(loop_k, rhs_k, out=sol_k, signature="dd->d")
             add(xi_k, w_k, out=xi_next)
@@ -435,8 +462,8 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     wrapper's per-call checks and errstate cost about twice the solve
     itself (see :func:`_solve_loop_steps`).  No per-point matrices (Phi or
     the step blocks) are shared with :func:`simulate_dt`; the two paths
-    share only the model, the input guard, the xi(0) seed and the singularity
-    threshold.
+    share only the model, the input and result guards, the xi(0) seed and
+    the singularity threshold.  It raises as :func:`simulate_dt` does.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
     ts = cfg.ts
@@ -469,8 +496,10 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     x_log = sol[:, :n]
     xi_log = rhs[:-1, :n]
 
-    y = _matvecs(eval_pmatrix_many(model.C, p), x_log)
-    y += _matvecs(eval_pmatrix_many(model.D, p), u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _matvecs(eval_pmatrix_many(model.C, p), x_log)
+        y += _matvecs(eval_pmatrix_many(model.D, p), u)
+    _check_finite_run("simulate_dt_loop_oracle", ts, x_log, xi_log, y)
     if not record_state:
         x_log = xi_log = None
     return Trajectory(ts=ts, p=p, u=u, y=y, x=x_log, xi=xi_log)
@@ -587,6 +616,8 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
         As :func:`simulate_dt` for the sampled p, u and x0; DomainError and
         DataError also when p(t) leaves the box or u(t) is not finite at an
         RK4 stage time, naming the earliest such t.
+    NonFiniteError
+        If x or y is not finite at some sample, because the run diverges.
     """
     try:  # int() would truncate 2.9 to 2 and raise its own error on nan
         counts = int(oversample) == oversample >= 1
@@ -608,31 +639,34 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
 
     x_log = np.empty((n_keep, model.n_x))
     x_log[0] = x = x0
-    for i0 in range(0, n_fine, _RK4_WINDOW):
-        i1 = min(i0 + _RK4_WINDOW, n_fine)
-        # the window's half-step grid: substep i starts at 2i, ends at 2i+2
-        t = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
-        p = scenario.p_at(t)
-        check_in_box(model.domain, p, where=lambda j: f"t = {float(t[j])}")
-        u = scenario.u_at(t)
-        _check_finite_u(u, where=lambda j: f"t = {float(t[j])}")
-        D, s = _rk4_affine_maps(model, p, u, h)
-        _scan_increments(D, s)
-        # x after the rows that end a sample, and after the window's last
-        # row, which starts the next window
-        reached = np.arange(i0 + 1, i1 + 1)
-        keep = reached % oversample == 0
-        keep[-1] = True
-        xs = x + (D[keep] @ x + s[keep])
-        reached = reached[keep]
-        ends = reached % oversample == 0
-        x_log[reached[ends] // oversample] = xs[ends]
-        x = xs[-1]
-        # the next window's maps are built with these gone
-        del D, s
+    # as in simulate_dt, a diverging run is reported by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n_fine, _RK4_WINDOW):
+            i1 = min(i0 + _RK4_WINDOW, n_fine)
+            # the window's half-step grid: substep i starts at 2i, ends at 2i+2
+            t = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
+            p = scenario.p_at(t)
+            check_in_box(model.domain, p, where=lambda j: f"t = {float(t[j])}")
+            u = scenario.u_at(t)
+            _check_finite_u(u, where=lambda j: f"t = {float(t[j])}")
+            D, s = _rk4_affine_maps(model, p, u, h)
+            _scan_increments(D, s)
+            # x after the rows that end a sample, and after the window's last
+            # row, which starts the next window
+            reached = np.arange(i0 + 1, i1 + 1)
+            keep = reached % oversample == 0
+            keep[-1] = True
+            xs = x + (D[keep] @ x + s[keep])
+            reached = reached[keep]
+            ends = reached % oversample == 0
+            x_log[reached[ends] // oversample] = xs[ends]
+            x = xs[-1]
+            # the next window's maps are built with these gone
+            del D, s
 
-    y = _matvecs(eval_pmatrix_many(model.C, samp.p), x_log)
-    y += _matvecs(eval_pmatrix_many(model.D, samp.p), samp.u)
+        y = _matvecs(eval_pmatrix_many(model.C, samp.p), x_log)
+        y += _matvecs(eval_pmatrix_many(model.D, samp.p), samp.u)
+    _check_finite_run("simulate_ct_reference", cfg.ts, x_log, y)
     return Trajectory(ts=cfg.ts, p=samp.p, u=samp.u, y=y, x=x_log, xi=None)
 
 

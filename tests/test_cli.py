@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: outputs, exit codes, failure lines."""
 
+import ast
 import dataclasses
+import errno
 import json
 import os
 import pathlib
@@ -18,6 +20,7 @@ from lpvsim.errors import ConfigError, DataError
 from lpvsim.fixtures import fixture_path
 from lpvsim.model import parse_model
 from lpvsim.simulate import SignalSpec, generate_signal
+from test_acceptance import _run_cli_suite
 
 
 def run(capsys, *argv):
@@ -494,6 +497,49 @@ def test_simulate_wellposedness_exit_2(capsys):
     assert "k=0" in err
 
 
+def _constant_model_json(A, B, C):
+    return {
+        "nx": len(A), "nu": len(B[0]), "ny": len(C), "np": 1,
+        "domain": {"lower": [-1.0], "upper": [1.0]},
+        "A": [{"exponents": [0], "coeff": A}],
+        "B": [{"exponents": [0], "coeff": B}],
+        "C": [{"exponents": [0], "coeff": C}],
+    }
+
+
+#: every run of these diverges: a double pole at s = 10, and a scalar pole
+#: at s = 30 whose discrete pole at Ts 0.1 is -5, so its state alternates in
+#: sign as it grows (the loop oracle once raised a raw FloatingPointError on it)
+_DOUBLE_POLE = _constant_model_json([[0.0, 1.0], [-100.0, 20.0]], [[0.0], [1.0]],
+                                    [[1.0, 0.0]])
+_ALTERNATING = _constant_model_json([[30.0]], [[1.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("model, argv", [
+    (_DOUBLE_POLE, ("simulate", "--ts", "0.01", "--t-end", "100", "--emit-state")),
+    (_DOUBLE_POLE, ("loop-simulate", "--ts", "0.01", "--t-end", "100",
+                    "--emit-state")),
+    (_DOUBLE_POLE, ("compare", "--ts", "0.01", "--t-end", "100")),
+    (_DOUBLE_POLE, ("converge", "--ts-list", "0.04,0.02,0.01", "--oversample", "4",
+                    "--t-end", "100")),
+    (_ALTERNATING, ("simulate", "--ts", "0.1", "--t-end", "100")),
+    (_ALTERNATING, ("loop-simulate", "--ts", "0.1", "--t-end", "100")),
+    (_ALTERNATING, ("compare", "--ts", "0.1", "--t-end", "100")),
+])
+def test_a_diverging_run_is_one_nonfinite_line(capsys, tmp_path, model, argv):
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    code, stdout, err = run(
+        capsys, argv[0], "--model", str(path), *argv[1:], "--p", "0", "--u", "1",
+        "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("E_NONFINITE: ") and err.count("\n") == 1
+    assert "is not finite at step k=" in err
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_step_count(capsys):
     code, _, err = run(
         capsys, "simulate", "--model", "integrator", "--ts", "0.5",
@@ -756,6 +802,123 @@ def test_repeat_runs_byte_identical_outputs(capsys, tmp_path):
     assert run(capsys, *args, "--out", str(a))[0] == 0
     assert run(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- output files ------------------------------------------------------------
+
+_DISC = ("discretize", "--model", "integrator", "--ts", "0.5")
+
+
+def test_rerun_over_longer_stale_outputs_gives_exact_bytes(tmp_path):
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    fresh.mkdir()
+    stale.mkdir()
+    _run_cli_suite(fresh)
+    names = sorted(q.name for q in fresh.iterdir())
+    for name in names:
+        (stale / name).write_bytes(b"~" * ((fresh / name).stat().st_size + 10240))
+    _run_cli_suite(stale)
+    assert sorted(q.name for q in stale.iterdir()) == names
+    for name in names:
+        assert (stale / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_out_to_dev_null(capsys):
+    assert run(capsys, *_DISC, "--out", os.devnull) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_to_a_fifo_is_written_and_not_cut(capsys, tmp_path):
+    expected = run(capsys, *_DISC)[1].encode()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # an open reader lets the CLI open the pipe; the JSON fits its buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, *_DISC, "--out", str(fifo)) == (0, "", "")
+        assert os.read(reader, 1 << 16) == expected
+    finally:
+        os.close(reader)
+
+
+def test_out_naming_a_directory_is_one_io_line(capsys, tmp_path):
+    code, out, err = run(capsys, *_DISC, "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("E_IO: ") and err.count("\n") == 1
+
+
+def test_a_failed_write_leaves_the_target_empty(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "disc.json"
+    target.write_bytes(b"old contents\n" * 1000)
+    real_write = os.write
+
+    def write_half_then_fail(fd, data):
+        real_write(fd, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "write", write_half_then_fail)
+    code, out, err = run(capsys, *_DISC, "--out", str(target))
+    monkeypatch.undo()
+    assert (code, out, err) == (1, "", "E_IO: [Errno 28] No space left on device\n")
+    assert target.read_bytes() == b""
+
+
+def _file_writes(tree):
+    """(enclosing function, line) of each call in ``tree`` that may open a
+    file for writing: ``os.open``, ``open`` with a mode that writes, or
+    ``write_text``/``write_bytes``."""
+    found = []
+
+    def writes(call):
+        f = call.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name in ("write_text", "write_bytes"):
+            return True
+        if name != "open":
+            return False
+        owner = f.value.id if isinstance(f, ast.Attribute) and isinstance(
+            f.value, ast.Name) else None
+        if owner == "os":
+            return True
+        # open(file, mode) and io.open, but path.open(mode)
+        at = 1 if owner in (None, "io") else 0
+        mode = call.args[at] if len(call.args) > at else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        if mode is None:
+            return False
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return True  # a mode that cannot be read here counts as a write
+        return bool(set(mode.value) & set("wax+"))
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and writes(child):
+                found.append((func, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_cli_emit_is_the_only_file_writer():
+    # _emit's in-place rewrite covers every output only while nothing else
+    # in the package writes a file
+    writers = set()
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writers |= {(path.name, func) for func, _ in _file_writes(tree)}
+    assert writers == {("cli.py", "_emit")}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("open(p, 'w')", 1), ("open(p, mode='a')", 1), ("open(p, 'rb')", 0),
+    ("open(p)", 0), ("io.open(p, 'x')", 1), ("q.open('r+')", 1), ("q.open()", 0),
+    ("os.open(p, os.O_RDONLY)", 1), ("q.write_text(t)", 1), ("q.write_bytes(b)", 1),
+    ("open(p, m)", 1), ("fh.write(t)", 0),
+])
+def test_the_writer_scan_finds_each_way_of_writing(source, expected):
+    assert len(_file_writes(ast.parse(source))) == expected
 
 
 # --- one parser per process --------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    constant_model,
     inbox_p_trajectory,
     integrator_model,
     lag_model,
@@ -26,6 +27,7 @@ from lpvsim.errors import (
     DataError,
     DimensionError,
     DomainError,
+    NonFiniteError,
     WellposednessError,
 )
 from lpvsim.model import eval_pmatrix_many
@@ -441,6 +443,38 @@ def test_engines_reject_trajectory_sampled_at_other_ts():
             engine(integrator_model(), cfg, traj, [0.0])
     same = Trajectory(ts=0.5 + 1e-13, p=np.zeros((3, 1)), u=np.ones((3, 1)))
     assert simulate_dt(integrator_model(), cfg, same, [0.0]).ts == 0.5
+
+
+#: (model, Ts, samples) of runs that leave the float range: a double pole at
+#: s = 10, and a scalar pole at s = 30 whose discrete pole at Ts 0.1 is -5,
+#: so the state grows with alternating sign
+_DIVERGING = [
+    (constant_model([[0.0, 1.0], [-100.0, 20.0]], [[0.0], [1.0]], [[1.0, 0.0]],
+                    [[0.0]]), 0.01, 10001),
+    (constant_model([[30.0]], [[1.0]], [[1.0]], [[0.0]]), 0.1, 1001),
+]
+
+
+@pytest.mark.parametrize("engine", [simulate_dt, simulate_dt_loop_oracle])
+@pytest.mark.parametrize("model, ts, n", _DIVERGING)
+def test_a_diverging_run_raises_at_its_first_non_finite_step(engine, model, ts, n):
+    cfg = DiscretizationConfig(ts)
+
+    def run(steps, record_state=True):
+        traj = Trajectory(ts=ts, p=np.zeros((steps, 1)), u=np.ones((steps, 1)))
+        return engine(model, cfg, traj, np.zeros(model.n_x), record_state)
+
+    with pytest.raises(NonFiniteError) as exc:
+        run(n, record_state=False)
+    k = exc.value.step_index
+    assert 0 < k < n
+    assert exc.value.code == "E_NONFINITE" and f"step k={k} " in str(exc.value)
+    # the first k samples make a finite run of their own; one more does not
+    out = run(k)
+    assert all(np.isfinite(c).all() for c in (out.x, out.xi, out.y))
+    with pytest.raises(NonFiniteError) as exc:
+        run(k + 1)
+    assert exc.value.step_index == k
 
 
 @settings(max_examples=25, deadline=None)
@@ -862,6 +896,15 @@ def test_ct_reference_rejects_non_finite_u_and_x0():
         simulate_ct_reference(lag_model(), cfg, unit_scenario(u_value=np.nan))
     with pytest.raises(ConfigError):
         simulate_ct_reference(lag_model(), cfg, unit_scenario(x0=(np.inf,)))
+
+
+def test_ct_reference_raises_on_a_diverging_run():
+    model, ts, _ = _DIVERGING[1]
+    with pytest.raises(NonFiniteError) as exc:
+        simulate_ct_reference(
+            model, DiscretizationConfig(ts), unit_scenario(t_end=100.0), oversample=4
+        )
+    assert 0 < exc.value.step_index < 1001
 
 
 def test_ct_reference_names_the_earliest_stage_time_outside_the_box():
