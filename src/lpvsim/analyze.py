@@ -208,9 +208,12 @@ def compare_traj(a, b, channel="y") -> ComparisonMetrics:
             f"channel {channel!r} shapes differ: {xa.shape} vs {xb.shape}"
         )
     diff = np.abs(xa - xb)
+    peak = np.max(diff)
+    # scaled by the peak, so that no square overflows
+    scale = peak if 0.0 < peak < np.inf else 1.0
     return ComparisonMetrics(
-        max_abs_error=float(np.max(diff)),
-        rms_error=float(np.sqrt(np.mean(diff**2))),
+        max_abs_error=float(peak),
+        rms_error=float(scale * np.sqrt(np.mean((diff / scale) ** 2))),
         relative_to=float(max(1.0, np.max(np.abs(xa)))),
         per_channel=tuple(float(v) for v in diff.max(axis=0)),
     )

@@ -13,8 +13,8 @@ A..D with :func:`~lpvsim.model.eval_pmatrix`, the one-row case of the
 batched evaluator the simulation engines use, so a frozen-p block and an
 engine step at the same p start from bit-identical matrices:
 
-* :func:`phi` -- the resolvent itself, via an LU solve, for one frozen A(p)
-  or for a stack of them (one per sample of a trajectory).
+* :func:`phi` -- the resolvent itself, via an LU inverse, for one frozen
+  A(p) or for a stack of them (one per sample of a trajectory).
 * :func:`singular_rows` -- the one singularity predicate on
   det(I - A(p) Ts/2), shared by :func:`phi`, both simulation engines and
   :func:`wellposedness_check`.
@@ -141,15 +141,18 @@ def singular_rows(det, A, ts: float):
     return np.abs(det) < SINGULAR_RTOL * det_scale(A, ts)
 
 
-def phi(A_p: np.ndarray, cfg: DiscretizationConfig) -> np.ndarray:
-    """Resolvent ``Phi = (I - A_p * Ts/2)^-1`` via a factorization solve.
+def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None) -> np.ndarray:
+    """Resolvent ``Phi = (I - A_p * Ts/2)^-1`` via ``np.linalg.inv``
+    (LAPACK's LU solve against the identity).
 
     Parameters
     ----------
     A_p : ndarray, shape (n_x, n_x) or (m, n_x, n_x)
         Frozen state matrix A(p), or one per scheduling point of a stack;
-        a stack is factored in one batched solve.
+        a stack is inverted in one batched call.
     cfg : DiscretizationConfig
+    points : ndarray, shape (m, n_p), optional
+        A stack's scheduling points; the error then names its step's p.
 
     Returns
     -------
@@ -162,24 +165,26 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig) -> np.ndarray:
     WellposednessError
         If ``|det(I - A_p Ts/2)|`` falls below ``1e-12 * max(1, |A_p| Ts/2)``.
         For a stack it reports the first singular matrix, whose index is the
-        error's ``step_index``.
+        error's ``step_index``; with ``points``, it is also its ``p``.
     """
     A_p = np.asarray(A_p, dtype=float)
-    eye = np.eye(A_p.shape[-1])
-    M = eye - A_p * (cfg.ts / 2.0)
+    M = np.eye(A_p.shape[-1]) - A_p * (cfg.ts / 2.0)
     d = np.linalg.det(M)
     bad = singular_rows(d, A_p, cfg.ts)
     if np.any(bad):
         k = int(np.argmax(bad)) if A_p.ndim == 3 else None
         A_bad, d_bad = (A_p, d) if k is None else (A_p[k], d[k])
+        p_bad = None if points is None else points[k]
+        where = "" if p_bad is None else f"step k={k}, p={list(map(float, p_bad))}: "
         raise WellposednessError(
-            f"|det(I - A(p)*Ts/2)| = {abs(float(d_bad)):.3e} is numerically "
+            f"{where}|det(I - A(p)*Ts/2)| = {abs(float(d_bad)):.3e} is numerically "
             f"zero (Ts = {cfg.ts})",
             A_p=A_bad,
             ts=cfg.ts,
             step_index=k,
+            p=p_bad,
         )
-    return np.linalg.solve(M, np.broadcast_to(eye, M.shape))
+    return np.linalg.inv(M)
 
 
 def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> SigmaRealization:
@@ -250,9 +255,11 @@ def rinv_matrices(n_x: int, cfg: DiscretizationConfig) -> np.ndarray:
     """Trapezoidal integrator block ``[[I, 2I], [Ts/2 I, Ts/2 I]]``.
 
     Acts on the stacked vector (xi(k), r x(k)) and returns
-    (xi(k+1), x(k)); identity blocks have size ``n_x``.  No engine steps
-    it: the loop oracle's top row (2/Ts) x - r x = xi is this block's
-    second row solved for xi, and its first row is the oracle's add.
+    (xi(k+1), x(k)); identity blocks have size ``n_x``.  No engine forms
+    it.  Its second row, with r x(k) = (xi(k+1) - xi(k))/2 from the first,
+    is :func:`~lpvsim.simulate.simulate_dt`'s x(k) = (Ts/4)(xi(k) + xi(k+1)).
+    The loop oracle's top row (2/Ts) x - r x = xi is the second row solved
+    for xi, and its first row is the oracle's add.
     """
     if n_x < 1:
         raise ConfigError(f"n_x must be >= 1, got {n_x}")
@@ -328,9 +335,7 @@ def wellposedness_check(
     M = np.eye(model.n_x) - A * (cfg.ts / 2.0)
     det = np.linalg.det(M)
     absdet = np.abs(det)
-    s = np.linalg.svd(M, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
+    cond = np.linalg.cond(M)
     k = int(np.argmin(absdet))
     singular = [tuple(map(float, q)) for q in points[singular_rows(det, A, cfg.ts)]]
     refuted_by = "sample" if singular else None

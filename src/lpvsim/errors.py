@@ -49,8 +49,8 @@ class WellposednessError(LpvError):
     """det(I - A(p)*Ts/2) is zero or numerically zero.
 
     Carries the offending frozen matrix ``A_p`` and sampling time ``ts``;
-    when raised inside a simulation loop, ``step_index`` and ``p`` identify
-    the sample at which the update matrices stopped existing.
+    when raised for a step of a run, ``step_index`` and ``p`` identify the
+    sample at which the update matrices stopped existing.
     """
 
     code = "E_WELLPOSED"
@@ -61,17 +61,6 @@ class WellposednessError(LpvError):
         self.ts = ts
         self.step_index = step_index
         self.p = None if p is None else np.asarray(p, dtype=float)
-
-    def at_step(self, step_index, p):
-        """Copy of this error annotated with the simulation step it hit."""
-        shown = [float(v) for v in np.asarray(p, dtype=float)]
-        return WellposednessError(
-            f"step k={step_index}, p={shown}: {self}",
-            A_p=self.A_p,
-            ts=self.ts,
-            step_index=step_index,
-            p=p,
-        )
 
 
 class NonFiniteError(LpvError):

@@ -17,7 +17,7 @@ Model files are JSON; see :func:`parse_model` for the format.
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

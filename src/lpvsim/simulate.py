@@ -325,18 +325,30 @@ def _matvecs(M, v):
     return np.einsum("kij,kj->ki", M, v)
 
 
-def _check_finite_run(engine, ts, *logs):
-    """Shared result guard of the engines: raise :class:`NonFiniteError` at
-    the first step where a row of the (N, width) logs (x, xi, y) is not
-    finite, which a run from finite inputs reaches only by diverging."""
+def _result(engine, model, cfg, traj, x, xi, record_state=True):
+    """The engines' one result step: y = C(p) x + D(p) u from the state
+    log x, one finiteness guard, and the run's :class:`Trajectory`.
+
+    Raises :class:`NonFiniteError` at the first step where a row of x, xi
+    (None for the RK4 reference) or y is not finite, which a run from
+    finite inputs reaches only by diverging."""
+    p, u = traj.p, traj.u
+    # as in the engines, a diverging run is reported by the guard below
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _matvecs(eval_pmatrix_many(model.C, p), x)
+        y += _matvecs(eval_pmatrix_many(model.D, p), u)
+    logs = [a for a in (x, xi, y) if a is not None]
     finite = np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in logs])
     if not finite.all():
         k = int(np.argmin(finite))
         raise NonFiniteError(
             f"{engine}: state or output is not finite at step k={k} "
-            f"(t = {k * ts!r}); the run diverges",
+            f"(t = {k * cfg.ts!r}); the run diverges",
             step_index=k,
         )
+    if not record_state:
+        x = xi = None
+    return Trajectory(ts=cfg.ts, p=p, u=u, y=y, x=x, xi=xi)
 
 
 def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
@@ -344,16 +356,15 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
 
     Everything that depends only on p(k) is computed for all samples at
     once: A and B are evaluated as stacks, Phi = (I - A Ts/2)^-1 comes from
-    one stacked solve, and D = Ts Phi A and s = 2 Phi B u are formed
-    batched.  The recurrence xi(k+1) = xi(k) + (D xi(k) + s(k)) is a chain
-    of increment maps, the form of the RK4 reference's substeps, so it runs
-    through the same log-depth scan, :func:`_scan_increments`.  Only the
-    scan's loop over levels runs in Python; its rounding differs from
-    stepping sample by sample only in the last digits.  The state
-    x = (Ts/2) Phi (xi + B u) and the output y = C x + D u are then
-    reconstructed batched; these are the Xxi/Xu and Cxi/Dxi blocks of
-    :func:`~lpvsim.discretize.dt_step_matrices` applied without forming
-    them.
+    one stacked inverse, and the loop it closes, D = Ts Phi A and
+    s = 2 Phi B u, is formed batched for all N steps.  The recurrence
+    xi(k+1) = xi(k) + (D xi(k) + s(k)) is a chain of increment maps, the
+    form of the RK4 reference's substeps, so it runs through the same
+    log-depth scan, :func:`_scan_increments`, into xi(0) .. xi(N).  Only
+    the scan's loop over levels runs in Python; its rounding differs from
+    stepping sample by sample only in the last digits.  The state is then
+    read off the integrator block, x(k) = (Ts/4)(xi(k) + xi(k+1)) (see
+    :func:`~lpvsim.discretize.rinv_matrices`), and y = C x + D u formed.
 
     Raises
     ------
@@ -373,35 +384,26 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
     ts = cfg.ts
-    p, u = traj.p, traj.u
-    A = eval_pmatrix_many(model.A, p)
-    Bu = _matvecs(eval_pmatrix_many(model.B, p), u)
-    xis = np.empty((traj.n_steps, model.n_x))
+    A = eval_pmatrix_many(model.A, traj.p)
+    Bu = _matvecs(eval_pmatrix_many(model.B, traj.p), traj.u)
+    xis = np.empty((traj.n_steps + 1, model.n_x))
     xis[0] = _seed_xi(A[0], Bu[0], x0, ts)
-    try:
-        Phi = phi(A, cfg)
-    except WellposednessError as exc:
-        raise exc.at_step(exc.step_index, p[exc.step_index]) from None
+    Phi = phi(A, cfg, traj.p)
     # at most three (N, n, n) stacks are live at once: each is dropped as
     # soon as it is used, since their count sets the run's allocation peak
-    D = Phi[:-1] @ A[:-1]
+    D = Phi @ A
     D *= ts
     del A
-    s = 2.0 * _matvecs(Phi[:-1], Bu[:-1])
-    # a diverging run overflows from here on; the check below reports it
+    s = 2.0 * _matvecs(Phi, Bu)
+    del Phi, Bu
+    # a diverging run overflows from here on; the result step reports it
     # as one error, so numpy's warnings are off
     with np.errstate(over="ignore", invalid="ignore"):
         _scan_increments(D, s)  # now row k maps xi(0) to xi(k+1)
         xis[1:] = xis[0] + (D @ xis[0] + s)
         del D
-
-        x = (ts / 2.0) * _matvecs(Phi, xis + Bu)
-        y = _matvecs(eval_pmatrix_many(model.C, p), x)
-        y += _matvecs(eval_pmatrix_many(model.D, p), u)
-    _check_finite_run("simulate_dt", ts, x, xis, y)
-    if not record_state:
-        x = xis = None
-    return Trajectory(ts=ts, p=p, u=u, y=y, x=x, xi=xis)
+        x = (ts / 4.0) * (xis[:-1] + xis[1:])
+    return _result("simulate_dt", model, cfg, traj, x, xis[:-1], record_state)
 
 
 #: the LAPACK gesv gufunc that ``np.linalg.solve`` calls for one matrix and
@@ -468,12 +470,11 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     x0 = _check_run_inputs(model, cfg, traj, x0)
     ts = cfg.ts
     n = model.n_x
-    p, u = traj.p, traj.u
-    A = eval_pmatrix_many(model.A, p)
+    A = eval_pmatrix_many(model.A, traj.p)
     # the rows (xi(k), B u(k)); the last row's top half takes xi(N), unused.
     # B u and the seed come before the stack, which sets the allocation peak
     rhs = np.empty((traj.n_steps + 1, 2 * n))
-    rhs[:-1, n:] = Bu = _matvecs(eval_pmatrix_many(model.B, p), u)
+    rhs[:-1, n:] = Bu = _matvecs(eval_pmatrix_many(model.B, traj.p), traj.u)
     rhs[0, :n] = _seed_xi(A[0], Bu[0], x0, ts)
     del Bu
     eye = np.eye(n)
@@ -488,21 +489,13 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
         k = int(np.argmax(bad))
         raise WellposednessError(
             f"integrator feedback loop is singular at step {k}",
-            A_p=A[k], ts=ts, step_index=k, p=p[k],
+            A_p=A[k], ts=ts, step_index=k, p=traj.p[k],
         )
     del A
     sol = _solve_loop_steps(loops, rhs)
     del loops
-    x_log = sol[:, :n]
-    xi_log = rhs[:-1, :n]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _matvecs(eval_pmatrix_many(model.C, p), x_log)
-        y += _matvecs(eval_pmatrix_many(model.D, p), u)
-    _check_finite_run("simulate_dt_loop_oracle", ts, x_log, xi_log, y)
-    if not record_state:
-        x_log = xi_log = None
-    return Trajectory(ts=ts, p=p, u=u, y=y, x=x_log, xi=xi_log)
+    return _result("simulate_dt_loop_oracle", model, cfg, traj, sol[:, :n],
+                   rhs[:-1, :n], record_state)
 
 
 #: fine substeps per window of the RK4 reference's scan.  Windows start at
@@ -600,9 +593,10 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     are sampled on its half-step grid, and the maps are built batched and
     composed by a log-depth prefix scan in this increment form, never as
     I + D_i, whose product would round every entry of x afresh.  x is then
-    formed only at the window's rows that end a sample and at its last row,
-    in one batched step x_start + (D_pref x_start + s_pref), and the last
-    row's x starts the next window.  So memory is bounded by the window plus
+    formed only at the window's rows that end a sample, one strided slice
+    of every oversample-th row, in one batched step
+    x_start + (D_pref x_start + s_pref), and at its last row, which starts
+    the next window.  So memory is bounded by the window plus
     the output log, and the only Python loops are over the windows and the
     scan's levels.  Since the windows are fixed on the fine grid, runs at
     (Ts, oversample) and (2 Ts, 2 oversample) agree bit for bit at the
@@ -639,7 +633,7 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
 
     x_log = np.empty((n_keep, model.n_x))
     x_log[0] = x = x0
-    # as in simulate_dt, a diverging run is reported by the check below
+    # as in simulate_dt, a diverging run is reported by the result step
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_fine, _RK4_WINDOW):
             i1 = min(i0 + _RK4_WINDOW, n_fine)
@@ -651,23 +645,17 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
             _check_finite_u(u, where=lambda j: f"t = {float(t[j])}")
             D, s = _rk4_affine_maps(model, p, u, h)
             _scan_increments(D, s)
-            # x after the rows that end a sample, and after the window's last
-            # row, which starts the next window
-            reached = np.arange(i0 + 1, i1 + 1)
-            keep = reached % oversample == 0
-            keep[-1] = True
-            xs = x + (D[keep] @ x + s[keep])
-            reached = reached[keep]
-            ends = reached % oversample == 0
-            x_log[reached[ends] // oversample] = xs[ends]
-            x = xs[-1]
+            # row r ends substep i0 + r, so the rows that end a sample are
+            # every oversample-th from r0; sample k0 is the first they reach
+            r0 = -(i0 + 1) % oversample
+            k0 = (i0 + r0 + 1) // oversample
+            xs = x + (D[r0::oversample] @ x + s[r0::oversample])
+            x_log[k0:k0 + len(xs)] = xs
+            # the window's last row starts the next window
+            x = x + (D[-1] @ x + s[-1])
             # the next window's maps are built with these gone
             del D, s
-
-        y = _matvecs(eval_pmatrix_many(model.C, samp.p), x_log)
-        y += _matvecs(eval_pmatrix_many(model.D, samp.p), samp.u)
-    _check_finite_run("simulate_ct_reference", cfg.ts, x_log, y)
-    return Trajectory(ts=cfg.ts, p=samp.p, u=samp.u, y=y, x=x_log, xi=None)
+    return _result("simulate_ct_reference", model, cfg, samp, x_log, None)
 
 
 def write_trajectory_csv(traj: Trajectory, include_state=False) -> str:

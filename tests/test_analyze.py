@@ -312,6 +312,19 @@ def test_compare_single_perturbed_sample():
     assert m.relative_to == 1.0
 
 
+def test_compare_rms_of_differences_near_the_float_range_is_finite():
+    # squaring 3e300 and 4e300 overflows; the RMS itself, 3.54e300, does not
+    from lpvsim.simulate import Trajectory
+
+    y = np.array([[3e300], [-4e300]])
+    a = Trajectory(ts=0.1, p=np.zeros((2, 1)), u=np.zeros((2, 1)), y=y)
+    b = Trajectory(ts=0.1, p=np.zeros((2, 1)), u=np.zeros((2, 1)), y=np.zeros((2, 1)))
+    m = compare_traj(a, b)
+    assert m.max_abs_error == 4e300
+    assert_allclose(m.rms_error, np.sqrt(12.5) * 1e300, rtol=1e-15)
+    assert compare_traj(a, a).rms_error == 0.0
+
+
 def test_compare_rejects_mismatches():
     a = run_integrator()
     b = run_integrator(ts=0.25, t_end=2.0)

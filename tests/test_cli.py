@@ -281,6 +281,34 @@ def test_a_run_too_long_for_an_array_is_one_parse_line(capsys, argv, message):
     assert err == f"E_PARSE: {message}, more than one array can hold\n"
 
 
+@pytest.mark.parametrize("argv, table, message", [
+    (("--p", "1", "--p", "2", "--u", "1", "--steps", "3"), None,
+     "E_DIM: 2 --p signals given, model needs 1"),
+    (("--p", "1", "--u", "1", "--u", "2", "--steps", "3"), None,
+     "E_DIM: 2 --u signals given, model needs 1"),
+    (("--p", "1", "--steps", "3"), None,
+     "E_PARSE: give --u signals (or --traj with a trajectory table)"),
+    (("--p", "1", "--u", "1", "--steps", "3", "--t-end", "1"), None,
+     "E_PARSE: give --steps or --t-end, not both"),
+    (("--p", "1", "--u", "1"), None,
+     "E_PARSE: give --t-end (or --steps) with signal specs"),
+    (("--p", "1", "--u", "csv:path={table}", "--steps", "3"), "t,v\n",
+     "E_IO: signal table {table!r} has no data rows"),
+    (("--p", "1", "--u", "csv:path={table}", "--steps", "3"), "t,v\n0,1\n1,abc\n",
+     "E_IO: signal table {table!r}: could not convert string to float: 'abc'"),
+])
+def test_bad_signal_arguments_are_one_error_line(capsys, tmp_path, argv, table, message):
+    path = str(tmp_path / "u.csv")
+    if table is not None:
+        pathlib.Path(path).write_text(table)
+    code, out, err = run(
+        capsys, "simulate", "--model", "msd", "--ts", "0.1",
+        *(a.format(table=path) for a in argv),
+    )
+    assert (code, out) == (1, "")
+    assert err == message.format(table=path) + "\n"
+
+
 # --- check -------------------------------------------------------------------
 
 

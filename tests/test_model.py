@@ -16,6 +16,7 @@ from lpvsim import (
     parse_model,
     serialize_model,
 )
+from lpvsim.cli import main
 from lpvsim.model import check_in_box
 
 MINIMAL = json.dumps(
@@ -238,3 +239,50 @@ def test_state_space_shape_validation():
     assert m.is_constant
     with pytest.raises(DimensionError):
         LpvStateSpace(2, 1, 1, 1, A, B, C, B, dom)  # D has B's shape
+
+
+_BAD_TERM = '"A" term 0 needs 1 non-negative integer exponents'
+
+
+# (key of MINIMAL to replace, or None for the whole file; its value; error; message)
+@pytest.mark.parametrize("key, value, error, message", [
+    (None, [1, 2], ParseError, "model file must contain a JSON object"),
+    ("A", {"exponents": [1], "coeff": [[1.0]]}, ParseError, '"A" must be a list of terms'),
+    ("A", [5], ParseError,
+     '"A" term 0 must be an object with keys "exponents" and "coeff"'),
+    ("A", [{"exponents": [-1], "coeff": [[1.0]]}], ParseError, _BAD_TERM),
+    ("A", [{"exponents": [True], "coeff": [[1.0]]}], ParseError, _BAD_TERM),
+    ("A", [{"exponents": [0.5], "coeff": [[1.0]]}], ParseError, _BAD_TERM),
+    ("A", [{"exponents": [0, 0], "coeff": [[1.0]]}], ParseError, _BAD_TERM),
+    ("A", [{"exponents": 0, "coeff": [[1.0]]}], ParseError, _BAD_TERM),
+    ("A", [{"exponents": [0], "coeff": [["x"]]}], ParseError,
+     "\"A\" term 0 coefficient is not numeric: could not convert string to float: 'x'"),
+    ("nx", 1.5, ParseError, '"nx" must be a positive integer, got 1.5'),
+    ("nx", "1", ParseError, "\"nx\" must be a positive integer, got '1'"),
+    ("domain", [0.0, 1.0], ParseError,
+     '"domain" must be an object with keys "lower" and "upper"'),
+    ("domain", {"lower": [0.0]}, ParseError,
+     '"domain" must be an object with keys "lower" and "upper"'),
+    ("domain", {"lower": ["a"], "upper": [1.0]}, ParseError,
+     "\"domain\" bounds are not numeric: could not convert string to float: 'a'"),
+    ("domain", {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}, DimensionError,
+     '"domain" bounds must be vectors of length np=1'),
+    ("domain", {"lower": 0.0, "upper": 1.0}, DimensionError,
+     '"domain" bounds must be vectors of length np=1'),
+])
+def test_parse_rejects_malformed_files(capsys, tmp_path, key, value, error, message):
+    data = json.loads(MINIMAL)
+    if key is None:
+        data = value
+    else:
+        data[key] = value
+    text = json.dumps(data)
+    with pytest.raises(error) as exc:
+        parse_model(text)
+    assert type(exc.value) is error and str(exc.value) == message
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["check", "--model", str(path), "--ts", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{error.code}: {message}\n"
