@@ -24,6 +24,7 @@ from .discretize import DiscretizationConfig, StepMatrices, dt_step_matrices
 from .errors import ConfigError, DimensionError, DomainError
 from .model import LpvStateSpace, check_in_box
 from .simulate import (
+    _SAMPLE_LIMIT,
     Scenario,
     sample_scenario,
     simulate_ct_reference,
@@ -81,12 +82,18 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
     round(decades * points_per_decade) points, which must be at least one;
     a one-point grid is the top frequency alone.
     """
-    if decades <= 0 or points_per_decade < 1:
+    if decades <= 0 or not points_per_decade >= 1:
         raise ConfigError("grid needs decades > 0 and points_per_decade >= 1")
     if not math.isfinite(decades):
         raise ConfigError(f"grid needs a finite number of decades, got {decades}")
     top = 0.9 * np.pi / cfg.ts
-    n = int(round(decades * points_per_decade))
+    count = decades * points_per_decade
+    if not count < _SAMPLE_LIMIT:  # np.logspace would fail with a bare ValueError
+        raise ConfigError(
+            f"grid of {decades} decades at {points_per_decade} points per "
+            f"decade gives {count:.6g} points, more than one array can hold"
+        )
+    n = int(round(count))
     if n < 1:
         raise ConfigError(
             f"grid of {decades} decades at {points_per_decade} points per "

@@ -10,8 +10,9 @@ Models are JSON files; ``--model`` also accepts a bundled example name.
 Signals use a small inline grammar, e.g. ``--u "sine:amp=1,f=0.5"`` (see
 ``--help`` of the simulate command).  Every failure prints one line
 ``E_CODE: detail`` to stderr; exit status is 1 for usage, parse, and I/O
-problems, 2 for a well-posedness failure or a diverging run during an
-operation, and 3 when a check or threshold fails.
+problems and for requests too large to allocate, 2 for a well-posedness
+failure or a diverging run during an operation, and 3 when a check or
+threshold fails.
 """
 
 import argparse
@@ -591,6 +592,9 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, (WellposednessError, NonFiniteError)) else 1
     except OSError as exc:
         print(f"E_IO: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a request too large to allocate
+        print(f"E_PARSE: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,6 +8,17 @@ failure path.
 
 import numpy as np
 
+__all__ = [
+    "LpvError",
+    "ParseError",
+    "DimensionError",
+    "DomainError",
+    "DataError",
+    "ConfigError",
+    "WellposednessError",
+    "NonFiniteError",
+]
+
 
 class LpvError(Exception):
     """Base class for all lpvsim errors."""

@@ -21,6 +21,8 @@ from importlib import resources
 from .errors import DataError
 from .model import LpvStateSpace, parse_model
 
+__all__ = ["FIXTURE_NAMES", "fixture_path", "load_fixture"]
+
 FIXTURE_NAMES = ("integrator", "lag1", "msd", "scalar_p", "scalar_neg_p")
 
 

@@ -284,6 +284,11 @@ def check_in_box(domain: SchedulingDomain, points, where=None) -> None:
         )
 
 
+def _matrix_shapes(n_x, n_u, n_y):
+    """Shapes of A, B, C, D, in that order, for the given dimensions."""
+    return {"A": (n_x, n_x), "B": (n_x, n_u), "C": (n_y, n_x), "D": (n_y, n_u)}
+
+
 @dataclass(frozen=True, eq=False)
 class LpvStateSpace:
     """Continuous-time LPV state-space model over a box scheduling domain.
@@ -312,13 +317,7 @@ class LpvStateSpace:
                             ("n_y", self.n_y), ("n_p", self.n_p)):
             if int(value) < 1:
                 raise DimensionError(f"{name} must be >= 1, got {value}")
-        expected = {
-            "A": (self.n_x, self.n_x),
-            "B": (self.n_x, self.n_u),
-            "C": (self.n_y, self.n_x),
-            "D": (self.n_y, self.n_u),
-        }
-        for name, shape in expected.items():
+        for name, shape in _matrix_shapes(self.n_x, self.n_u, self.n_y).items():
             f = getattr(self, name)
             if (f.rows, f.cols) != shape:
                 raise DimensionError(
@@ -455,15 +454,8 @@ def parse_model(text: str) -> LpvStateSpace:
         )
     domain = SchedulingDomain(lower, upper)
 
-    shapes = {
-        "A": (dims["nx"], dims["nx"]),
-        "B": (dims["nx"], dims["nu"]),
-        "C": (dims["ny"], dims["nx"]),
-        "D": (dims["ny"], dims["nu"]),
-    }
     funcs = {}
-    for name in _MATRIX_KEYS:
-        rows, cols = shapes[name]
+    for name, (rows, cols) in _matrix_shapes(dims["nx"], dims["nu"], dims["ny"]).items():
         if name in data:
             terms = _parse_terms(data[name], name, rows, cols, dims["np"])
             funcs[name] = PMatrixFunction(rows, cols, terms)

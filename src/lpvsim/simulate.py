@@ -95,6 +95,9 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in _SIGNAL_KINDS:
             raise ConfigError(f"unknown signal kind {self.kind!r}")
+        if self.kind == "step" and math.isnan(self.t0):
+            # t >= nan is false at every t; t0 = +-inf (never / always on) is valid
+            raise ConfigError(f"step onset t0 must be a number, got {self.t0}")
         if self.kind == "sine" and not (self.f >= 0.0):
             raise ConfigError(f"sine frequency must be >= 0, got {self.f}")
         if self.kind == "chirp":
@@ -143,24 +146,28 @@ class SignalSpec:
 def generate_signal(spec: SignalSpec, t) -> np.ndarray:
     """Evaluate one signal on an array of times (vectorized)."""
     t = np.asarray(t, dtype=float)
-    if spec.kind == "constant":
-        return np.full(t.shape, spec.offset + spec.amplitude)
-    if spec.kind == "step":
-        return spec.offset + spec.amplitude * (t >= spec.t0).astype(float)
-    if spec.kind == "sine":
-        return spec.offset + spec.amplitude * np.sin(2.0 * np.pi * spec.f * t + spec.phase)
-    if spec.kind == "chirp":
-        # instantaneous frequency f0 + (f1-f0) t/t1, hence quadratic phase
-        rate = (spec.f1 - spec.f0) / spec.t1
-        phase = 2.0 * np.pi * (spec.f0 * t + 0.5 * rate * t * t)
-        return spec.offset + spec.amplitude * np.sin(phase)
-    # csv_column, the one kind left: SignalSpec rejects any other
-    if spec.table is None:
-        raise DataError(
-            f"csv_column signal has no loaded table (path {spec.path!r})"
-        )
-    tab = spec.table
-    return spec.offset + spec.amplitude * np.interp(t, tab[:, 0], tab[:, 1])
+    # an inf or overflowing parameter gives non-finite samples, silently:
+    # the callers' sample checks name the first one
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "constant":
+            return np.full(t.shape, spec.offset + spec.amplitude)
+        if spec.kind == "step":
+            return spec.offset + spec.amplitude * (t >= spec.t0).astype(float)
+        if spec.kind == "sine":
+            phase = 2.0 * np.pi * spec.f * t + spec.phase
+            return spec.offset + spec.amplitude * np.sin(phase)
+        if spec.kind == "chirp":
+            # instantaneous frequency f0 + (f1-f0) t/t1, hence quadratic phase
+            rate = (spec.f1 - spec.f0) / spec.t1
+            phase = 2.0 * np.pi * (spec.f0 * t + 0.5 * rate * t * t)
+            return spec.offset + spec.amplitude * np.sin(phase)
+        # csv_column, the one kind left: SignalSpec rejects any other
+        if spec.table is None:
+            raise DataError(
+                f"csv_column signal has no loaded table (path {spec.path!r})"
+            )
+        tab = spec.table
+        return spec.offset + spec.amplitude * np.interp(t, tab[:, 0], tab[:, 1])
 
 
 @dataclass(frozen=True, eq=False)

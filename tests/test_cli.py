@@ -45,6 +45,14 @@ def test_signal_grammar_sine_and_step():
     assert list(generate_signal(s, [0.5, 1.0])) == [0.0, 2.0]
 
 
+def test_step_onset_may_be_infinite_but_not_nan():
+    t = [-1e300, 0.0, 1e300]
+    assert list(generate_signal(parse_signal_text("step:t0=inf"), t)) == [0.0] * 3
+    assert list(generate_signal(parse_signal_text("step:t0=-inf"), t)) == [1.0] * 3
+    with pytest.raises(ConfigError, match="t0"):
+        parse_signal_text("step:t0=nan")
+
+
 def test_signal_grammar_rejects_malformed():
     with pytest.raises(ConfigError):
         parse_signal_text("square:amp=1")
@@ -279,6 +287,31 @@ def test_a_run_too_long_for_an_array_is_one_parse_line(capsys, argv, message):
     )
     assert (code, out) == (1, "")
     assert err == f"E_PARSE: {message}, more than one array can hold\n"
+
+
+_SIM = ("simulate", "--model", "msd", "--ts", "0.1", "--t-end", "0.3", "--p", "2")
+
+
+# the last simulate asks for 7.11 PiB and the grids for more than one array
+# can hold, so each fails before any memory is touched; never add a request
+# below 1 PiB
+@pytest.mark.parametrize("argv, prefix", [
+    ((*_SIM, "--u", "step:t0=nan,amp=1"), "E_PARSE:"),
+    ((*_SIM, "--u", "sine:f=inf"), "E_IO:"),
+    ((*_SIM, "--u", "chirp:f0=0,f1=inf,t1=1"), "E_IO:"),
+    ((*_SIM, "--u", "sine:amp=1e308,offset=1e308"), "E_IO:"),
+    (("converge", "--model", "msd", "--ts-list", "0.1,0.05,0.025", "--t-end", "0.3",
+      "--p", "sine:f=inf", "--u", "1"), "E_DOMAIN:"),
+    (("freqresp", "--model", "lag1", "--ts", "0.1", "--decades", "1e300"), "E_PARSE:"),
+    (("freqresp", "--model", "lag1", "--ts", "0.1", "--decades", "1e300",
+      "--points-per-decade", "1000000000"), "E_PARSE:"),
+    (("simulate", "--model", "msd", "--ts", "1e-3", "--t-end", "1e12", "--p", "2",
+      "--u", "1"), "E_PARSE:"),
+])
+def test_bad_waveforms_and_oversized_requests_are_one_line(capsys, argv, prefix):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, table, message", [
