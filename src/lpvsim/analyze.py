@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscretizationConfig, StepMatrices, dt_step_matrices
+from .discretize import DiscretizationConfig, StepMatrices, _check_stack, dt_step_matrices
 from .errors import ConfigError, DimensionError, DomainError
 from .model import LpvStateSpace, check_in_box
 from .simulate import (
-    _SAMPLE_LIMIT,
     Scenario,
     sample_scenario,
     simulate_ct_reference,
@@ -88,11 +87,7 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
         raise ConfigError(f"grid needs a finite number of decades, got {decades}")
     top = 0.9 * np.pi / cfg.ts
     count = decades * points_per_decade
-    if not count < _SAMPLE_LIMIT:  # np.logspace would fail with a bare ValueError
-        raise ConfigError(
-            f"grid of {decades} decades at {points_per_decade} points per "
-            f"decade gives {count:.6g} points, more than one array can hold"
-        )
+    _check_stack(8 * count, f"a grid of {count:.6g} frequencies")
     n = int(round(count))
     if n < 1:
         raise ConfigError(
@@ -108,6 +103,7 @@ def _response(s, omegas, A, B, C, D) -> FrequencyResponse:
     """``C (s_i I - A)^-1 B + D`` for every complex ``s_i``, in one stacked
     solve; ``omegas[i]`` is the frequency that ``s_i`` stands for."""
     m, n = s.size, A.shape[0]
+    _check_stack(16 * m * n * n, f"a response at {m} frequencies")
     # fill -A and add s through the diagonal view: forming s I - A by
     # broadcasting would allocate two more (m, n, n) stacks
     E = np.empty((m, n, n), dtype=complex)

@@ -21,15 +21,15 @@ engine step at the same p start from bit-identical matrices:
 * :func:`rinv_matrices` -- the parameter-independent trapezoidal integrator
   block [[I, 2I], [Ts/2 I, Ts/2 I]] acting on (xi, r x).
 * :func:`sigma_step` -- the loop-free update blocks obtained by solving the
-  instantaneous feedback through the integrator block in closed form (a
-  function apart from its one caller, :func:`dt_step_matrices`, because
-  ``perfbench/tracing.py`` wraps it by name):
+  instantaneous feedback through the integrator block in closed form (the
+  B = I case of the builder below; ``perfbench/tracing.py`` wraps it by name):
 
       xi(k+1) = (I + Phi A Ts) xi(k) + 2 Phi ubar(k)
       x(k)    = Phi Ts/2 xi(k) + Phi Ts/2 ubar(k),     ubar = B(p) u
 
 * :func:`dt_step_matrices` -- the blocks above composed with B, C, D into a
-  single-state-update form.
+  single-state-update form, from the one block builder that
+  :func:`~lpvsim.simulate.simulate_dt` calls on its stacks.
 * :func:`tustin_frozen` -- the classical Tustin state-space blocks at frozen
   p; related to the former by the constant similarity xi = (2/Ts) x.
 * :func:`wellposedness_check` -- a deterministic sampled sweep of the
@@ -64,6 +64,19 @@ __all__ = [
 
 #: |det(I - A Ts/2)| below SINGULAR_RTOL * max(1, max|A| * Ts/2) is singular.
 SINGULAR_RTOL = 1e-12
+
+#: the most bytes one stack of a request (a frequency grid, a sweep) may take
+_STACK_LIMIT = 2**30
+
+
+def _check_stack(nbytes, what):
+    """Raise :class:`ConfigError` before allocating if a stack of ``nbytes``
+    bytes, for ``what``, is over ``_STACK_LIMIT``."""
+    if not nbytes <= _STACK_LIMIT:
+        raise ConfigError(
+            f"{what} takes more than {_STACK_LIMIT} bytes, the most one "
+            "request may allocate"
+        )
 
 
 def _read_only(a):
@@ -110,8 +123,8 @@ class StepMatrices:
     x(k)    = Xxi xi(k) + Xu  u(k)
 
     :func:`dt_step_matrices` stores xi; :func:`tustin_frozen` stores x
-    itself (Xxi = I, Xu = 0).  The engines do not step these frozen blocks:
-    they serve the frozen-p checks (similarity, frequency response).
+    itself (Xxi = I, Xu = 0).  :func:`~lpvsim.simulate.simulate_dt` steps
+    the former's blocks for all samples at once; the loop oracle, none.
     """
 
     Axi: np.ndarray
@@ -169,7 +182,9 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None) -> np.ndarray:
     """
     A_p = np.asarray(A_p, dtype=float)
     M = np.eye(A_p.shape[-1]) - A_p * (cfg.ts / 2.0)
-    d = np.linalg.det(M)
+    # at a huge Ts det overflows to inf, which is far from singular: no warning
+    with np.errstate(over="ignore"):
+        d = np.linalg.det(M)
     bad = singular_rows(d, A_p, cfg.ts)
     if np.any(bad):
         k = int(np.argmax(bad)) if A_p.ndim == 3 else None
@@ -187,8 +202,22 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None) -> np.ndarray:
     return np.linalg.inv(M)
 
 
+def _step_blocks(A, B, cfg: DiscretizationConfig, points=None):
+    """Axi - I = Ts Phi A, Bxi = 2 Phi B and Xxi = Ts/2 Phi of one (A, B)
+    pair, or of each of an (N, n, n) and (N, n, m) stack, from one
+    :func:`phi` call, to which ``points`` is passed on."""
+    Phi = phi(A, cfg, points)
+    DA = Phi @ A
+    DA *= cfg.ts
+    PhiB = Phi @ B
+    PhiB *= 2.0
+    Phi *= cfg.ts / 2.0
+    return DA, PhiB, Phi
+
+
 def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> SigmaRealization:
-    """Loop-free update blocks of the discretization at scheduling point p.
+    """Loop-free update blocks of the discretization at scheduling point p:
+    the blocks of :func:`_step_blocks` with B = I.
 
     Raises
     ------
@@ -198,15 +227,9 @@ def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> SigmaReali
         Propagated from :func:`phi`.
     """
     check_in_box(model.domain, p)
-    A_p = eval_pmatrix(model.A, p)
-    Phi = phi(A_p, cfg)
-    half = _read_only(Phi * (cfg.ts / 2.0))
-    return SigmaRealization(
-        M11=_read_only(np.eye(model.n_x) + (Phi @ A_p) * cfg.ts),
-        M12=_read_only(2.0 * Phi),
-        M21=half,
-        M22=half,
-    )
+    eye = np.eye(model.n_x)
+    DA, M12, half = map(_read_only, _step_blocks(eval_pmatrix(model.A, p), eye, cfg))
+    return SigmaRealization(M11=_read_only(eye + DA), M12=M12, M21=half, M22=half)
 
 
 def dt_step_matrices(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMatrices:
@@ -215,17 +238,16 @@ def dt_step_matrices(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> Step
     The induced update is xi(k+1) = Axi xi + Bxi u, y = Cxi xi + Dxi u, and
     the physical state is reconstructed as x = Xxi xi + Xu u.
     """
-    sig = sigma_step(model, p, cfg)
-    B_p = eval_pmatrix(model.B, p)
-    C_p = eval_pmatrix(model.C, p)
-    D_p = eval_pmatrix(model.D, p)
-    Xu = sig.M22 @ B_p
+    check_in_box(model.domain, p)
+    A_p, B_p, C_p, D_p = model.matrices_at(p)
+    DA, Bxi, Xxi = _step_blocks(A_p, B_p, cfg)
+    Xu = Xxi @ B_p
     return StepMatrices(
-        Axi=sig.M11,
-        Bxi=_read_only(sig.M12 @ B_p),
-        Cxi=_read_only(C_p @ sig.M21),
+        Axi=_read_only(np.eye(model.n_x) + DA),
+        Bxi=_read_only(Bxi),
+        Cxi=_read_only(C_p @ Xxi),
         Dxi=_read_only(C_p @ Xu + D_p),
-        Xxi=sig.M21,
+        Xxi=_read_only(Xxi),
         Xu=_read_only(Xu),
     )
 
@@ -256,10 +278,8 @@ def rinv_matrices(n_x: int, cfg: DiscretizationConfig) -> np.ndarray:
 
     Acts on the stacked vector (xi(k), r x(k)) and returns
     (xi(k+1), x(k)); identity blocks have size ``n_x``.  No engine forms
-    it.  Its second row, with r x(k) = (xi(k+1) - xi(k))/2 from the first,
-    is :func:`~lpvsim.simulate.simulate_dt`'s x(k) = (Ts/4)(xi(k) + xi(k+1)).
-    The loop oracle's top row (2/Ts) x - r x = xi is the second row solved
-    for xi, and its first row is the oracle's add.
+    it.  The loop oracle's top row (2/Ts) x - r x = xi is its second row
+    solved for xi, and its first row is the oracle's add.
     """
     if n_x < 1:
         raise ConfigError(f"n_x must be >= 1, got {n_x}")
@@ -325,6 +345,8 @@ def wellposedness_check(
     if random_samples < 0:
         raise ConfigError(f"random_samples must be >= 0, got {random_samples}")
     dom = model.domain
+    count = 2**dom.n_p + grid_per_dim**dom.n_p + random_samples
+    _check_stack(8 * count * model.n_x**2, f"a sweep of {count} points")
     blocks = [dom.vertices(), dom.grid(grid_per_dim)]
     if random_samples > 0:
         rng = np.random.default_rng(seed)
@@ -333,7 +355,8 @@ def wellposedness_check(
 
     A = eval_pmatrix_many(model.A, points)
     M = np.eye(model.n_x) - A * (cfg.ts / 2.0)
-    det = np.linalg.det(M)
+    with np.errstate(over="ignore"):  # an inf det is not singular, as in phi
+        det = np.linalg.det(M)
     absdet = np.abs(det)
     cond = np.linalg.cond(M)
     k = int(np.argmin(absdet))
@@ -375,7 +398,8 @@ def _bisect_sign_change(model, ts, neg, pos):
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (neg + pos)
         A = eval_pmatrix(model.A, mid)
-        d = np.linalg.det(eye - A * (ts / 2.0))
+        with np.errstate(over="ignore"):  # as in phi
+            d = np.linalg.det(eye - A * (ts / 2.0))
         if singular_rows(d, A, ts):
             break
         if d < 0.0:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .discretize import DiscretizationConfig, phi, singular_rows
+from .discretize import DiscretizationConfig, _step_blocks, singular_rows
 from .errors import (
     ConfigError,
     DataError,
@@ -362,16 +362,15 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     """Run the loop-free per-step matrices over a sampled trajectory.
 
     Everything that depends only on p(k) is computed for all samples at
-    once: A and B are evaluated as stacks, Phi = (I - A Ts/2)^-1 comes from
-    one stacked inverse, and the loop it closes, D = Ts Phi A and
-    s = 2 Phi B u, is formed batched for all N steps.  The recurrence
-    xi(k+1) = xi(k) + (D xi(k) + s(k)) is a chain of increment maps, the
-    form of the RK4 reference's substeps, so it runs through the same
-    log-depth scan, :func:`_scan_increments`, into xi(0) .. xi(N).  Only
-    the scan's loop over levels runs in Python; its rounding differs from
-    stepping sample by sample only in the last digits.  The state is then
-    read off the integrator block, x(k) = (Ts/4)(xi(k) + xi(k+1)) (see
-    :func:`~lpvsim.discretize.rinv_matrices`), and y = C x + D u formed.
+    once: A and B u are evaluated as stacks, and one call of the builder of
+    :func:`~lpvsim.discretize.dt_step_matrices`' blocks gives D = Ts Phi A,
+    s = 2 Phi B u and Xxi = Ts/2 Phi.  The recurrence xi(k+1) = xi(k) +
+    (D xi(k) + s(k)) is a chain of increment maps, the form of the RK4
+    reference's substeps, so it runs through the same log-depth scan,
+    :func:`_scan_increments`, into xi(0) .. xi(N).  Only the scan's loop
+    over levels runs in Python; its rounding differs from stepping sample by
+    sample only in the last digits.  The state is read through the
+    resolvent, x(k) = Xxi (xi(k) + B u(k)), as in x = Xxi xi + Xu u.
 
     Raises
     ------
@@ -390,26 +389,22 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
         carries the index of the first such step.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
-    ts = cfg.ts
     A = eval_pmatrix_many(model.A, traj.p)
     Bu = _matvecs(eval_pmatrix_many(model.B, traj.p), traj.u)
     xis = np.empty((traj.n_steps + 1, model.n_x))
-    xis[0] = _seed_xi(A[0], Bu[0], x0, ts)
-    Phi = phi(A, cfg, traj.p)
-    # at most three (N, n, n) stacks are live at once: each is dropped as
-    # soon as it is used, since their count sets the run's allocation peak
-    D = Phi @ A
-    D *= ts
-    del A
-    s = 2.0 * _matvecs(Phi, Bu)
-    del Phi, Bu
-    # a diverging run overflows from here on; the result step reports it
-    # as one error, so numpy's warnings are off
+    xis[0] = _seed_xi(A[0], Bu[0], x0, cfg.ts)
+    # a huge drive or a diverging run overflows from here on; the result
+    # step reports it as one error, so numpy's warnings are off
     with np.errstate(over="ignore", invalid="ignore"):
+        # B u as the (N, n, 1) B of the blocks: their Bxi is then s itself.
+        # A and D are dropped once used: live (N, n, n) stacks set the peak
+        D, s, Xxi = _step_blocks(A, Bu[:, :, None], cfg, traj.p)
+        del A
+        s = s[:, :, 0]
         _scan_increments(D, s)  # now row k maps xi(0) to xi(k+1)
         xis[1:] = xis[0] + (D @ xis[0] + s)
         del D
-        x = (ts / 4.0) * (xis[:-1] + xis[1:])
+        x = _matvecs(Xxi, xis[:-1] + Bu)
     return _result("simulate_dt", model, cfg, traj, x, xis[:-1], record_state)
 
 
@@ -489,9 +484,11 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     loops[:] = np.block([[(2.0 / ts) * eye, -0.5 * eye], [0.0 * eye, 0.5 * eye]])
     np.negative(A, out=loops[:, n:, :n])
     # det(loop) = Ts^-n det(I - A Ts/2) by block elimination; taken through
-    # logarithms, since Ts^-n alone overflows for large n
+    # logarithms, since Ts^-n alone overflows for large n; an overflow to
+    # inf is far from singular, so it is no warning
     sign, logdet = np.linalg.slogdet(loops)
-    bad = singular_rows(sign * np.exp(logdet + n * math.log(ts)), A, ts)
+    with np.errstate(over="ignore"):
+        bad = singular_rows(sign * np.exp(logdet + n * math.log(ts)), A, ts)
     if bad.any():
         k = int(np.argmax(bad))
         raise WellposednessError(

@@ -20,6 +20,7 @@ from conftest import (
 from lpvsim.analyze import (
     ComparisonMetrics,
     FrequencyResponse,
+    _response,
     compare_traj,
     convergence_order,
     freqresp_ct,
@@ -486,3 +487,10 @@ def test_frequency_csv_values_round_trip():
         assert cells[0] == fr.omegas[k]
         assert cells[1] == fr.values[k, 0, 0].real
         assert cells[2] == fr.values[k, 0, 0].imag
+
+
+def test_response_over_the_stack_cap_is_refused_before_allocating():
+    # s is one value seen through a zero stride, so nothing of size m exists
+    s = np.broadcast_to(1j, (2**27,))
+    with pytest.raises(ConfigError, match="a response at 134217728 frequencies"):
+        _response(s, None, -np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)))

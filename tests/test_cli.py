@@ -314,6 +314,50 @@ def test_bad_waveforms_and_oversized_requests_are_one_line(capsys, argv, prefix)
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+# each request is over the stack cap by its size alone, so it is rejected
+# before anything is allocated; never add one that the cap lets through
+@pytest.mark.parametrize("argv", [
+    ("freqresp", "--model", "lag1", "--ts", "0.1", "--decades", "1",
+     "--points-per-decade", "1000000000"),
+    ("check", "--model", "msd", "--ts", "0.1", "--grid", "1000000000"),
+    ("check", "--model", "msd", "--ts", "0.1", "--samples", "100000000000"),
+])
+def test_a_request_over_the_stack_cap_is_one_parse_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("E_PARSE: ") and err.count("\n") == 1
+    assert err.endswith(" bytes, the most one request may allocate\n")
+
+
+_HUGE_TS = ("--model", "msd", "--ts", "1e300")
+_RUN = ("--p=const:2", "--u=const:1", "--steps=3")
+
+
+# det(I - A Ts/2) overflows to inf there, which is far from singular: no
+# RuntimeWarning may reach stderr, and the two engines must still agree
+@pytest.mark.parametrize("argv", [
+    ("check", *_HUGE_TS),
+    ("discretize", *_HUGE_TS, "--p", "2"),
+    ("freqresp", *_HUGE_TS, "--p", "2"),
+    ("simulate", *_HUGE_TS, *_RUN),
+    ("loop-simulate", *_HUGE_TS, *_RUN),
+    ("compare", *_HUGE_TS, *_RUN),
+    ("compare", "--model", "msd", "--ts", "1e200", *_RUN),
+])
+def test_a_huge_sampling_time_runs_clean(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+def test_x0_is_read_without_the_next_xi(capsys):
+    # xi(1) overflows, but x(0) = (Ts/2) Phi (xi(0) + B u(0)) needs only xi(0)
+    code, out, err = run(
+        capsys, "simulate", "--model", "integrator", "--ts", "0.7", "--u=1e308",
+        "--t-end=1e-300",
+    )
+    assert (code, out, err) == (0, "k,t,y1\n0,0.0,0.0\n", "")
+
+
 @pytest.mark.parametrize("argv, table, message", [
     (("--p", "1", "--p", "2", "--u", "1", "--steps", "3"), None,
      "E_DIM: 2 --p signals given, model needs 1"),
