@@ -86,7 +86,10 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
     if not math.isfinite(decades):
         raise ConfigError(f"grid needs a finite number of decades, got {decades}")
     top = 0.9 * np.pi / cfg.ts
-    count = decades * points_per_decade
+    try:
+        count = decades * points_per_decade
+    except OverflowError:  # an integer count beyond the float range
+        count = math.inf
     _check_stack(8 * count, f"a grid of {count:.6g} frequencies")
     n = int(round(count))
     if n < 1:

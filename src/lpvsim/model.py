@@ -15,7 +15,6 @@ and safe to share across threads.
 Model files are JSON; see :func:`parse_model` for the format.
 """
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -34,6 +33,17 @@ __all__ = [
     "parse_model",
     "serialize_model",
 ]
+
+
+def _product_rows(axes):
+    """Every combination of one value per axis, one per row, the last axis
+    cycling fastest (the order of ``itertools.product``).  The meshgrid views
+    are broadcast, so the rows are the only (m, n_p) array allocated; one
+    axis is its own column and is not copied."""
+    if len(axes) == 1:
+        return np.asarray(axes[0], dtype=float)[:, None]
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
 def _frozen_array(a, dtype=float):
@@ -78,13 +88,13 @@ class SchedulingDomain:
 
     def vertices(self) -> np.ndarray:
         """All 2**n_p box corners, last dimension cycling fastest."""
-        rows = list(itertools.product(*[(lo, hi) for lo, hi in zip(self.lower, self.upper)]))
-        return np.array(rows, dtype=float)
+        return _product_rows(list(zip(self.lower, self.upper)))
 
     def grid(self, points_per_dim: int) -> np.ndarray:
         """Endpoint-inclusive uniform grid, row-major over dimensions."""
-        axes = [np.linspace(lo, hi, points_per_dim) for lo, hi in zip(self.lower, self.upper)]
-        return np.array(list(itertools.product(*axes)), dtype=float)
+        return _product_rows(
+            [np.linspace(lo, hi, points_per_dim) for lo, hi in zip(self.lower, self.upper)]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SchedulingDomain):

@@ -4,19 +4,20 @@ Two discrete-time engines advance the same internal state xi over a sampled
 scheduling trajectory.  The loop-free engine builds the paper's per-step
 matrices for every sample at once -- A(p(k)) and B(p(k)) as (N, n, n) and
 (N, n, m) stacks, one stacked factorization for Phi(p(k)) -- and runs the xi
-recurrence as a log-depth scan over its increment maps, so the only Python
-loop left is over the scan's log2(N) levels.  The loop oracle re-solves the
-implicit feedback loop around the trapezoidal integrator block at every
-step, written in xi itself: each step solves for x and the increment of xi
-and adds that increment.  Only its loop matrices are stacked, once, for one
-determinant check and the per-step solves; the solve stays per step.  Both
-realize the identical map, so their outputs agree to machine precision;
-keeping both is the point, since each checks the other.  A fixed-step RK4
-integrator provides the continuous-time reference.  The model is linear in x,
-so each RK4 substep is an increment map x+ = x + (D_i x + s_i); the reference
-builds those maps batched from A and B u on a half-step grid, in fixed windows
-of the fine grid, and composes them by the loop-free engine's scan, so its
-only Python loops are over the windows and the scan's levels.
+recurrence as a log-depth scan over its increment maps, each stored as one
+block [D | s], so the only Python loop left is over the scan's log2(N) levels.
+The loop oracle re-solves the implicit feedback loop around the trapezoidal
+integrator block at every step, written in xi itself: each step solves for x
+and the increment of xi and adds that increment.  Only its loop matrices are
+stacked, once, for one determinant check and the per-step solves; the solve
+stays per step.  Both realize the identical map, so their outputs agree to
+machine precision; keeping both is the point, since each checks the other.  A
+fixed-step RK4 integrator provides the continuous-time reference.  The model
+is linear in x, so each RK4 substep is an increment map x+ = x + G_i [x; 1]
+with G_i = [D_i | s_i]; the reference builds those blocks batched from
+[A | B u] on a half-step grid, in fixed windows of the fine grid, and composes
+them by the loop-free engine's scan, so its only Python loops are over the
+windows and the scan's levels.
 
 The internal state relates to the physical one by
 
@@ -365,12 +366,13 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     once: A and B u are evaluated as stacks, and one call of the builder of
     :func:`~lpvsim.discretize.dt_step_matrices`' blocks gives D = Ts Phi A,
     s = 2 Phi B u and Xxi = Ts/2 Phi.  The recurrence xi(k+1) = xi(k) +
-    (D xi(k) + s(k)) is a chain of increment maps, the form of the RK4
-    reference's substeps, so it runs through the same log-depth scan,
-    :func:`_scan_increments`, into xi(0) .. xi(N).  Only the scan's loop
-    over levels runs in Python; its rounding differs from stepping sample by
-    sample only in the last digits.  The state is read through the
-    resolvent, x(k) = Xxi (xi(k) + B u(k)), as in x = Xxi xi + Xu u.
+    G_k [xi(k); 1], with G_k = [D_k | s_k], is a chain of increment maps,
+    the form of the RK4 reference's substeps, so it runs through the same
+    log-depth scan, :func:`_scan`, after which row k maps xi(0) to xi(k+1)
+    = xi(0) + G_k [xi(0); 1].  Only the scan's loop over levels runs in
+    Python; its rounding differs from stepping sample by sample only in the
+    last digits.  The state is read through the resolvent,
+    x(k) = Xxi (xi(k) + B u(k)), as in x = Xxi xi + Xu u.
 
     Raises
     ------
@@ -397,13 +399,14 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
     # step reports it as one error, so numpy's warnings are off
     with np.errstate(over="ignore", invalid="ignore"):
         # B u as the (N, n, 1) B of the blocks: their Bxi is then s itself.
-        # A and D are dropped once used: live (N, n, n) stacks set the peak
+        # Each stack is dropped once used: live (N, n, .) stacks set the peak
         D, s, Xxi = _step_blocks(A, Bu[:, :, None], cfg, traj.p)
         del A
-        s = s[:, :, 0]
-        _scan_increments(D, s)  # now row k maps xi(0) to xi(k+1)
-        xis[1:] = xis[0] + (D @ xis[0] + s)
-        del D
+        G = np.concatenate((D, s), axis=2)
+        del D, s
+        _scan(G)  # now row k maps xi(0) to xi(k+1)
+        xis[1:] = xis[0] + G @ np.append(xis[0], 1.0)
+        del G
         x = _matvecs(Xxi, xis[:-1] + Bu)
     return _result("simulate_dt", model, cfg, traj, x, xis[:-1], record_state)
 
@@ -505,80 +508,75 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
 #: fine substeps per window of the RK4 reference's scan.  Windows start at
 #: multiples of this length on the fine grid, so a substep's prefix map
 #: depends only on its fine-grid index, whatever Ts and oversample are.  The
-#: length bounds the window's stage samples and (rows, n, n) stacks, and so
-#: the reference's memory, whatever t_end is.  It was set by measurement on
-#: 800-substep runs at n_x <= 4: a window of 128 took about 12% longer, and
-#: one of 512 raised the allocation peak by about 60%
+#: length bounds the window's stage samples and (rows, n, n + 1) blocks, and so
+#: the reference's memory, whatever t_end is.  Measured with the [D | s]
+#: blocks on 800- to 80 000-substep runs at n_x 2 and 4 (one BLAS thread,
+#: 2-core x86-64 Xeon): a window of 128 took 28-51% longer, and one of 512
+#: took 1-18% less time but raised the allocation peak by 31-94%
 _RK4_WINDOW = 256
 
 
 def _rk4_affine_maps(model, p, u, h):
-    """Affine maps of a run of RK4 substeps, as (D, s) with T = I + D.
+    """Increment maps of a run of RK4 substeps, as blocks G = [D | s].
 
     ``p`` and ``u`` hold the rows of the run's half-step grid: substep i
     starts at row 2i, has its midpoint at 2i+1 and ends at 2i+2, the next
-    one's start, so A and B u are evaluated once per row and sliced.  The
-    stage slopes k_j = M_j x + c_j of a linear system are affine in x:
+    one's start, so F = [A | B u] is evaluated once per row and sliced.  The
+    stage slopes of a linear system are affine in x, k_j = K_j [x; 1], and
+    the drive rides in the blocks' last column:
 
-        M1 = A0,  M2 = Ah (I + h/2 M1),  M3 = Ah (I + h/2 M2),
-        M4 = A1 (I + h M3),  D = h/6 (M1 + 2 M2 + 2 M3 + M4),
+        K1 = F0,  K2 = Fh + h/2 Ah K1,  K3 = Fh + h/2 Ah K2,
+        K4 = F1 + h A1 K3,  G = h/6 (K1 + 2 K2 + 2 K3 + K4),
 
-    and the offsets c_j follow the same recursion from the drives B u, so
-    s = h/6 (c1 + 2 c2 + 2 c3 + c4) and one substep is x+ = x + (D x + s).
+    so one substep is x+ = x + G [x; 1].
     """
+    # A first: evaluated with B u already live, it would raise the window's peak
     A = eval_pmatrix_many(model.A, p)
-    f = _matvecs(eval_pmatrix_many(model.B, p), u)
-    A0, Ah, A1 = A[:-1:2], A[1::2], A[2::2]
-    c1, fh, f1 = f[:-1:2], f[1::2], f[2::2]
-    c2 = (0.5 * h) * _matvecs(Ah, c1) + fh
-    c3 = (0.5 * h) * _matvecs(Ah, c2) + fh
-    c4 = h * _matvecs(A1, c3) + f1
-    # the views share A, so D is a fresh stack; the (rows, n, n) products
-    # are updated in place and dropped once used up
-    M2 = Ah @ A0
-    M2 *= 0.5 * h
-    M2 += Ah
-    D = A0 + M2
-    D += M2
-    M3 = Ah @ M2
-    del M2
-    M3 *= 0.5 * h
-    M3 += Ah
-    D += M3
-    D += M3
-    M4 = A1 @ M3
-    del M3
-    M4 *= h
-    M4 += A1
-    D += M4
-    D *= h / 6.0
-    return D, (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    F = np.concatenate((A, _matvecs(eval_pmatrix_many(model.B, p), u)[:, :, None]), 2)
+    del A
+    K1, Fh, F1 = F[:-1:2], F[1::2], F[2::2]
+    Ah, A1 = Fh[:, :, :-1], F1[:, :, :-1]
+    # the views share F, so G is a fresh stack; the (rows, n, n + 1) stage
+    # blocks are updated in place and dropped once used up
+    K2 = Ah @ K1
+    K2 *= 0.5 * h
+    K2 += Fh
+    G = K1 + K2
+    G += K2
+    K3 = Ah @ K2
+    del K2
+    K3 *= 0.5 * h
+    K3 += Fh
+    G += K3
+    G += K3
+    K4 = A1 @ K3
+    del K3
+    K4 *= h
+    K4 += F1
+    G += K4
+    G *= h / 6.0
+    return G
 
 
-def _scan_increments(D, s):
-    """In-place prefix scan of the increment maps x -> x + (D[i] x + s[i]).
+def _scan(G):
+    """In-place prefix scan of the increment maps x -> x + G[i] [x; 1].
 
-    An earlier map (D_a, s_a) followed by a later one (D_b, s_b) is again an
-    increment, D = D_a + D_b + D_b D_a and s = s_a + s_b + D_b s_a, and
-    composition is associative, so a Hillis-Steele scan applies: after the
-    level of stride w, row i holds the composition of maps i-2w+1 .. i.
-    I + D is never formed, so like the stagewise form the maps only add
-    small increments.  s is updated first, because it must use the D of the
-    previous level.
+    Row i is the block [D_i | s_i] of x -> x + (D_i x + s_i).  An earlier
+    map G_a followed by a later one G_b is again an increment,
+    G = G_a + G_b + D_b G_a with D_b = G_b[:, :-1], and composition is
+    associative, so a Hillis-Steele scan applies: after the level of stride
+    w, row i holds the composition of maps i-2w+1 .. i.  I + D is never
+    formed, so like the stagewise form the maps only add small increments.
     """
-    # each product is formed whole before its in-place add, which would
+    # the product is formed whole before the in-place add, which would
     # otherwise read rows it has already written; deleting it keeps one
-    # (rows, n, n) product live at a time
+    # product live at a time
     w = 1
-    while w < len(D):
-        ds = _matvecs(D[w:], s[:-w])
-        ds += s[:-w]
-        s[w:] += ds
-        del ds
-        dd = D[w:] @ D[:-w]
-        dd += D[:-w]
-        D[w:] += dd
-        del dd
+    while w < len(G):
+        prod = G[w:, :, :-1] @ G[:-w]
+        prod += G[:-w]
+        G[w:] += prod
+        del prod
         w *= 2
 
 
@@ -591,20 +589,19 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     sampling grid (xi is None).
 
     For a linear time-varying system one RK4 substep is an affine map
-    x+ = x + (D_i x + s_i), built from A and B u at the substep's three
-    stage times.  The fine grid is cut into windows of ``_RK4_WINDOW``
-    substeps that start at multiples of that length.  Per window, p and u
-    are sampled on its half-step grid, and the maps are built batched and
-    composed by a log-depth prefix scan in this increment form, never as
-    I + D_i, whose product would round every entry of x afresh.  x is then
-    formed only at the window's rows that end a sample, one strided slice
-    of every oversample-th row, in one batched step
-    x_start + (D_pref x_start + s_pref), and at its last row, which starts
-    the next window.  So memory is bounded by the window plus
-    the output log, and the only Python loops are over the windows and the
-    scan's levels.  Since the windows are fixed on the fine grid, runs at
-    (Ts, oversample) and (2 Ts, 2 oversample) agree bit for bit at the
-    samples they share.
+    x+ = x + G_i [x; 1] with G_i = [D_i | s_i], built from [A | B u] at the
+    substep's three stage times.  The fine grid is cut into windows of
+    ``_RK4_WINDOW`` substeps that start at multiples of that length.  Per
+    window, p and u are sampled on its half-step grid, and the blocks are
+    built batched and composed by a log-depth prefix scan in this increment
+    form, never as I + D_i, whose product would round every entry of x
+    afresh.  x is then formed only at the window's rows that end a sample,
+    one strided slice of every oversample-th row, in one batched step
+    x_start + G_pref [x_start; 1], and at its last row, which starts the
+    next window.  So memory is bounded by the window plus the output log,
+    and the only Python loops are over the windows and the scan's levels.
+    Since the windows are fixed on the fine grid, runs at (Ts, oversample)
+    and (2 Ts, 2 oversample) agree bit for bit at the samples they share.
 
     Raises
     ------
@@ -647,18 +644,19 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
             check_in_box(model.domain, p, where=lambda j: f"t = {float(t[j])}")
             u = scenario.u_at(t)
             _check_finite_u(u, where=lambda j: f"t = {float(t[j])}")
-            D, s = _rk4_affine_maps(model, p, u, h)
-            _scan_increments(D, s)
+            G = _rk4_affine_maps(model, p, u, h)
+            _scan(G)
             # row r ends substep i0 + r, so the rows that end a sample are
             # every oversample-th from r0; sample k0 is the first they reach
             r0 = -(i0 + 1) % oversample
             k0 = (i0 + r0 + 1) // oversample
-            xs = x + (D[r0::oversample] @ x + s[r0::oversample])
+            x1 = np.append(x, 1.0)
+            xs = x + G[r0::oversample] @ x1
             x_log[k0:k0 + len(xs)] = xs
             # the window's last row starts the next window
-            x = x + (D[-1] @ x + s[-1])
+            x = x + G[-1] @ x1
             # the next window's maps are built with these gone
-            del D, s
+            del G, x1
     return _result("simulate_ct_reference", model, cfg, samp, x_log, None)
 
 

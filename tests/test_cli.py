@@ -329,6 +329,18 @@ def test_a_request_over_the_stack_cap_is_one_parse_line(capsys, argv):
     assert err.endswith(" bytes, the most one request may allocate\n")
 
 
+def test_a_points_per_decade_beyond_the_float_range_is_one_parse_line(capsys):
+    # decades * points_per_decade cannot be converted to a float; the count
+    # is over the stack cap, so nothing is allocated
+    code, out, err = run(
+        capsys, "freqresp", "--model", "lag1", "--ts", "0.1", "--decades", "1",
+        "--points-per-decade", "1" + "0" * 400,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("E_PARSE: ") and err.count("\n") == 1
+    assert err.endswith(" bytes, the most one request may allocate\n")
+
+
 _HUGE_TS = ("--model", "msd", "--ts", "1e300")
 _RUN = ("--p=const:2", "--u=const:1", "--steps=3")
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +229,35 @@ def test_domain_helpers():
     g = box.grid(3)
     assert g.shape == (9, 2)
     assert_array_equal(g[1], [0.0, 15.0])  # last dimension cycles fastest
+
+
+@pytest.mark.parametrize("n_p", [1, 2, 3])
+def test_grid_and_vertices_are_the_product_rows_bit_for_bit(n_p):
+    rng = np.random.default_rng(n_p)
+    lower = rng.uniform(-3.0, 0.0, n_p)
+    box = SchedulingDomain(lower, lower + rng.uniform(0.1, 5.0, n_p))
+    pairs = list(zip(box.lower, box.upper))
+    corners = np.array(list(itertools.product(*pairs)), dtype=float)
+    assert box.vertices().shape == corners.shape
+    assert box.vertices().tobytes() == corners.tobytes()
+    for k in (2, 3, 7):
+        axes = [np.linspace(lo, hi, k) for lo, hi in pairs]
+        rows = np.array(list(itertools.product(*axes)), dtype=float)
+        assert box.grid(k).shape == rows.shape
+        assert box.grid(k).tobytes() == rows.tobytes()
+
+
+def test_grid_allocates_little_beyond_its_rows():
+    box = SchedulingDomain([0.0], [1.0])
+    box.grid(10)  # first-call allocations are not the grid's
+    tracemalloc.start()
+    try:
+        rows = box.grid(200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (200_000, 1)
+    assert peak <= 2 * rows.nbytes
 
 
 def test_state_space_shape_validation():

@@ -1,7 +1,9 @@
 """The package against external implementations in scipy: frozen Tustin
 blocks against ``scipy.signal.cont2discrete(..., method="bilinear")``, both
 discrete engines at constant p against those blocks stepped by
-``scipy.signal.dlsim``, and the RK4 reference against ``solve_ivp``'s DOP853.
+``scipy.signal.dlsim``, the RK4 reference against ``solve_ivp``'s DOP853,
+and the frozen-point frequency responses against ``scipy.signal.freqresp``
+and ``dfreqresp``.
 Test-only: the package itself depends on numpy alone."""
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import inbox_p_trajectory, random_lpv_model
-from lpvsim.discretize import DiscretizationConfig, tustin_frozen
+from lpvsim.analyze import freqresp_ct, freqresp_dt, log_frequency_grid
+from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, tustin_frozen
 from lpvsim.fixtures import FIXTURE_NAMES, load_fixture
 from lpvsim.model import eval_pmatrix
 from lpvsim.simulate import (
@@ -98,3 +101,32 @@ def test_rk4_reference_converges_at_fourth_order_to_dop853(name):
     ]
     # halving h divides RK4's error by 16; below 1e-11 it is DOP853's own
     assert max(gaps) < 1e-11 or 12.0 <= gaps[0] / gaps[1] <= 20.0, gaps
+
+
+# frozen points a quarter and half way across each box: at Ts = 0.05 every
+# fixture is well-posed there (|1 - p Ts/2| >= 0.5 for the scalar ones)
+_FROZEN_FRACTIONS = (0.25, 0.5)
+
+
+def _frozen_points(model):
+    lo, hi = model.domain.lower, model.domain.upper
+    return [lo + f * (hi - lo) for f in _FROZEN_FRACTIONS]
+
+
+# scipy forms both responses through zeros, poles and gain, an independent
+# path from the package's stacked resolvent solves; its transfer-function
+# step warns of badly conditioned numerators with near-zero leading terms
+@pytest.mark.filterwarnings("ignore::scipy.signal.BadCoefficients")
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_frequency_responses_match_scipy(name):
+    model, cfg = load_fixture(name), DiscretizationConfig(0.05)
+    omegas = log_frequency_grid(cfg, decades=3, points_per_decade=20)
+    for p in _frozen_points(model):
+        A, B, C, D = model.matrices_at(p)
+        ct = freqresp_ct(model, p, omegas).values[:, 0, 0]
+        _, want = signal.freqresp(signal.StateSpace(A, B, C, D), w=omegas)
+        assert np.max(np.abs(ct - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+        dt = freqresp_dt(dt_step_matrices(model, p, cfg), cfg, omegas).values[:, 0, 0]
+        t = tustin_frozen(model, p, cfg)
+        _, want = signal.dfreqresp((t.Axi, t.Bxi, t.Cxi, t.Dxi, cfg.ts), w=omegas * cfg.ts)
+        assert np.max(np.abs(dt - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))

@@ -33,6 +33,7 @@ from lpvsim.errors import (
 from lpvsim.model import eval_pmatrix_many
 from lpvsim.simulate import (
     _RK4_WINDOW,
+    _scan,
     Scenario,
     SignalSpec,
     Trajectory,
@@ -556,6 +557,31 @@ def test_scan_matches_step_loop(n_x):
     for n in (1, 2, 3, 4, 5, 31, 32, 33, 64, 65, 1000):
         model, traj = scan_run(rng, n_x, n)
         assert_matches_loop_reference(model, traj, rng.uniform(-1, 1, n_x))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n_maps", [1, 2, 3, 5, 64, 257])
+def test_scan_rows_are_the_sequential_compositions(n_maps, n):
+    # the maps x -> x + (D x + s) as homogeneous (n+1, n+1) matrices, and
+    # the prefix products multiplied out one map at a time, independently of
+    # the scan's composition law; I + D is a contraction, so the products
+    # stay bounded over long runs
+    rng = np.random.default_rng(10 * n_maps + n)
+    G = np.concatenate(
+        (rng.uniform(-0.1, 0.1, (n_maps, n, n)) / n - 0.05 * np.eye(n),
+         rng.uniform(-1.0, 1.0, (n_maps, n, 1))), axis=2,
+    )
+    T = np.zeros((n_maps, n + 1, n + 1))
+    T[:, :n] = G
+    T[:, :n, :n] += np.eye(n)
+    T[:, n, n] = 1.0
+    got = G.copy()
+    _scan(got)
+    prefix = np.eye(n + 1)
+    for k in range(n_maps):
+        prefix = T[k] @ prefix
+        want = prefix[:n] - np.eye(n, n + 1)
+        assert np.all(np.abs(got[k] - want) <= 1e-13 * max(1.0, np.max(np.abs(want))))
 
 
 def test_scan_matches_step_loop_over_a_long_run():
