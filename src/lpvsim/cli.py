@@ -125,6 +125,13 @@ def _json_text(payload) -> str:
     return json.dumps(_jsonable(payload), indent=1) + "\n"
 
 
+def _report(command, out_path, **fields):
+    """Emit the JSON report of ``command``: ``schema_version`` and
+    ``command``, then ``fields`` in order."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+    _emit(_json_text(payload), out_path)
+
+
 def _emit(text, out_path):
     """Write ``text`` to the file ``out_path``, or to stdout if it is None.
 
@@ -355,9 +362,7 @@ def cmd_check(args):
         model, cfg, grid_per_dim=args.grid, random_samples=args.samples,
         seed=args.seed,
     )
-    payload = {"schema_version": SCHEMA_VERSION, "command": "check"}
-    payload.update(dataclasses.asdict(report))
-    _emit(_json_text(payload), args.out)
+    _report("check", args.out, **dataclasses.asdict(report))
     if not report.passed:
         first = list(report.singular_points[0])
         if report.refuted_by == "sample":
@@ -387,16 +392,8 @@ def cmd_discretize(args):
     scale = max(
         1.0, *(float(np.max(np.abs(x))) for x in (a.Axi, a.Bxi, a.Cxi, a.Dxi))
     )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "discretize",
-        "ts": cfg.ts,
-        "p": list(p),
-        "wprime": vars(a),
-        "tustin": vars(b),
-        "similarity_residual": float(max(gaps)) / scale,
-    }
-    _emit(_json_text(payload), args.out)
+    _report("discretize", args.out, ts=cfg.ts, p=list(p), wprime=vars(a),
+            tustin=vars(b), similarity_residual=float(max(gaps)) / scale)
     return 0
 
 
@@ -421,9 +418,7 @@ def cmd_freqresp(args):
     )
     ct = freqresp_ct(model, p, grid)
     dt = freqresp_dt(dt_step_matrices(model, p, cfg), cfg, grid)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "freqresp",
+    fields = {
         "ts": cfg.ts,
         "p": list(p),
         "omega_min": float(grid[0]),
@@ -435,13 +430,11 @@ def cmd_freqresp(args):
         ct_path = f"{args.out}_ct.csv"
         dt_path = f"{args.out}_dt.csv"
         # basenames keep the JSON byte-identical across output directories
-        payload["ct_csv"] = pathlib.PurePath(ct_path).name
-        payload["dt_csv"] = pathlib.PurePath(dt_path).name
+        fields["ct_csv"] = pathlib.PurePath(ct_path).name
+        fields["dt_csv"] = pathlib.PurePath(dt_path).name
         _emit(frequency_response_csv(ct), ct_path)
         _emit(frequency_response_csv(dt), dt_path)
-        _emit(_json_text(payload), f"{args.out}.json")
-    else:
-        _emit(_json_text(payload), None)
+    _report("freqresp", args.out and f"{args.out}.json", **fields)
     return 0
 
 
@@ -455,14 +448,8 @@ def cmd_compare(args):
     b = simulate_dt_loop_oracle(model, cfg, traj, x0)
     metrics = compare_traj(a, b, "y")
     passed = metrics.max_abs_error <= args.tol * metrics.relative_to
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compare",
-        "tol": args.tol,
-    }
-    payload.update(dataclasses.asdict(metrics))
-    payload["passed"] = passed
-    _emit(_json_text(payload), args.out)
+    _report("compare", args.out, tol=args.tol, **dataclasses.asdict(metrics),
+            passed=passed)
     if not passed:
         print(
             f"E_THRESHOLD: max_abs_error {metrics.max_abs_error!r} exceeds "

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, WellposednessError
-from .model import LpvStateSpace, check_in_box, eval_pmatrix, eval_pmatrix_many
+from .model import LpvStateSpace, _frozen_array, check_in_box, eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
     "DiscretizationConfig",
@@ -77,12 +77,6 @@ def _check_stack(nbytes, what):
             f"{what} takes more than {_STACK_LIMIT} bytes, the most one "
             "request may allocate"
         )
-
-
-def _read_only(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -154,6 +148,14 @@ def singular_rows(det, A, ts: float):
     return np.abs(det) < SINGULAR_RTOL * det_scale(A, ts)
 
 
+def _resolvent_det(A, ts: float):
+    """``M = I - A Ts/2`` and ``det(M)``, for one matrix A or a stack.  At a
+    huge Ts det overflows to inf, which is far from singular: no warning."""
+    M = np.eye(A.shape[-1]) - A * (ts / 2.0)
+    with np.errstate(over="ignore"):
+        return M, np.linalg.det(M)
+
+
 def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None) -> np.ndarray:
     """Resolvent ``Phi = (I - A_p * Ts/2)^-1`` via ``np.linalg.inv``
     (LAPACK's LU solve against the identity).
@@ -181,10 +183,7 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None) -> np.ndarray:
         error's ``step_index``; with ``points``, it is also its ``p``.
     """
     A_p = np.asarray(A_p, dtype=float)
-    M = np.eye(A_p.shape[-1]) - A_p * (cfg.ts / 2.0)
-    # at a huge Ts det overflows to inf, which is far from singular: no warning
-    with np.errstate(over="ignore"):
-        d = np.linalg.det(M)
+    M, d = _resolvent_det(A_p, cfg.ts)
     bad = singular_rows(d, A_p, cfg.ts)
     if np.any(bad):
         k = int(np.argmax(bad)) if A_p.ndim == 3 else None
@@ -228,8 +227,8 @@ def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> SigmaReali
     """
     check_in_box(model.domain, p)
     eye = np.eye(model.n_x)
-    DA, M12, half = map(_read_only, _step_blocks(eval_pmatrix(model.A, p), eye, cfg))
-    return SigmaRealization(M11=_read_only(eye + DA), M12=M12, M21=half, M22=half)
+    DA, M12, half = map(_frozen_array, _step_blocks(eval_pmatrix(model.A, p), eye, cfg))
+    return SigmaRealization(M11=_frozen_array(eye + DA), M12=M12, M21=half, M22=half)
 
 
 def dt_step_matrices(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMatrices:
@@ -243,12 +242,12 @@ def dt_step_matrices(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> Step
     DA, Bxi, Xxi = _step_blocks(A_p, B_p, cfg)
     Xu = Xxi @ B_p
     return StepMatrices(
-        Axi=_read_only(np.eye(model.n_x) + DA),
-        Bxi=_read_only(Bxi),
-        Cxi=_read_only(C_p @ Xxi),
-        Dxi=_read_only(C_p @ Xu + D_p),
-        Xxi=_read_only(Xxi),
-        Xu=_read_only(Xu),
+        Axi=_frozen_array(np.eye(model.n_x) + DA),
+        Bxi=_frozen_array(Bxi),
+        Cxi=_frozen_array(C_p @ Xxi),
+        Dxi=_frozen_array(C_p @ Xu + D_p),
+        Xxi=_frozen_array(Xxi),
+        Xu=_frozen_array(Xu),
     )
 
 
@@ -264,12 +263,12 @@ def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMat
     n = model.n_x
     PhiB = Phi @ B_p
     return StepMatrices(
-        Axi=_read_only(Phi @ (np.eye(n) + A_p * (cfg.ts / 2.0))),
-        Bxi=_read_only(PhiB * cfg.ts),
-        Cxi=_read_only(C_p @ Phi),
-        Dxi=_read_only(D_p + (C_p @ PhiB) * (cfg.ts / 2.0)),
-        Xxi=_read_only(np.eye(n)),
-        Xu=_read_only(np.zeros((n, model.n_u))),
+        Axi=_frozen_array(Phi @ (np.eye(n) + A_p * (cfg.ts / 2.0))),
+        Bxi=_frozen_array(PhiB * cfg.ts),
+        Cxi=_frozen_array(C_p @ Phi),
+        Dxi=_frozen_array(D_p + (C_p @ PhiB) * (cfg.ts / 2.0)),
+        Xxi=_frozen_array(np.eye(n)),
+        Xu=_frozen_array(np.zeros((n, model.n_u))),
     )
 
 
@@ -344,6 +343,8 @@ def wellposedness_check(
         raise ConfigError(f"grid_per_dim must be >= 2, got {grid_per_dim}")
     if random_samples < 0:
         raise ConfigError(f"random_samples must be >= 0, got {random_samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     dom = model.domain
     count = 2**dom.n_p + grid_per_dim**dom.n_p + random_samples
     _check_stack(8 * count * model.n_x**2, f"a sweep of {count} points")
@@ -354,9 +355,7 @@ def wellposedness_check(
     points = np.vstack(blocks)
 
     A = eval_pmatrix_many(model.A, points)
-    M = np.eye(model.n_x) - A * (cfg.ts / 2.0)
-    with np.errstate(over="ignore"):  # an inf det is not singular, as in phi
-        det = np.linalg.det(M)
+    M, det = _resolvent_det(A, cfg.ts)
     absdet = np.abs(det)
     cond = np.linalg.cond(M)
     k = int(np.argmin(absdet))
@@ -394,12 +393,10 @@ def _bisect_sign_change(model, ts, neg, pos):
     first midpoint that :func:`singular_rows` calls singular, or after
     ``_BISECT_STEPS`` halvings.
     """
-    eye = np.eye(model.n_x)
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (neg + pos)
         A = eval_pmatrix(model.A, mid)
-        with np.errstate(over="ignore"):  # as in phi
-            d = np.linalg.det(eye - A * (ts / 2.0))
+        _, d = _resolvent_det(A, ts)
         if singular_rows(d, A, ts):
             break
         if d < 0.0:

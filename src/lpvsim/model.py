@@ -10,13 +10,15 @@ signal dimensions.  It represents the continuous-time system
 Matrix dependence on p is a sum of monomial terms ``coeff * prod_i p_i**e_i``
 with non-negative integer exponents, which covers the affine case used in
 practice and evaluates exactly.  All types are immutable after construction
-and safe to share across threads.
+and safe to share across threads.  Two values of one type are equal when
+every dataclass field is, arrays compared by ``np.array_equal``; like numpy
+arrays, the types are unhashable.
 
 Model files are JSON; see :func:`parse_model` for the format.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +52,18 @@ def _frozen_array(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _fields_equal(self, other):
+    """``__eq__`` of the model types: every dataclass field equal, arrays
+    by ``np.array_equal``; NotImplemented for another type."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +110,7 @@ class SchedulingDomain:
             [np.linspace(lo, hi, points_per_dim) for lo, hi in zip(self.lower, self.upper)]
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, SchedulingDomain):
-            return NotImplemented
-        return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +130,7 @@ class PTerm:
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "coeff", coeff)
 
-    def __eq__(self, other):
-        if not isinstance(other, PTerm):
-            return NotImplemented
-        return self.exponents == other.exponents and np.array_equal(self.coeff, other.coeff)
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,14 +216,7 @@ class PMatrixFunction:
     def __call__(self, p) -> np.ndarray:
         return eval_pmatrix(self, p)
 
-    def __eq__(self, other):
-        if not isinstance(other, PMatrixFunction):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.terms == other.terms
-        )
+    __eq__ = _fields_equal
 
 
 def eval_pmatrix(f: PMatrixFunction, p) -> np.ndarray:
@@ -351,29 +352,13 @@ class LpvStateSpace:
 
     def matrices_at(self, p):
         """Frozen (A, B, C, D) evaluated at one scheduling point."""
-        return (
-            eval_pmatrix(self.A, p),
-            eval_pmatrix(self.B, p),
-            eval_pmatrix(self.C, p),
-            eval_pmatrix(self.D, p),
-        )
+        return tuple(eval_pmatrix(getattr(self, k), p) for k in _MATRIX_KEYS)
 
     @property
     def is_constant(self) -> bool:
         return all(f.is_constant for f in (self.A, self.B, self.C, self.D))
 
-    def __eq__(self, other):
-        if not isinstance(other, LpvStateSpace):
-            return NotImplemented
-        return (
-            (self.n_x, self.n_u, self.n_y, self.n_p)
-            == (other.n_x, other.n_u, other.n_y, other.n_p)
-            and self.A == other.A
-            and self.B == other.B
-            and self.C == other.C
-            and self.D == other.D
-            and self.domain == other.domain
-        )
+    __eq__ = _fields_equal
 
 
 _MATRIX_KEYS = ("A", "B", "C", "D")
@@ -472,15 +457,8 @@ def parse_model(text: str) -> LpvStateSpace:
         else:
             funcs[name] = PMatrixFunction.zero(rows, cols)
     return LpvStateSpace(
-        n_x=dims["nx"],
-        n_u=dims["nu"],
-        n_y=dims["ny"],
-        n_p=dims["np"],
-        A=funcs["A"],
-        B=funcs["B"],
-        C=funcs["C"],
-        D=funcs["D"],
-        domain=domain,
+        n_x=dims["nx"], n_u=dims["nu"], n_y=dims["ny"], n_p=dims["np"],
+        domain=domain, **funcs,
     )
 
 

@@ -46,7 +46,7 @@ from .errors import (
     NonFiniteError,
     WellposednessError,
 )
-from .model import check_in_box, eval_pmatrix, eval_pmatrix_many
+from .model import _frozen_array, check_in_box, eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
     "SignalSpec",
@@ -171,6 +171,12 @@ def generate_signal(spec: SignalSpec, t) -> np.ndarray:
         return spec.offset + spec.amplitude * np.interp(t, tab[:, 0], tab[:, 1])
 
 
+def _sample_signals(specs, t):
+    """One column per signal of ``specs``, one row per time of ``t``."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return np.column_stack([generate_signal(s, t) for s in specs])
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Sampled-experiment description: waveforms, start state, duration.
@@ -189,9 +195,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(self.p))
         object.__setattr__(self, "u", tuple(self.u))
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1).copy()
-        x0.setflags(write=False)
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", _frozen_array(np.ravel(self.x0)))
         if not (float(self.t_end) > 0.0):
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if float(self.t_end) == math.inf:
@@ -200,12 +204,10 @@ class Scenario:
 
     def p_at(self, t) -> np.ndarray:
         """Scheduling trajectory sampled at times t, shape (len(t), n_p)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([generate_signal(s, t) for s in self.p])
+        return _sample_signals(self.p, t)
 
     def u_at(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack([generate_signal(s, t) for s in self.u])
+        return _sample_signals(self.u, t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -863,6 +863,13 @@ def test_bad_cli_numbers_end_in_one_parse_line(capsys, argv):
     assert err.startswith("E_PARSE:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("samples", ["0", "100"])
+def test_a_negative_seed_is_one_parse_line(capsys, samples):
+    code, out, err = run(capsys, "check", "--model", "msd", "--ts", "0.1",
+                         "--samples", samples, "--seed=-1")
+    assert (code, out, err) == (1, "", "E_PARSE: seed must be >= 0, got -1\n")
+
+
 # --- generic dispatch -----------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -6,12 +8,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import msd_model
 from lpvsim import (
     DimensionError,
     DomainError,
     LpvStateSpace,
     ParseError,
     PMatrixFunction,
+    PTerm,
     SchedulingDomain,
     eval_pmatrix,
     eval_pmatrix_many,
@@ -19,7 +23,9 @@ from lpvsim import (
     serialize_model,
 )
 from lpvsim.cli import main
+from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, sigma_step, tustin_frozen
 from lpvsim.model import check_in_box
+from lpvsim.simulate import Scenario, SignalSpec
 
 MINIMAL = json.dumps(
     {
@@ -317,3 +323,72 @@ def test_parse_rejects_malformed_files(capsys, tmp_path, key, value, error, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{error.code}: {message}\n"
+
+
+# --- equality and read-only arrays --------------------------------------------
+
+
+def _one_field_changes():
+    """(value, {field: another value}) for each model type, one other value
+    per dataclass field."""
+    m = msd_model()
+    term = PTerm((1, 0), [[1.0, 2.0]])
+    return [
+        (SchedulingDomain([0.0, -1.0], [1.0, 1.0]),
+         {"lower": np.array([0.0, -0.5]), "upper": np.array([1.0, 2.0])}),
+        (term, {"exponents": (0, 1), "coeff": np.array([[1.0, 3.0]])}),
+        (PMatrixFunction(1, 2, (term,)),
+         {"rows": 2, "cols": 3, "terms": (PTerm((0, 0), [[1.0, 2.0]]),)}),
+        (m, {"n_x": 3, "n_u": 2, "n_y": 2, "n_p": 2, "A": m.A.scaled(2.0),
+             "B": m.B.scaled(2.0), "C": m.C.scaled(2.0),
+             "D": PMatrixFunction.constant([[1.0]], 1),
+             "domain": SchedulingDomain([0.5], [5.0])}),
+    ]
+
+
+@pytest.mark.parametrize("value, changes", _one_field_changes(),
+                         ids=[type(v).__name__ for v, _ in _one_field_changes()])
+def test_model_types_are_equal_exactly_when_every_field_is(value, changes):
+    assert set(changes) == {f.name for f in dataclasses.fields(value)}
+    twin = copy.deepcopy(value)
+    assert twin is not value and twin == value and not twin != value
+    for name, other in changes.items():
+        changed = copy.copy(value)
+        object.__setattr__(changed, name, other)
+        assert changed != value and value != changed, name
+    assert value != "a string" and value != 1.0
+    assert value.__eq__(object()) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(value)
+
+
+def _read_only_builders():
+    """name -> (builder of arrays from a writable input array, that input)."""
+    m, cfg = msd_model(), DiscretizationConfig(0.1)
+
+    def blocks(build):
+        return lambda p: tuple(vars(build(m, p, cfg)).values())
+
+    return {
+        "dt_step_matrices": (blocks(dt_step_matrices), np.array([1.5])),
+        "tustin_frozen": (blocks(tustin_frozen), np.array([1.5])),
+        "sigma_step": (blocks(sigma_step), np.array([1.5])),
+        "SchedulingDomain": (lambda b: (SchedulingDomain(b, b + 1.0).lower,), np.zeros(2)),
+        "PTerm": (lambda c: (PTerm((1,), c).coeff,), np.ones((2, 2))),
+        "Scenario.x0": (lambda x: (Scenario((SignalSpec.constant(1.0),),
+                                            (SignalSpec.constant(0.0),), x, 1.0).x0,),
+                        np.array([[1.0], [2.0]])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_read_only_builders()))
+def test_outputs_are_read_only_and_not_views_of_the_input(name):
+    build, given = _read_only_builders()[name]
+    arrays = build(given)
+    before = [a.copy() for a in arrays]
+    given += 0.25
+    for a, b in zip(arrays, before):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+        assert a.tobytes() == b.tobytes()
