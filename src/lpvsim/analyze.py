@@ -186,7 +186,8 @@ def frequency_response_csv(fr: FrequencyResponse) -> str:
     lines = [",".join(header)]
     for w, row in zip(fr.omegas.tolist(), parts):
         lines.append(",".join(map(repr, [w, *row.tolist()])))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the joined text
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,7 @@ threshold fails.
 """
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -57,6 +55,7 @@ from .model import parse_model
 from .simulate import (
     Scenario,
     SignalSpec,
+    _csv_rows,
     read_trajectory_csv,
     sample_scenario,
     simulate_dt,
@@ -215,7 +214,7 @@ def _default_p(model):
 def _load_signal_table(path, col):
     rows = [
         r
-        for r in csv.reader(io.StringIO(_read_file(path, "signal table")))
+        for r in _csv_rows(_read_file(path, "signal table"), f"signal table {path!r}")
         if r and any(c.strip() for c in r)
     ]
     if rows:

@@ -133,9 +133,12 @@ def det_scale(A, ts: float):
     """Magnitude reference for the singularity threshold of I - A*Ts/2.
 
     ``A`` is one matrix (n, n) or a stack (m, n, n); the result is a scalar
-    or an (m,) array of ``max(1, max|A| * Ts/2)``.
+    or an (m,) array of ``max(1, max|A| * Ts/2)``.  max|A| is taken as
+    ``max(max A, -min A)``, equal bit for bit and without an |A| copy.
     """
-    return np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)) * (ts / 2.0))
+    axes = (-2, -1)
+    peak = np.maximum(np.max(A, axis=axes), -np.min(A, axis=axes))
+    return np.maximum(1.0, peak * (ts / 2.0))
 
 
 def singular_rows(det, A, ts: float):

@@ -251,6 +251,10 @@ def eval_pmatrix_many(f: PMatrixFunction, points: np.ndarray) -> np.ndarray:
     """Evaluate a matrix polynomial at every row of a stack of points.
 
     ``points`` has shape (m, n_p); the result has shape (m, rows, cols).
+    Each non-constant term is added as the outer product ``np.dot`` of its
+    factor column and its flattened coefficient: a K = 1 product, so every
+    entry is one exactly rounded product as in a broadcast multiply, without
+    the copies numpy's buffered broadcast makes.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -260,6 +264,7 @@ def eval_pmatrix_many(f: PMatrixFunction, points: np.ndarray) -> np.ndarray:
     if n_p is not None and points.shape[1] != n_p:
         raise DimensionError(f"points have width {points.shape[1]}, expected {n_p}")
     out = np.zeros((m, f.rows, f.cols))
+    flat = out.reshape(m, f.rows * f.cols)  # not -1: m may be 0
     for term in f.terms:
         factor = None
         for i, ei in enumerate(term.exponents):
@@ -269,7 +274,7 @@ def eval_pmatrix_many(f: PMatrixFunction, points: np.ndarray) -> np.ndarray:
         if factor is None:  # a constant term
             out += term.coeff
         else:
-            out += factor[:, None, None] * term.coeff
+            flat += np.dot(factor[:, None], term.coeff.reshape(1, -1))
     return out
 
 

@@ -30,7 +30,6 @@ reconstructed state hit x(0) exactly at k = 0.
 """
 
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -686,7 +685,20 @@ def write_trajectory_csv(traj: Trajectory, include_state=False) -> str:
         for b in blocks:
             row += b[k].tolist()
         lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the joined text
+    return "\n".join(lines)
+
+
+def _csv_rows(text, what):
+    """``list(csv.reader(io.StringIO(text)))`` without that buffer's copy of
+    the text, fed the same lines; a ``csv.Error`` is a DataError after ``what``."""
+    lines = text.split("\n")
+    last = lines.pop()
+    feed = itertools.chain((line + "\n" for line in lines), [last] if last else [])
+    try:
+        return list(csv.reader(feed))
+    except csv.Error as exc:
+        raise DataError(f"{what}: {exc}") from None
 
 
 def _columns(body, width, ts):
@@ -747,8 +759,7 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
     Cells are parsed and checked column by column; only a table with a
     fault is scanned row by row, to name its first bad row.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if "".join(r).strip()]
+    rows = [r for r in _csv_rows(text, "trajectory table") if "".join(r).strip()]
     if not rows:
         raise DataError("empty trajectory table")
     header = [h.strip() for h in rows[0]]

@@ -489,6 +489,22 @@ def test_frequency_csv_values_round_trip():
         assert cells[2] == fr.values[k, 0, 0].imag
 
 
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_frequency_csv_is_the_joined_lines_plus_a_newline(m):
+    rng = np.random.default_rng(m)
+    values = rng.standard_normal((m, 2, 3)) + 1j * rng.standard_normal((m, 2, 3))
+    values.flat[: min(m, 2)] = -0.0
+    fr = FrequencyResponse(omegas=np.arange(1, m + 1) / 3.0, values=values)
+    header = ["omega_rads"] + [
+        f"{part}Out{i}In{j}" for i in (1, 2) for j in (1, 2, 3) for part in ("re", "im")
+    ]
+    lines = [",".join(header)] + [
+        ",".join(map(repr, [w, *np.column_stack([v.real, v.imag]).ravel().tolist()]))
+        for w, v in zip(fr.omegas.tolist(), values.reshape(m, 6))
+    ]
+    assert frequency_response_csv(fr) == "\n".join(lines) + "\n"
+
+
 def test_response_over_the_stack_cap_is_refused_before_allocating():
     # s is one value seen through a zero stride, so nothing of size m exists
     s = np.broadcast_to(1j, (2**27,))

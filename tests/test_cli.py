@@ -176,6 +176,23 @@ def test_signal_table_rejects_a_non_finite_time(capsys, tmp_path, time):
     assert "non-finite time" in err
 
 
+@pytest.mark.parametrize("kind", ["traj", "signal"])
+def test_a_cell_over_the_csv_field_limit_is_one_error_line(capsys, tmp_path, kind):
+    # the csv module refuses a field over 131072 characters
+    table = tmp_path / "big.csv"
+    if kind == "traj":
+        table.write_text("k,t,p1,u1\n0,0.0,0.5," + "1" * 200_000 + "\n")
+        argv = ("--traj", str(table))
+        what = "trajectory table"
+    else:
+        table.write_text("t,v\n0," + "1" * 200_000 + "\n")
+        argv = ("--p", "1", "--u", f"csv:path={table}", "--steps", "3")
+        what = f"signal table {str(table)!r}"
+    code, out, err = run(capsys, "simulate", "--model", "msd", "--ts", "0.05", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"E_IO: {what}: field larger than field limit (131072)\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [
     ("simulate", "--ts", "0.05", "--t-end", "0.2"),

@@ -120,6 +120,24 @@ def test_det_scale_floor_and_growth():
     assert det_scale(np.array([[-8.0]]), 1.0) == 4.0
 
 
+def test_det_scale_is_max_abs_bit_for_bit():
+    def want(A, ts):  # the |A| form
+        return np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)) * (ts / 2.0))
+
+    rng = np.random.default_rng(21)
+    one = rng.uniform(-60.0, 40.0, (3, 3))
+    stack = rng.uniform(-50.0, 50.0, (40, 3, 3)) * rng.uniform(0.0, 1.0, (40, 1, 1))
+    stack[:5] = rng.choice([0.0, -0.0], (5, 3, 3))
+    stack[5:10].flat[::4] = -0.0
+    stack[10] = -stack[10] ** 2  # every entry <= 0
+    empty = np.zeros((0, 3, 3))
+    for A in (one, stack, empty):
+        for ts in (0.01, 0.1, 0.7):
+            got = det_scale(A, ts)
+            assert np.shape(got) == np.shape(want(A, ts))
+            assert np.asarray(got).tobytes() == np.asarray(want(A, ts)).tobytes()
+
+
 def test_sigma_step_integrator():
     sig = sigma_step(integrator_model(), [0.0], DiscretizationConfig(0.5))
     assert np.array_equal(sig.M11, [[1.0]])

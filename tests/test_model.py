@@ -85,6 +85,72 @@ def test_eval_zero_function_and_many():
     assert eval_pmatrix(h, pts[0]).tobytes() == want[0].tobytes()
 
 
+def _broadcast_eval(f, points):
+    """The broadcast form of ``eval_pmatrix_many``: the bit-level reference."""
+    out = np.zeros((points.shape[0], f.rows, f.cols))
+    for term in f.terms:
+        factor = None
+        for i, ei in enumerate(term.exponents):
+            if ei:
+                power = points[:, i] if ei == 1 else points[:, i] ** ei
+                factor = power if factor is None else factor * power
+        if factor is None:
+            out += term.coeff
+        else:
+            out += factor[:, None, None] * term.coeff
+    return out
+
+
+def _signed_zero_terms(rng, n_p, shape):
+    """The constant term, each channel at exponents 1..3 and two mixed
+    monomials, with random coefficients holding +0.0 and -0.0 entries."""
+    exps = {(0,) * n_p}
+    exps |= {tuple(e if j == i else 0 for j in range(n_p))
+             for i in range(n_p) for e in (1, 2, 3)}
+    exps |= {tuple(rng.integers(0, 4, n_p).tolist()) for _ in range(2)}
+    terms = []
+    for e in sorted(exps):
+        coeff = rng.standard_normal(shape)
+        coeff.flat[rng.integers(0, coeff.size)] = rng.choice([0.0, -0.0])
+        terms.append((e, coeff))
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("n_p", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 2), (4, 1)])
+def test_eval_many_is_the_broadcast_form_bit_for_bit(n_p, shape):
+    rng = np.random.default_rng([n_p, *shape])
+    f = PMatrixFunction(*shape, _signed_zero_terms(rng, n_p, shape))
+    only_constant = PMatrixFunction.constant(rng.standard_normal(shape), n_p)
+    no_terms = PMatrixFunction.zero(*shape)
+    for m in (0, 1, 2, 513, 8193):
+        pts = rng.uniform(-2.0, 2.0, (m, n_p))
+        pts[: m // 4] = rng.choice([0.0, -0.0, 1.5], (m // 4, n_p))
+        for g in (f, only_constant, no_terms):
+            got = eval_pmatrix_many(g, pts)
+            want = _broadcast_eval(g, pts)
+            assert got.shape == want.shape == (m, *shape)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_eval_many_allocates_little_beyond_its_result():
+    # a 4x4 affine A with two scheduling channels, as over an RK4 window
+    rng = np.random.default_rng(5)
+    f = PMatrixFunction.affine(rng.standard_normal((4, 4)), rng.standard_normal((2, 4, 4)))
+    pts = rng.uniform(-1.0, 1.0, (513, 2))
+    eval_pmatrix_many(f, pts)  # first-call allocations are not the call's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = eval_pmatrix_many(f, pts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a buffered broadcast multiply peaks at 4x the result, the outer
+    # products at about 2x
+    assert peak <= 2.2 * out.nbytes
+
+
 def test_eval_wrong_p_length():
     f = PMatrixFunction.constant([[1.0]], n_p=2)
     with pytest.raises(DimensionError):

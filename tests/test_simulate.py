@@ -1,6 +1,8 @@
 """Signal generation, the two discrete engines, the RK4 reference, and the
 trajectory CSV round trip."""
 
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -33,6 +35,7 @@ from lpvsim.errors import (
 from lpvsim.model import eval_pmatrix_many
 from lpvsim.simulate import (
     _RK4_WINDOW,
+    _csv_rows,
     _scan,
     Scenario,
     SignalSpec,
@@ -1041,6 +1044,57 @@ def test_write_trajectory_values_round_trip_through_repr():
         cells = line.split(",")
         got = np.array([float(c) for c in cells[2:]])
         assert np.array_equal(got, out.y[k])
+
+
+def test_write_trajectory_csv_is_the_joined_lines_plus_a_newline():
+    rng = np.random.default_rng(12)
+    model = random_lpv_model(rng, ts=0.25)
+    traj = Trajectory(
+        ts=0.25,
+        p=inbox_p_trajectory(rng, model, 6, 0.25),
+        u=rng.uniform(-1, 1, (6, model.n_u)),
+    )
+    out = simulate_dt(model, DiscretizationConfig(0.25), traj, np.zeros(model.n_x))
+    for include_state in (False, True):
+        blocks = [out.y, out.x, out.xi] if include_state else [out.y]
+        header = ["k", "t"] + [
+            f"{name}{i + 1}"
+            for name, b in zip(("y", "x", "xi"), blocks)
+            for i in range(b.shape[1])
+        ]
+        lines = [",".join(header)] + [
+            ",".join(map(repr, [k, t, *np.concatenate([b[k] for b in blocks]).tolist()]))
+            for k, t in enumerate(out.times().tolist())
+        ]
+        assert write_trajectory_csv(out, include_state) == "\n".join(lines) + "\n"
+
+
+#: texts whose rows csv.reader reads from io.StringIO in some special way
+_CSV_EDGE_TEXTS = [
+    "", "\n", "\x0c", " ", "\r\n", "\r",
+    "k,t\r\n0,0.0\r\n",              # CRLF
+    "k,t\r0,0.0\n",                  # a lone CR: a csv.Error
+    "k,t\n0,0.0\r",                  # a lone CR at the end
+    'k,"t\n1",u\n0,"a\r\nb"\r\n',    # quoted newlines
+    "k,t\n0,0.0",                    # no final newline
+    'k,"t\n', 'k,"t',                # an unterminated quote
+    "\n\n k \n\n",
+    "a,b\n\x0c\nc\u2028d,e\x1c\n",     # not line ends for io.StringIO
+    '"x""y",z\r\n',
+    "x," + "1" * 140_000 + "\n",      # over the field limit: a csv.Error
+]
+
+
+@pytest.mark.parametrize("text", _CSV_EDGE_TEXTS, ids=lambda text: repr(text[:12]))
+def test_csv_rows_are_the_rows_read_from_a_string_buffer(text):
+    try:
+        want = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        with pytest.raises(DataError) as got:
+            _csv_rows(text, "table")
+        assert str(got.value) == f"table: {exc}"
+    else:
+        assert _csv_rows(text, "table") == want
 
 
 def test_read_trajectory_csv_happy_path():
