@@ -25,6 +25,7 @@ from .errors import ConfigError, DimensionError, DomainError
 from .model import LpvStateSpace, check_in_box
 from .simulate import (
     Scenario,
+    _render_csv,
     sample_scenario,
     simulate_ct_reference,
     simulate_dt,
@@ -183,11 +184,7 @@ def frequency_response_csv(fr: FrequencyResponse) -> str:
             header.append(f"imOut{i + 1}In{j + 1}")
     # complex entries viewed as re, im float pairs: the header's column order
     parts = fr.values.reshape(m, n_y * n_u).view(float)
-    lines = [",".join(header)]
-    for w, row in zip(fr.omegas.tolist(), parts):
-        lines.append(",".join(map(repr, [w, *row.tolist()])))
-    lines.append("")  # the final newline, without a copy of the joined text
-    return "\n".join(lines)
+    return _render_csv(header, [fr.omegas, parts])
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .model import parse_model
 from .simulate import (
     Scenario,
     SignalSpec,
-    _csv_rows,
+    _table_rows,
     read_trajectory_csv,
     sample_scenario,
     simulate_dt,
@@ -212,11 +212,7 @@ def _default_p(model):
 
 
 def _load_signal_table(path, col):
-    rows = [
-        r
-        for r in _csv_rows(_read_file(path, "signal table"), f"signal table {path!r}")
-        if r and any(c.strip() for c in r)
-    ]
+    rows = _table_rows(_read_file(path, "signal table"), f"signal table {path!r}")
     if rows:
         try:
             float(rows[0][0])

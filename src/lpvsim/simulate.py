@@ -671,20 +671,29 @@ def write_trajectory_csv(traj: Trajectory, include_state=False) -> str:
     if traj.y is None:
         raise DataError("trajectory has no outputs to write")
     header = ["k", "t"]
-    blocks = [traj.y]
+    columns = [traj.times(), traj.y]
     header += [f"y{i + 1}" for i in range(traj.y.shape[1])]
     if include_state:
         if traj.x is None or traj.xi is None:
             raise DataError("state logging was not enabled for this run")
         header += [f"x{i + 1}" for i in range(traj.x.shape[1])]
         header += [f"xi{i + 1}" for i in range(traj.xi.shape[1])]
-        blocks += [traj.x, traj.xi]
+        columns += [traj.x, traj.xi]
+    return _render_csv(header, columns, numbered=True)
+
+
+def _render_csv(header, columns, numbered=False):
+    """CSV text of a header and float columns side by side, given as 1-D
+    and 2-D arrays of equal length: one line per row, every value the
+    shortest decimal that round-trips (``repr`` of a Python float), after
+    the row number k when ``numbered``.  Rows are rendered one at a time,
+    so no Python float of the whole table is held, and the stacked table is
+    gone before the lines are joined."""
+    table = np.column_stack(columns)
+    rows = (",".join(map(repr, row.tolist())) for row in table)
     lines = [",".join(header)]
-    for k, t in enumerate(traj.times().tolist()):
-        row = [k, t]
-        for b in blocks:
-            row += b[k].tolist()
-        lines.append(",".join(map(repr, row)))
+    lines += (f"{k},{line}" for k, line in enumerate(rows)) if numbered else rows
+    del table
     lines.append("")  # the final newline, without a copy of the joined text
     return "\n".join(lines)
 
@@ -701,28 +710,48 @@ def _csv_rows(text, what):
         raise DataError(f"{what}: {exc}") from None
 
 
-def _columns(body, width, ts):
-    """The t, p and u columns of a trajectory table, one per row of an
-    array, or None if any row is bad.
+def _table_rows(text, what):
+    """The rows of a CSV table as ``csv.reader`` reads them, blank rows left
+    out: a row is blank when all its cells are whitespace.
 
-    k is parsed with ``int`` and every other cell with ``float``, column by
-    column; the cell counts, k = 0, 1, 2, ... and |t - k ts| <= 1e-9 are
-    checked over whole columns.
+    Text with no ``"``, no CR and no line over the csv module's field limit
+    is read by ``csv.reader`` as each line split at commas, so it is split
+    that way; any other text goes through :func:`_csv_rows`.
+    """
+    limit = csv.field_size_limit()
+    if '"' in text or "\r" in text or (
+        len(text) > limit and max(map(len, text.split("\n"))) > limit
+    ):
+        rows = _csv_rows(text, what)
+    else:
+        rows = [line.split(",") for line in text.split("\n")]
+    return [r for r in rows if "".join(r).strip()]
+
+
+def _columns(body, width, ts):
+    """The t, p and u values of a trajectory table as an (n, width - 1)
+    array, one row per table row, or None if any row is bad.
+
+    The cell counts are checked over the rows; then the cells are taken in
+    one flat list, k parsed with ``int`` from every width-th cell and the
+    rest with ``float`` in one pass, and k = 0, 1, 2, ... and
+    |t - k ts| <= 1e-9 checked over whole columns.
     """
     if set(map(len, body)) != {width}:
         return None
-    cols = list(zip(*body))
     n = len(body)
+    cells = list(itertools.chain.from_iterable(body))
     try:
-        if list(map(int, cols[0])) != list(range(n)):
+        if list(map(int, cells[::width])) != list(range(n)):
             return None
+        del cells[::width]
         data = np.fromiter(
-            map(float, itertools.chain.from_iterable(cols[1:])),
-            dtype=float, count=n * (width - 1),
-        ).reshape(width - 1, n)
+            map(float, cells), dtype=float, count=n * (width - 1)
+        ).reshape(n, width - 1)
     except ValueError:
         return None
-    if np.any(np.abs(data[0] - np.arange(n) * ts) > 1e-9):
+    # written as not <=, so that a NaN t fails the check
+    if not np.all(np.abs(data[:, 0] - np.arange(n) * ts) <= 1e-9):
         return None
     return data
 
@@ -745,7 +774,7 @@ def _raise_first_row_fault(body, width, ts):
             raise DataError(f"row {j}: {exc}") from None
         if k != j:
             raise DataError(f"row {j} has k = {k}, expected {j}")
-        if abs(t - j * ts) > 1e-9:
+        if not abs(t - j * ts) <= 1e-9:
             raise DataError(
                 f"row {j} has t = {t}, expected k*ts = {j * ts} (ts = {ts})"
             )
@@ -754,12 +783,13 @@ def _raise_first_row_fault(body, width, ts):
 def read_trajectory_csv(text: str, ts: float) -> Trajectory:
     """Parse an input trajectory table ``k,t,p1..pN,u1..uM``.
 
-    The k column must count 0,1,2,... and every t must equal k*ts within
-    1e-9; both guard against feeding a table sampled at a different rate.
-    Cells are parsed and checked column by column; only a table with a
-    fault is scanned row by row, to name its first bad row.
+    The k column must count 0,1,2,... and every t must be finite and equal
+    k*ts within 1e-9; both guard against feeding a table sampled at a
+    different rate.  Cells are parsed in one flat pass and checked column by
+    column; only a table with a fault is scanned row by row, to name its
+    first bad row.
     """
-    rows = [r for r in _csv_rows(text, "trajectory table") if "".join(r).strip()]
+    rows = _table_rows(text, "trajectory table")
     if not rows:
         raise DataError("empty trajectory table")
     header = [h.strip() for h in rows[0]]
@@ -782,5 +812,5 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
     if data is None:
         _raise_first_row_fault(body, len(header), ts)
     return Trajectory(
-        ts=float(ts), p=data[1:1 + n_pc].T.copy(), u=data[1 + n_pc:].T.copy()
+        ts=float(ts), p=data[:, 1:1 + n_pc].copy(), u=data[:, 1 + n_pc:].copy()
     )

@@ -705,6 +705,28 @@ def test_simulate_rejects_nan_in_trajectory_table(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+def test_simulate_rejects_a_nan_time_in_trajectory_table(capsys, tmp_path):
+    table = tmp_path / "T.csv"
+    table.write_text("k,t,p1,u1\n0,0.0,1.0,2.0\n1,nan,1.0,2.0\n")
+    code, out, err = run(
+        capsys, "simulate", "--model", "integrator", "--ts", "0.1", "--traj", str(table),
+    )
+    assert (code, out) == (1, "")
+    assert err == "E_IO: row 1 has t = nan, expected k*ts = 0.1 (ts = 0.1)\n"
+
+
+@pytest.mark.parametrize("text", [
+    "t,v\n0,1\n1,3\n",
+    '"t","v"\r\n \r\n"0",1\r\n,\r\n1,"3"\r\n',  # quoted cells, CRLF, blank rows
+    "t,v\n\t\n0,1\n , \n1,3",
+])
+def test_signal_table_reads_quoted_cells_crlf_and_blank_rows(tmp_path, text):
+    table = tmp_path / "u.csv"
+    table.write_text(text, newline="")
+    got = generate_signal(parse_signal_text(f"csv:path={table},col=1"), [0.0, 0.5, 1.0])
+    assert list(got) == [1.0, 2.0, 3.0]
+
+
 @pytest.mark.parametrize(
     "extra, prefix",
     [

@@ -3,6 +3,7 @@ trajectory CSV round trip."""
 
 import csv
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -36,7 +37,9 @@ from lpvsim.model import eval_pmatrix_many
 from lpvsim.simulate import (
     _RK4_WINDOW,
     _csv_rows,
+    _render_csv,
     _scan,
+    _table_rows,
     Scenario,
     SignalSpec,
     Trajectory,
@@ -1183,3 +1186,195 @@ def test_read_write_pair_is_consistent():
     lines = write_trajectory_csv(out).strip().split("\n")
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "1", "2"]
     assert [ln.split(",")[1] for ln in lines[1:]] == ["0.0", "0.5", "1.0"]
+
+
+@pytest.mark.parametrize("t", ["nan", "-nan", "NaN"])
+def test_read_trajectory_csv_rejects_a_nan_t(t):
+    # |nan - k ts| > 1e-9 is false, so a NaN t once passed the time check
+    with pytest.raises(DataError) as exc:
+        read_trajectory_csv(_TABLE_HEAD + f"1,{t},1.0,2.0\n", ts=0.1)
+    assert str(exc.value) == "row 1 has t = nan, expected k*ts = 0.1 (ts = 0.1)"
+
+
+def read_trajectory_reference(text, ts):
+    """(p, u) of a trajectory table as read by ``csv.reader`` over an
+    ``io.StringIO`` of the text and parsed column by column, the way
+    read_trajectory_csv read it before its split and flat pass: the same
+    blank-row rule, header rule and checks, a NaN t rejected, and a fault
+    named by the same row-by-row scan and messages."""
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if "".join(r).strip()]
+    except csv.Error as exc:
+        raise DataError(f"trajectory table: {exc}") from None
+    if not rows:
+        raise DataError("empty trajectory table")
+    header = [h.strip() for h in rows[0]]
+    n_pc = sum(1 for h in header if h.startswith("p") and h[1:].isdigit())
+    n_uc = sum(1 for h in header if h.startswith("u") and h[1:].isdigit())
+    expected = (
+        ["k", "t"] + [f"p{i + 1}" for i in range(n_pc)] + [f"u{i + 1}" for i in range(n_uc)]
+    )
+    if n_pc == 0 or n_uc == 0 or header != expected:
+        raise DataError(
+            "trajectory header must be k,t,p1..pN,u1..uM in order, got " + ",".join(header)
+        )
+    body = rows[1:]
+    if not body:
+        raise DataError("trajectory table has a header but no rows")
+    width, n = len(header), len(body)
+    if set(map(len, body)) == {width}:
+        cols = list(zip(*body))
+        try:
+            if list(map(int, cols[0])) == list(range(n)):
+                data = np.array([[float(c) for c in col] for col in cols[1:]])
+                if np.all(np.abs(data[0] - np.arange(n) * ts) <= 1e-9):
+                    return data[1:1 + n_pc].T, data[1 + n_pc:].T
+        except ValueError:
+            pass
+    for j, row in enumerate(body):
+        if len(row) != width:
+            raise DataError(f"row {j} has {len(row)} cells, expected {width}")
+        try:
+            k = int(row[0])
+            t = float(row[1])
+            for cell in row[2:]:
+                float(cell)
+        except ValueError as exc:
+            raise DataError(f"row {j}: {exc}") from None
+        if k != j:
+            raise DataError(f"row {j} has k = {k}, expected {j}")
+        if not abs(t - j * ts) <= 1e-9:
+            raise DataError(f"row {j} has t = {t}, expected k*ts = {j * ts} (ts = {ts})")
+    raise AssertionError("the column checks failed on a table without a bad row")
+
+
+def _read_outcome(read, text, ts):
+    """The bits of p and u, or the DataError text."""
+    try:
+        p, u = read(text, ts)
+    except DataError as exc:
+        return str(exc)
+    return [(a.shape, np.ascontiguousarray(a).view(np.int64).tolist()) for a in (p, u)]
+
+
+def _read_trajectory(text, ts):
+    traj = read_trajectory_csv(text, ts)
+    return traj.p, traj.u
+
+
+#: a cell at the csv module's field limit (131072 characters) and one over it
+_LONG_CELLS = ["1" * 131_072, "2" * 131_073]
+_ODD_CELLS = [
+    "nan", "-nan", "inf", "-inf", "-0.0", "1_0", " 2.5", "2.5 ", "+3", "1e400",
+    "1.0", "", " ", "oops", "0x1", "1.0.0", "\t4", "\x0c", " ",
+]
+_BLANK_LINES = ["", " ", " , ", "\t", ",,", "\x0c", " ,\t, "]
+
+
+def _one_in(draw, n):
+    """True about one time in n; never when n is 0."""
+    return n > 0 and draw(st.integers(0, n - 1)) == 0
+
+
+@st.composite
+def trajectory_texts(draw):
+    """Trajectory tables near and across every rule of the reader: quoted
+    cells, CRLF and lone CR line ends, blank and whitespace rows, ragged
+    rows, odd numbers and bad k and t cells, and now and then a cell at or
+    over the csv field limit.  Each table draws how often it breaks a rule,
+    so that about half of them are valid."""
+    ts = draw(st.sampled_from([0.1, 0.25, 0.05]))
+    n_p, n_u = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    header = ["k", "t"] + [f"p{i + 1}" for i in range(n_p)] + [f"u{i + 1}" for i in range(n_u)]
+    if _one_in(draw, 10):
+        header = draw(st.permutations(header))
+    odd, ragged, blank, quoted = (draw(st.sampled_from(rates)) for rates in (
+        [0, 0, 60, 10], [0, 0, 0, 10], [0, 10, 3], [0, 10, 3],
+    ))
+    rows = [header]
+    for k in range(draw(st.integers(0, 6))):
+        row = [repr(k), repr(k * ts)] + [
+            repr(draw(st.floats(width=64))) for _ in range(n_p + n_u)
+        ]
+        for j in range(len(row)):
+            if _one_in(draw, odd):
+                row[j] = draw(st.sampled_from(_ODD_CELLS))
+        if _one_in(draw, 60):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_LONG_CELLS))
+        if _one_in(draw, ragged):
+            row = row[:-1] if draw(st.booleans()) else row + ["0.5"]
+        rows.append(row)
+    lines = []
+    for row in rows:
+        if _one_in(draw, blank):
+            lines.append(draw(st.sampled_from(_BLANK_LINES)))
+        cells = [
+            '"' + cell.replace('"', '""') + '"' if _one_in(draw, quoted) else cell
+            for cell in row
+        ]
+        lines.append(",".join(cells))
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r\n", "\r"]]))
+    ends = [draw(st.sampled_from(ends)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), ts
+
+
+def assert_reads_as_the_reference(text, ts):
+    try:
+        want_rows = [r for r in csv.reader(io.StringIO(text)) if "".join(r).strip()]
+    except csv.Error as exc:
+        with pytest.raises(DataError) as got:
+            _table_rows(text, "table")
+        assert str(got.value) == f"table: {exc}"
+    else:
+        assert _table_rows(text, "table") == want_rows
+    got = _read_outcome(_read_trajectory, text, ts)
+    assert got == _read_outcome(read_trajectory_reference, text, ts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectory_texts())
+def test_read_trajectory_csv_matches_the_csv_module_reference(table):
+    assert_reads_as_the_reference(*table)
+
+
+@pytest.mark.parametrize("text", _CSV_EDGE_TEXTS, ids=lambda text: repr(text[:12]))
+@pytest.mark.parametrize("head", ["", _TABLE_HEAD])
+def test_read_trajectory_csv_matches_the_reference_on_edge_texts(head, text):
+    assert_reads_as_the_reference(head + text, 0.1)
+
+
+def test_render_csv_writes_each_value_as_its_repr():
+    table = np.array([
+        [0.0, -0.0, np.nan, np.inf, -np.inf],
+        [2.0**53, 1e-300, 1e22, 0.1 + 0.2, 5e-324],
+    ])
+    header = ["a", "b", "c", "d", "e"]
+    for numbered in (False, True):
+        want = [",".join((["k"] if numbered else []) + header)] + [
+            ",".join([str(k)] * numbered + list(map(repr, row)))
+            for k, row in enumerate(table.tolist())
+        ]
+        got = _render_csv(
+            want[0].split(","), [table[:, 0], table[:, 1:2], table[:, 2:]], numbered
+        )
+        assert got == "\n".join(want) + "\n"
+
+
+def test_render_csv_frees_the_stacked_table_before_the_join():
+    # the peak is the lines and the joined text; the stacked copy of the
+    # columns (2000 x 9 floats, 141 KiB) must be gone by then
+    rng = np.random.default_rng(3)
+    omegas, parts = np.arange(1.0, 2001.0), rng.standard_normal((2000, 8))
+    header = ["w"] + [f"c{i}" for i in range(8)]
+    text = _render_csv(header, [omegas, parts])
+    lines = text.split("\n")
+    held = sum(map(sys.getsizeof, lines)) + sys.getsizeof(lines) + sys.getsizeof(text)
+    tracemalloc.start()
+    try:
+        _render_csv(header, [omegas, parts])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held + parts.nbytes / 2
