@@ -15,7 +15,6 @@ from lpvsim import (
     DiscretizationConfig,
     dt_step_matrices,
     load_fixture,
-    rinv_matrices,
     tustin_frozen,
 )
 
@@ -25,7 +24,8 @@ p = [2.0]
 
 # the r^-1 block is parameter independent: pure integrator structure
 print("r^-1 block [[I, 2I], [Ts/2 I, Ts/2 I]]:")
-print(rinv_matrices(model.n_x, cfg))
+eye, half = np.eye(model.n_x), (cfg.ts / 2.0) * np.eye(model.n_x)
+print(np.block([[eye, 2.0 * eye], [half, half]]))
 
 # the loop-free subsystem for one scheduling point
 m = dt_step_matrices(model, p, cfg)

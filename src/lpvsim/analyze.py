@@ -22,7 +22,7 @@ import numpy as np
 
 from .discretize import DiscretizationConfig, StepMatrices, _check_stack, dt_step_matrices
 from .errors import ConfigError, DimensionError, DomainError
-from .model import LpvStateSpace, check_in_box
+from .model import LpvStateSpace
 from .simulate import (
     Scenario,
     _render_csv,
@@ -136,7 +136,6 @@ def freqresp_ct(model: LpvStateSpace, p, omegas) -> FrequencyResponse:
         at some frequency (the first such one is named).
     """
     omegas = np.asarray(omegas, dtype=float)
-    check_in_box(model.domain, p)
     return _response(1j * omegas, omegas, *model.matrices_at(p))
 
 
@@ -322,12 +321,11 @@ def convergence_order(
 
 
 def render_convergence_report(study: ConvergenceStudy) -> str:
-    """Plain-text sweep table with a trailing machine-readable order line."""
-    lines = ["Ts,max_error,pairwise_order"]
-    for i, (ts, err) in enumerate(zip(study.ts_list, study.max_errors)):
-        order = "nan" if i == 0 else repr(float(study.pairwise_orders[i - 1]))
-        lines.append(f"{repr(float(ts))},{repr(float(err))},{order}")
+    """Plain-text sweep table, the first row's order ``nan``, with a
+    trailing machine-readable order line."""
+    orders = (math.nan,) + study.pairwise_orders
+    text = _render_csv(["Ts", "max_error", "pairwise_order"],
+                       [study.ts_list, study.max_errors, orders])
     if study.degenerate:
-        lines.append("degenerate=true")
-    lines.append(f"fitted_order={repr(float(study.fitted_order))}")
-    return "\n".join(lines) + "\n"
+        text += "degenerate=true\n"
+    return text + f"fitted_order={float(study.fitted_order)!r}\n"

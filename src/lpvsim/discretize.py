@@ -7,9 +7,9 @@ dependence into a fixed integrator block plus one frozen resolvent
     Phi(p) = (I - A(p) * Ts/2)^-1,
 
 which exists iff det(I - A(p) Ts/2) != 0.  Everything in this module is a
-pure function of its arguments.  The per-point functions check p with the
-model's one box guard, :func:`~lpvsim.model.check_in_box`, and evaluate
-A..D with :func:`~lpvsim.model.eval_pmatrix`, the one-row case of the
+pure function of its arguments.  The per-point functions take A..D from
+:meth:`~lpvsim.model.LpvStateSpace.matrices_at`, the one frozen-point guard:
+it checks p against the box, then evaluates with the one-row case of the
 batched evaluator the simulation engines use, so a frozen-p block and an
 engine step at the same p start from bit-identical matrices:
 
@@ -18,8 +18,6 @@ engine step at the same p start from bit-identical matrices:
 * :func:`singular_rows` -- the one singularity predicate on
   det(I - A(p) Ts/2), shared by :func:`phi`, both simulation engines and
   :func:`wellposedness_check`.
-* :func:`rinv_matrices` -- the parameter-independent trapezoidal integrator
-  block [[I, 2I], [Ts/2 I, Ts/2 I]] acting on (xi, r x).
 * :func:`sigma_step` -- the loop-free update blocks obtained by solving the
   instantaneous feedback through the integrator block in closed form (the
   B = I case of the builder below; ``perfbench/tracing.py`` wraps it by name):
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, WellposednessError
-from .model import LpvStateSpace, _frozen_array, check_in_box, eval_pmatrix, eval_pmatrix_many
+from .model import LpvStateSpace, _frozen_array, eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
     "DiscretizationConfig",
@@ -58,7 +56,6 @@ __all__ = [
     "sigma_step",
     "dt_step_matrices",
     "tustin_frozen",
-    "rinv_matrices",
     "wellposedness_check",
 ]
 
@@ -228,9 +225,8 @@ def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> SigmaReali
     WellposednessError
         Propagated from :func:`phi`.
     """
-    check_in_box(model.domain, p)
     eye = np.eye(model.n_x)
-    DA, M12, half = map(_frozen_array, _step_blocks(eval_pmatrix(model.A, p), eye, cfg))
+    DA, M12, half = map(_frozen_array, _step_blocks(model.matrices_at(p)[0], eye, cfg))
     return SigmaRealization(M11=_frozen_array(eye + DA), M12=M12, M21=half, M22=half)
 
 
@@ -240,7 +236,6 @@ def dt_step_matrices(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> Step
     The induced update is xi(k+1) = Axi xi + Bxi u, y = Cxi xi + Dxi u, and
     the physical state is reconstructed as x = Xxi xi + Xu u.
     """
-    check_in_box(model.domain, p)
     A_p, B_p, C_p, D_p = model.matrices_at(p)
     DA, Bxi, Xxi = _step_blocks(A_p, B_p, cfg)
     Xu = Xxi @ B_p
@@ -260,7 +255,6 @@ def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMat
     Ad = Phi (I + A Ts/2), Bd = Phi B Ts, Cd = C Phi,
     Dd = D + C Phi B Ts/2; the stored state is x itself (Xxi = I, Xu = 0).
     """
-    check_in_box(model.domain, p)
     A_p, B_p, C_p, D_p = model.matrices_at(p)
     Phi = phi(A_p, cfg)
     n = model.n_x
@@ -273,21 +267,6 @@ def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMat
         Xxi=_frozen_array(np.eye(n)),
         Xu=_frozen_array(np.zeros((n, model.n_u))),
     )
-
-
-def rinv_matrices(n_x: int, cfg: DiscretizationConfig) -> np.ndarray:
-    """Trapezoidal integrator block ``[[I, 2I], [Ts/2 I, Ts/2 I]]``.
-
-    Acts on the stacked vector (xi(k), r x(k)) and returns
-    (xi(k+1), x(k)); identity blocks have size ``n_x``.  No engine forms
-    it.  The loop oracle's top row (2/Ts) x - r x = xi is its second row
-    solved for xi, and its first row is the oracle's add.
-    """
-    if n_x < 1:
-        raise ConfigError(f"n_x must be >= 1, got {n_x}")
-    eye = np.eye(n_x)
-    half = (cfg.ts / 2.0) * eye
-    return np.block([[eye, 2.0 * eye], [half, half]])
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ Model files are JSON; see :func:`parse_model` for the format.
 """
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -314,7 +315,8 @@ class LpvStateSpace:
     n_x, n_u, n_y, n_p : int
         State, input, output, and scheduling dimensions (all >= 1).
     A, B, C, D : PMatrixFunction
-        Shapes n_x*n_x, n_x*n_u, n_y*n_x, n_y*n_u; every coefficient finite.
+        Shapes n_x*n_x, n_x*n_u, n_y*n_x, n_y*n_u; every coefficient finite,
+        and every entry within the float range anywhere on the box.
     domain : SchedulingDomain
     """
 
@@ -333,6 +335,13 @@ class LpvStateSpace:
                             ("n_y", self.n_y), ("n_p", self.n_p)):
             if int(value) < 1:
                 raise DimensionError(f"{name} must be >= 1, got {value}")
+        if self.domain.n_p != self.n_p:
+            raise DimensionError(
+                f"domain dimension {self.domain.n_p} != n_p {self.n_p}"
+            )
+        # every entry on the box is at most sum_terms prod_i max|p_i|**e_i *
+        # max|coeff|, formed as the evaluator forms its terms, powers first
+        reach = list(np.maximum(np.abs(self.domain.lower), np.abs(self.domain.upper)))
         for name, shape in _matrix_shapes(self.n_x, self.n_u, self.n_y).items():
             f = getattr(self, name)
             if (f.rows, f.cols) != shape:
@@ -344,19 +353,23 @@ class LpvStateSpace:
                     f"{name} terms use exponent vectors of length "
                     f"{f.exponent_length}, expected n_p={self.n_p}"
                 )
-            for t in f.terms:
-                if not np.all(np.isfinite(t.coeff)):
-                    raise ParseError(
-                        f"{name} term with exponents {list(t.exponents)} has a "
-                        "non-finite coefficient"
-                    )
-        if self.domain.n_p != self.n_p:
-            raise DimensionError(
-                f"domain dimension {self.domain.n_p} != n_p {self.n_p}"
-            )
+            bound = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t in f.terms:
+                    where = f"{name} term with exponents {list(t.exponents)}"
+                    peak = abs(t.coeff).max()
+                    if not math.isfinite(peak):
+                        raise ParseError(f"{where} has a non-finite coefficient")
+                    bound += math.prod(r**e for r, e in zip(reach, t.exponents)) * peak
+                    if not math.isfinite(bound):
+                        raise ParseError(
+                            f"{where} overflows the float range on the scheduling box"
+                        )
 
     def matrices_at(self, p):
-        """Frozen (A, B, C, D) evaluated at one scheduling point."""
+        """Frozen (A, B, C, D) at one scheduling point; the one frozen-point
+        guard, so a p off the box or not finite is a :class:`DomainError`."""
+        check_in_box(self.domain, p)
         return tuple(eval_pmatrix(getattr(self, k), p) for k in _MATRIX_KEYS)
 
     @property
@@ -369,6 +382,19 @@ class LpvStateSpace:
 _MATRIX_KEYS = ("A", "B", "C", "D")
 _REQUIRED_KEYS = ("nx", "nu", "ny", "np", "domain")
 _ALLOWED_KEYS = set(_REQUIRED_KEYS) | set(_MATRIX_KEYS)
+
+
+def _json_numbers(value, what):
+    """A JSON value as a float array; :class:`ParseError` after ``what`` unless
+    every cell is a JSON number (numpy also converts strings, bools and null)."""
+    try:
+        out = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} not numeric: {exc}") from None
+    for cell in np.array(value, dtype=object).flat:
+        if type(cell) not in (int, float):
+            raise ParseError(f"{what} not numeric: {json.dumps(cell)} is not a JSON number")
+    return out
 
 
 def _parse_terms(raw, name, rows, cols, n_p):
@@ -387,10 +413,7 @@ def _parse_terms(raw, name, rows, cols, n_p):
             raise ParseError(
                 f'"{name}" term {i} needs {n_p} non-negative integer exponents'
             )
-        try:
-            coeff = np.array(entry["coeff"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f'"{name}" term {i} coefficient is not numeric: {exc}') from None
+        coeff = _json_numbers(entry["coeff"], f'"{name}" term {i} coefficient is')
         if coeff.ndim != 2 or coeff.shape != (rows, cols):
             raise DimensionError(
                 f'"{name}" term {i} coefficient has shape {coeff.shape}, '
@@ -415,8 +438,9 @@ def parse_model(text: str) -> LpvStateSpace:
     ------
     ParseError
         Syntax errors (with line/column), missing or unknown keys,
-        malformed terms, a non-finite coefficient (``NaN``, ``Infinity``
-        or an overflowing literal).
+        malformed terms, a string, boolean or null where a number belongs,
+        a non-finite coefficient (``NaN``, ``Infinity`` or an overflowing
+        literal), or a matrix that can overflow on the box.
     DimensionError
         Coefficient shapes inconsistent with the declared dimensions.
     DomainError
@@ -443,11 +467,8 @@ def parse_model(text: str) -> LpvStateSpace:
     dom = data["domain"]
     if not isinstance(dom, dict) or set(dom) != {"lower", "upper"}:
         raise ParseError('"domain" must be an object with keys "lower" and "upper"')
-    try:
-        lower = np.array(dom["lower"], dtype=float)
-        upper = np.array(dom["upper"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f'"domain" bounds are not numeric: {exc}') from None
+    lower = _json_numbers(dom["lower"], '"domain" bounds are')
+    upper = _json_numbers(dom["upper"], '"domain" bounds are')
     if lower.ndim != 1 or lower.shape != upper.shape or lower.size != dims["np"]:
         raise DimensionError(
             f'"domain" bounds must be vectors of length np={dims["np"]}'

@@ -45,7 +45,7 @@ from .errors import (
     NonFiniteError,
     WellposednessError,
 )
-from .model import _frozen_array, check_in_box, eval_pmatrix, eval_pmatrix_many
+from .model import _frozen_array, check_in_box, eval_pmatrix_many
 
 __all__ = [
     "SignalSpec",
@@ -290,12 +290,12 @@ def _seed_xi(A0, Bu0, x0, ts):
 def sigma_initial_state(model, cfg, p0, u0, x0) -> np.ndarray:
     """Internal start state that reproduces x0 exactly at the first sample.
 
-    xi(0) = (2/Ts) x0 - A(p(0)) x0 - B(p(0)) u(0).
+    xi(0) = (2/Ts) x0 - A(p(0)) x0 - B(p(0)) u(0).  A and B come from the one
+    frozen-point guard, so a p(0) off the box is a :class:`DomainError`.
     """
     x0 = np.asarray(x0, dtype=float).reshape(model.n_x)
     u0 = np.asarray(u0, dtype=float).reshape(model.n_u)
-    A0 = eval_pmatrix(model.A, p0)
-    B0 = eval_pmatrix(model.B, p0)
+    A0, B0 = model.matrices_at(p0)[:2]
     return _seed_xi(A0, B0 @ u0, x0, cfg.ts)
 
 

@@ -19,6 +19,7 @@ from conftest import (
 )
 from lpvsim.analyze import (
     ComparisonMetrics,
+    ConvergenceStudy,
     FrequencyResponse,
     _response,
     compare_traj,
@@ -457,6 +458,40 @@ def test_convergence_report_degenerate_flag():
     text = render_convergence_report(study)
     assert "degenerate=true" in text
     assert "fitted_order=nan" in text
+
+
+def _reference_convergence_report(study):
+    """The report as a hand-written loop renders it, kept as the reference."""
+    lines = ["Ts,max_error,pairwise_order"]
+    for i, (ts, err) in enumerate(zip(study.ts_list, study.max_errors)):
+        order = "nan" if i == 0 else repr(float(study.pairwise_orders[i - 1]))
+        lines.append(f"{repr(float(ts))},{repr(float(err))},{order}")
+    if study.degenerate:
+        lines.append("degenerate=true")
+    lines.append(f"fitted_order={repr(float(study.fitted_order))}")
+    return "\n".join(lines) + "\n"
+
+
+_REPORT_FLOATS = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(3, 8), degenerate=st.booleans())
+def test_convergence_report_matches_the_reference_byte_for_byte(data, n, degenerate):
+    def column(size):
+        return tuple(data.draw(st.lists(_REPORT_FLOATS, min_size=size, max_size=size)))
+
+    study = ConvergenceStudy(
+        ts_list=column(n),
+        max_errors=column(n),
+        pairwise_orders=column(n - 1),
+        fitted_order=data.draw(_REPORT_FLOATS),
+        degenerate=degenerate,
+    )
+    assert render_convergence_report(study) == _reference_convergence_report(study)
 
 
 # --- CSV rendering -----------------------------------------------------------

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,36 @@ def test_a_request_over_the_stack_cap_is_one_parse_line(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("E_PARSE: ") and err.count("\n") == 1
     assert err.endswith(" bytes, the most one request may allocate\n")
+
+
+_RUN = ("--p", "40", "--u", "1", "--t-end", "0.4")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--ts", "0.1"),
+    ("discretize", "--ts", "0.1", "--p", "40"),
+    ("simulate", "--ts", "0.1", *_RUN),
+    ("loop-simulate", "--ts", "0.1", *_RUN),
+    ("freqresp", "--ts", "0.1", "--p", "40"),
+    ("compare", "--ts", "0.1", *_RUN),
+    ("converge", "--ts-list", "0.2,0.1,0.05", "--oversample", "2", *_RUN),
+], ids=lambda argv: argv[0])
+def test_a_model_that_overflows_on_its_box_is_one_parse_line(capsys, tmp_path, argv):
+    # A(p) = -p**1000 on [0, 40]: 40**1000 is far beyond the float range
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "nx": 1, "nu": 1, "ny": 1, "np": 1, "domain": {"lower": [0], "upper": [40]},
+        "A": [{"exponents": [1000], "coeff": [[-1.0]]}],
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv[0], "--model", str(path), *argv[1:])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (1, "")
+    assert err == (
+        "E_PARSE: A term with exponents [1000] overflows the float range on "
+        "the scheduling box\n"
+    )
 
 
 def test_a_points_per_decade_beyond_the_float_range_is_one_parse_line(capsys):

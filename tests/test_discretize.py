@@ -26,7 +26,6 @@ from lpvsim.discretize import (
     det_scale,
     dt_step_matrices,
     phi,
-    rinv_matrices,
     sigma_step,
     singular_rows,
     tustin_frozen,
@@ -292,24 +291,14 @@ def test_small_ts_limit_matches_forward_euler_to_second_order():
         assert gap <= 10.0 * np.max(np.abs(A)) ** 2 * ts**2
 
 
-def test_rinv_matrices_layout():
-    got = rinv_matrices(1, DiscretizationConfig(2.0))
-    assert np.array_equal(got, [[1.0, 2.0], [1.0, 1.0]])
-    got2 = rinv_matrices(2, DiscretizationConfig(0.5))
-    eye = np.eye(2)
-    assert np.array_equal(got2[:2, :2], eye)
-    assert np.array_equal(got2[:2, 2:], 2.0 * eye)
-    assert np.array_equal(got2[2:, :2], 0.25 * eye)
-    assert np.array_equal(got2[2:, 2:], 0.25 * eye)
-
-
 def test_sigma_blocks_reduce_to_integrator_block_for_zero_A():
     # With A(p) = 0 the loop-free blocks are exactly the trapezoidal
     # integrator block acting on (xi, B u).
     cfg = DiscretizationConfig(0.5)
     model = constant_model(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)))
     sig = sigma_step(model, [0.0], cfg)
-    R = rinv_matrices(2, cfg)
+    eye, half = np.eye(2), (cfg.ts / 2.0) * np.eye(2)
+    R = np.block([[eye, 2.0 * eye], [half, half]])
     assert np.array_equal(sig.M11, R[:2, :2])
     assert np.array_equal(sig.M12, R[:2, 2:])
     assert np.array_equal(sig.M21, R[2:, :2])

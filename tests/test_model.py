@@ -22,10 +22,11 @@ from lpvsim import (
     parse_model,
     serialize_model,
 )
+from lpvsim.analyze import freqresp_ct
 from lpvsim.cli import main
 from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, sigma_step, tustin_frozen
 from lpvsim.model import check_in_box
-from lpvsim.simulate import Scenario, SignalSpec
+from lpvsim.simulate import Scenario, SignalSpec, sigma_initial_state
 
 MINIMAL = json.dumps(
     {
@@ -458,3 +459,98 @@ def test_outputs_are_read_only_and_not_views_of_the_input(name):
         with pytest.raises(ValueError):
             a[...] = 0.0
         assert a.tobytes() == b.tobytes()
+
+
+# --- JSON numbers, reachable overflow and the frozen-point guard -------------
+
+
+# (key of MINIMAL to replace, its value, the ParseError message)
+@pytest.mark.parametrize("key, value, message", [
+    ("A", [{"exponents": [1], "coeff": [[True]]}],
+     '"A" term 0 coefficient is not numeric: true is not a JSON number'),
+    ("A", [{"exponents": [1], "coeff": [[" 2.5 "]]}],
+     '"A" term 0 coefficient is not numeric: " 2.5 " is not a JSON number'),
+    ("A", [{"exponents": [1], "coeff": [[None]]}],
+     '"A" term 0 coefficient is not numeric: null is not a JSON number'),
+    ("domain", {"lower": ["0"], "upper": [1.0]},
+     '"domain" bounds are not numeric: "0" is not a JSON number'),
+    ("domain", {"lower": [-1.0], "upper": [False]},
+     '"domain" bounds are not numeric: false is not a JSON number'),
+    ("A", [{"exponents": [1], "coeff": [[10**400]]}],
+     '"A" term 0 coefficient is not numeric: int too large to convert to float'),
+    ("domain", {"lower": [-(10**400)], "upper": [1.0]},
+     '"domain" bounds are not numeric: int too large to convert to float'),
+], ids=["true", "spaced-string", "null", "string-bound", "false-bound", "huge-int",
+        "huge-int-bound"])
+def test_parse_takes_only_json_numbers_as_numbers(capsys, tmp_path, key, value, message):
+    data = json.loads(MINIMAL)
+    data[key] = value
+    text = json.dumps(data)
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["check", "--model", str(path), "--ts", "0.1"]) == 1
+    assert capsys.readouterr() == ("", f"E_PARSE: {message}\n")
+
+
+def _power_model(exponent, upper, coeff=-1.0, name="A"):
+    """One-state model whose ``name`` matrix is ``coeff * p**exponent`` on
+    the box [0, upper]; the other matrices are 1 (D: 0)."""
+    one = PMatrixFunction.constant([[1.0]], 1)
+    funcs = dict(A=one, B=one, C=one, D=PMatrixFunction.zero(1, 1))
+    funcs[name] = PMatrixFunction(1, 1, (((exponent,), [[coeff]]),))
+    return LpvStateSpace(1, 1, 1, 1, domain=SchedulingDomain([0.0], [upper]), **funcs)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D"])
+def test_a_model_that_overflows_on_its_own_box_is_refused(name):
+    # 40**192 is about 4e307 and 40**193 overflows
+    with np.errstate(all="raise"):  # no numpy warning on the way
+        assert _power_model(192, 40.0, name=name).n_x == 1
+        assert _power_model(1000, 1.0, name=name).n_x == 1
+        for exponent, coeff in ((193, -1.0), (1000, -1.0), (192, 1e10)):
+            with pytest.raises(ParseError) as exc:
+                _power_model(exponent, 40.0, coeff=coeff, name=name)
+            assert str(exc.value) == (
+                f"{name} term with exponents [{exponent}] overflows the float "
+                "range on the scheduling box"
+            )
+
+
+def test_overflow_bound_adds_the_terms():
+    # each term stays below the float range on [0, 1], their sum at p = 1
+    # does not
+    one = PMatrixFunction.constant([[1.0]], 1)
+    with pytest.raises(ParseError, match="^A term with exponents \\[1\\] overflows"):
+        LpvStateSpace(1, 1, 1, 1,
+                      PMatrixFunction(1, 1, (((0,), [[1e308]]), ((1,), [[1e308]]))),
+                      one, one, one, SchedulingDomain([0.0], [1.0]))
+
+
+def _frozen_point_results():
+    """name -> the public frozen-point function of ``msd`` at p, Ts = 0.1."""
+    m, cfg = msd_model(), DiscretizationConfig(0.1)
+    return {
+        "matrices_at": lambda p: m.matrices_at(p),
+        "dt_step_matrices": lambda p: dt_step_matrices(m, p, cfg),
+        "tustin_frozen": lambda p: tustin_frozen(m, p, cfg),
+        "sigma_step": lambda p: sigma_step(m, p, cfg),
+        "freqresp_ct": lambda p: freqresp_ct(m, p, [1.0]),
+        "sigma_initial_state": lambda p: sigma_initial_state(m, cfg, p, [0.0], [1.0, 0.0]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_frozen_point_results()))
+@pytest.mark.parametrize("p, shown", [([100.0], "[100.0]"), ([np.nan], "[nan]"),
+                                      ([0.49], "[0.49]")])
+def test_every_frozen_point_result_guards_the_box(name, p, shown):
+    result = _frozen_point_results()[name]
+    with pytest.raises(DomainError) as exc:
+        result(p)
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == f"scheduling point {shown} outside the box"
+    result([4.0])  # the box is closed
+    with pytest.raises(DimensionError, match="expected width 1"):
+        result([1.0, 2.0])
