@@ -22,7 +22,7 @@ import numpy as np
 
 from .discretize import DiscretizationConfig, StepMatrices, _check_stack, dt_step_matrices
 from .errors import ConfigError, DimensionError, DomainError
-from .model import LpvStateSpace
+from .model import LpvStateSpace, _frozen_array
 from .simulate import (
     Scenario,
     _render_csv,
@@ -58,8 +58,8 @@ class FrequencyResponse:
     values: np.ndarray
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        omegas = _frozen_array(self.omegas)
+        values = _frozen_array(self.values, complex)
         if omegas.ndim != 1 or values.ndim != 3:
             raise DimensionError("omegas must be 1-D and values (m, n_y, n_u)")
         if values.shape[0] != omegas.size:
@@ -68,8 +68,6 @@ class FrequencyResponse:
             )
         if omegas.size and not (omegas[0] > 0.0 and np.all(np.diff(omegas) > 0.0)):
             raise ConfigError("frequency grid must be positive and strictly increasing")
-        omegas.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
 

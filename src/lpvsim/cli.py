@@ -11,8 +11,8 @@ Signals use a small inline grammar, e.g. ``--u "sine:amp=1,f=0.5"`` (see
 ``--help`` of the simulate command).  Every failure prints one line
 ``E_CODE: detail`` to stderr; exit status is 1 for usage, parse, and I/O
 problems and for requests too large to allocate, 2 for a well-posedness
-failure or a diverging run during an operation, and 3 when a check or
-threshold fails.
+failure or a result past the float range during an operation, and 3 when a
+check or threshold fails.
 """
 
 import argparse
@@ -220,11 +220,15 @@ def _load_signal_table(path, col):
             rows = rows[1:]  # header row
     if not rows:
         raise DataError(f"signal table {path!r} has no data rows")
+    for j, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise DataError(f"signal table {path!r}: row {j} has {len(row)} "
+                            f"cells, expected {len(rows[0])}")
     try:
         data = np.array([[float(c) for c in r] for r in rows])
     except ValueError as exc:
         raise DataError(f"signal table {path!r}: {exc}") from None
-    if data.ndim != 2 or col < 1 or col >= data.shape[1]:
+    if col < 1 or col >= data.shape[1]:
         raise DataError(
             f"signal table {path!r} has no value column {col} "
             f"(column 0 is time, values in 1..{data.shape[1] - 1})"
@@ -304,10 +308,8 @@ def _parse_x0(model, args):
     return _vector(args.x0, "--x0", model.n_x, lambda: np.zeros(model.n_x))
 
 
-def _scenario_from_args(model, args, ts, x0=None):
-    """Scenario from the signal specs; ``x0`` is the parsed --x0, or None to
-    parse it here, after the signals, so that a bad signal is reported first.
-    """
+def _scenario_from_args(model, args, ts, x0):
+    """Scenario from the signal specs and ``x0``, the parsed --x0."""
     if args.p:
         specs_p = tuple(parse_signal_text(s) for s in args.p)
         if len(specs_p) != model.n_p:
@@ -333,8 +335,6 @@ def _scenario_from_args(model, args, ts, x0=None):
         t_end = args.t_end
     else:
         raise ConfigError("give --t-end (or --steps) with signal specs")
-    if x0 is None:
-        x0 = _parse_x0(model, args)
     return Scenario(p=specs_p, u=specs_u, x0=x0, t_end=t_end)
 
 
@@ -350,9 +350,7 @@ def _input_trajectory(model, args, cfg):
     return sample_scenario(scen, cfg), scen.x0
 
 
-def cmd_check(args):
-    model = _load_model(args.model)
-    cfg = DiscretizationConfig(args.ts)
+def cmd_check(args, model, cfg):
     report = wellposedness_check(
         model, cfg, grid_per_dim=args.grid, random_samples=args.samples,
         seed=args.seed,
@@ -372,9 +370,7 @@ def cmd_check(args):
     return 0
 
 
-def cmd_discretize(args):
-    model = _load_model(args.model)
-    cfg = DiscretizationConfig(args.ts)
+def cmd_discretize(args, model, cfg):
     p = _vector(args.p, "--p", model.n_p, lambda: _default_p(model))
     a = dt_step_matrices(model, p, cfg)
     b = tustin_frozen(model, p, cfg)
@@ -392,21 +388,17 @@ def cmd_discretize(args):
     return 0
 
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, model, cfg):
     # the engine is looked up per call, not bound into the reused parser, so
     # a function rebound in this module (e.g. by a tracer) is the one called
     engine = simulate_dt if args.command == "simulate" else simulate_dt_loop_oracle
-    model = _load_model(args.model)
-    cfg = DiscretizationConfig(args.ts)
     traj, x0 = _input_trajectory(model, args, cfg)
     out = engine(model, cfg, traj, x0)
     _emit(write_trajectory_csv(out, include_state=args.emit_state), args.out)
     return 0
 
 
-def cmd_freqresp(args):
-    model = _load_model(args.model)
-    cfg = DiscretizationConfig(args.ts)
+def cmd_freqresp(args, model, cfg):
     p = _vector(args.p, "--p", model.n_p, lambda: _default_p(model))
     grid = log_frequency_grid(
         cfg, decades=args.decades, points_per_decade=args.points_per_decade
@@ -433,11 +425,9 @@ def cmd_freqresp(args):
     return 0
 
 
-def cmd_compare(args):
+def cmd_compare(args, model, cfg):
     if not args.tol >= 0.0:
         raise ConfigError(f"--tol must be a number >= 0, got {args.tol}")
-    model = _load_model(args.model)
-    cfg = DiscretizationConfig(args.ts)
     traj, x0 = _input_trajectory(model, args, cfg)
     a = simulate_dt(model, cfg, traj, x0)
     b = simulate_dt_loop_oracle(model, cfg, traj, x0)
@@ -455,10 +445,9 @@ def cmd_compare(args):
     return 0
 
 
-def cmd_converge(args):
-    model = _load_model(args.model)
+def cmd_converge(args, model, cfg):
     ts_list = _floats(args.ts_list, "--ts-list")
-    scen = _scenario_from_args(model, args, ts_list[-1])
+    scen = _scenario_from_args(model, args, ts_list[-1], _parse_x0(model, args))
     study = convergence_order(model, scen, ts_list, oversample=args.oversample)
     _emit(render_convergence_report(study), args.out)
     return 0
@@ -568,10 +557,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a result past the float range raises, where numpy would warn
+        with np.errstate(over="raise", invalid="raise"):
+            model = _load_model(args.model)
+            cfg = DiscretizationConfig(args.ts) if "ts" in args else None
+            return args.func(args, model, cfg)
     except LpvError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (WellposednessError, NonFiniteError)) else 1
+    except FloatingPointError as exc:
+        print(f"E_NONFINITE: a result left the float range: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"E_IO: {exc}", file=sys.stderr)
         return 1

@@ -74,7 +74,8 @@ class SchedulingDomain:
     Parameters
     ----------
     lower, upper : array_like, shape (n_p,)
-        Finite per-dimension bounds with ``lower[i] <= upper[i]``.
+        Finite per-dimension bounds with ``lower[i] <= upper[i]`` and a
+        finite width ``upper[i] - lower[i]``.
     """
 
     lower: np.ndarray
@@ -91,6 +92,9 @@ class SchedulingDomain:
             raise DomainError(f"domain bounds must be finite: {lower}, {upper}")
         if np.any(lower > upper):
             raise DomainError(f"domain has lower > upper: {lower} > {upper}")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(upper - lower)):
+                raise DomainError(f"domain width must be finite: {lower}, {upper}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -339,8 +343,9 @@ class LpvStateSpace:
             raise DimensionError(
                 f"domain dimension {self.domain.n_p} != n_p {self.n_p}"
             )
-        # every entry on the box is at most sum_terms prod_i max|p_i|**e_i *
-        # max|coeff|, formed as the evaluator forms its terms, powers first
+        # entry (r, c) on the box is at most sum_terms prod_i max|p_i|**e_i *
+        # |coeff[r, c]|, formed as the evaluator forms its terms, powers
+        # first; terms that cancel in one entry (1e308 - 1e308 p) are refused
         reach = list(np.maximum(np.abs(self.domain.lower), np.abs(self.domain.upper)))
         for name, shape in _matrix_shapes(self.n_x, self.n_u, self.n_y).items():
             f = getattr(self, name)
@@ -353,15 +358,15 @@ class LpvStateSpace:
                     f"{name} terms use exponent vectors of length "
                     f"{f.exponent_length}, expected n_p={self.n_p}"
                 )
-            bound = 0.0
+            bound = np.zeros(shape)
             with np.errstate(over="ignore", invalid="ignore"):
                 for t in f.terms:
                     where = f"{name} term with exponents {list(t.exponents)}"
-                    peak = abs(t.coeff).max()
-                    if not math.isfinite(peak):
+                    size = abs(t.coeff)
+                    if not math.isfinite(size.max()):
                         raise ParseError(f"{where} has a non-finite coefficient")
-                    bound += math.prod(r**e for r, e in zip(reach, t.exponents)) * peak
-                    if not math.isfinite(bound):
+                    bound += math.prod(r**e for r, e in zip(reach, t.exponents)) * size
+                    if not np.all(np.isfinite(bound)):
                         raise ParseError(
                             f"{where} overflows the float range on the scheduling box"
                         )

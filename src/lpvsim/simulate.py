@@ -30,6 +30,7 @@ reconstructed state hit x(0) exactly at k = 0.
 """
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -699,13 +700,10 @@ def _render_csv(header, columns, numbered=False):
 
 
 def _csv_rows(text, what):
-    """``list(csv.reader(io.StringIO(text)))`` without that buffer's copy of
-    the text, fed the same lines; a ``csv.Error`` is a DataError after ``what``."""
-    lines = text.split("\n")
-    last = lines.pop()
-    feed = itertools.chain((line + "\n" for line in lines), [last] if last else [])
+    """``list(csv.reader(io.StringIO(text)))``; a ``csv.Error`` is a
+    DataError after ``what``."""
     try:
-        return list(csv.reader(feed))
+        return list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise DataError(f"{what}: {exc}") from None
 

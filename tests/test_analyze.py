@@ -98,6 +98,19 @@ def test_frequency_response_container_validation():
         FrequencyResponse(omegas=[1.0], values=np.zeros((2, 1, 1)))
 
 
+def test_frequency_responses_leave_the_callers_arrays_writeable():
+    model, cfg = msd_model(), DiscretizationConfig(0.1)
+    grid = log_frequency_grid(cfg)
+    responses = [freqresp_ct(model, [1.0], grid),
+                 freqresp_dt(dt_step_matrices(model, [1.0], cfg), cfg, grid)]
+    omegas, values = np.array([1.0, 2.0]), np.zeros((2, 1, 1), dtype=complex)
+    responses.append(FrequencyResponse(omegas, values))
+    assert grid.flags.writeable and omegas.flags.writeable and values.flags.writeable
+    for fr in responses:
+        assert not fr.omegas.flags.writeable and not fr.values.flags.writeable
+    assert np.array_equal(responses[0].omegas, grid)
+
+
 # --- continuous-time responses ----------------------------------------------
 
 

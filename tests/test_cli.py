@@ -275,10 +275,10 @@ def test_a_utf8_byte_order_mark_is_ignored(capsys, tmp_path, kind):
 
 
 @pytest.mark.parametrize("command, message", [
-    # simulate and compare read --x0 before the signals, converge after them
+    # every scenario subcommand reads --x0 before the signals
     ("simulate", "E_PARSE: --x0 must be comma-separated numbers, got 'zz'\n"),
     ("compare", "E_PARSE: --x0 must be comma-separated numbers, got 'zz'\n"),
-    ("converge", "E_PARSE: signal option f='zz' is not a number\n"),
+    ("converge", "E_PARSE: --x0 must be comma-separated numbers, got 'zz'\n"),
 ])
 def test_bad_x0_and_bad_signal_report_the_same_fault_first(capsys, command, message):
     timing = ("--ts-list", "0.2,0.1,0.05") if command == "converge" else ("--ts", "0.1")
@@ -377,6 +377,43 @@ def test_a_model_that_overflows_on_its_box_is_one_parse_line(capsys, tmp_path, a
     )
 
 
+@pytest.mark.parametrize("samples", ["100", "0"])
+def test_a_box_wider_than_the_float_range_is_one_domain_line(capsys, tmp_path, samples):
+    # the random draws over [-1e308, 1e308] raised OverflowError, and the grid
+    # alone held NaN points that ended in a LinAlgError
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "nx": 1, "nu": 1, "ny": 1, "np": 1,
+        "domain": {"lower": [-1e308], "upper": [1e308]},
+        "A": [{"exponents": [1], "coeff": [[-1.0]]}],
+    }))
+    code, out, err = run(capsys, "check", "--model", str(path), "--ts", "0.1",
+                         "--samples", samples)
+    assert (code, out) == (1, "")
+    assert err == "E_DOMAIN: domain width must be finite: [-1.e+308], [1.e+308]\n"
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (("discretize", "--p", "1"), "overflow encountered in multiply"),
+    (("freqresp", "--p", "1"), "invalid value encountered in matmul"),
+])
+def test_a_result_past_the_float_range_is_one_nonfinite_line(capsys, tmp_path, argv, fault):
+    # B = 1e308 loads, but Bxi = 2 Phi B overflows; numpy warned, and the
+    # JSON held inf with exit 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "nx": 1, "nu": 1, "ny": 1, "np": 1, "domain": {"lower": [0], "upper": [1]},
+        "B": [{"exponents": [0], "coeff": [[1e308]]}],
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv[0], "--model", str(path), "--ts", "0.1",
+                             *argv[1:])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (2, "")
+    assert err == f"E_NONFINITE: a result left the float range: {fault}\n"
+
+
 def test_a_points_per_decade_beyond_the_float_range_is_one_parse_line(capsys):
     # decades * points_per_decade cannot be converted to a float; the count
     # is over the stack cap, so nothing is allocated
@@ -444,6 +481,21 @@ def test_bad_signal_arguments_are_one_error_line(capsys, tmp_path, argv, table, 
     )
     assert (code, out) == (1, "")
     assert err == message.format(table=path) + "\n"
+
+
+@pytest.mark.parametrize("table, fault", [
+    ("t,v\n0,1\n1\n2,3\n", "row 1 has 1 cells, expected 2"),
+    ("0,1,2\n1,1\n", "row 1 has 2 cells, expected 3"),
+    ("t,v\n0,1\n1,abc,2\n", "row 1 has 3 cells, expected 2"),
+])
+def test_a_ragged_signal_table_names_its_first_short_or_long_row(capsys, tmp_path,
+                                                                 table, fault):
+    # rows are counted among the data rows, from 0, as in a trajectory table
+    path = tmp_path / "u.csv"
+    path.write_text(table)
+    code, out, err = run(capsys, "simulate", "--model", "msd", "--ts", "0.1", "--p", "1",
+                         "--u", f"csv:path={path}", "--steps", "3")
+    assert (code, out, err) == (1, "", f"E_IO: signal table {str(path)!r}: {fault}\n")
 
 
 # --- check -------------------------------------------------------------------

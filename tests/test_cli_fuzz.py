@@ -7,15 +7,17 @@ is drawn present or absent, and then mostly good, so that many lists run to
 the end, or odd: ``nan``, ``inf``, ``1e300``, empty strings, malformed
 signal specs, missing files and bad counts.  Every count and duration is
 small, and a huge one is refused before anything is allocated, so no draw
-allocates much.
+allocates much.  Drawn model files, with bounds and coefficients at the edge
+of the float range, go through all seven subcommands under the same contract.
 """
 
 import contextlib
 import io
+import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpvsim.cli import main
@@ -121,3 +123,64 @@ def test_every_drawn_argument_list_keeps_the_error_contract(files, data):
         assert err.getvalue() == ""
     else:
         assert _LINE.match(err.getvalue()), err.getvalue()
+
+
+_BOUNDS = [0.0, 1.0, -1.0, 9e307, -9e307, 1e308, -1e308]
+_COEFFS = [0.0, 1.0, -1.0, 1e308, -1e308, 1e-308]
+
+
+@st.composite
+def _model(draw):
+    """A model file's JSON object: n_x, n_u, n_y and n_p of 1 or 2, a box from
+    ``_BOUNDS`` (one point when both ends are equal) and up to two terms of
+    each matrix, exponents 0 to 3 and cells from ``_COEFFS``."""
+    sizes = {key: draw(st.integers(1, 2)) for key in ("nx", "nu", "ny", "np")}
+    n_p = sizes["np"]
+    ends = [sorted(draw(st.lists(st.sampled_from(_BOUNDS), min_size=2, max_size=2)))
+            for _ in range(n_p)]
+    if draw(st.booleans()):
+        ends = [[lo, lo] for lo, _ in ends]
+    model = {**sizes, "domain": {"lower": [lo for lo, _ in ends],
+                                 "upper": [hi for _, hi in ends]}}
+    shapes = {"A": ("nx", "nx"), "B": ("nx", "nu"), "C": ("ny", "nx"), "D": ("ny", "nu")}
+    for name, (rows, cols) in shapes.items():
+        exponents = draw(st.lists(st.lists(st.integers(0, 3), min_size=n_p, max_size=n_p),
+                                  max_size=2, unique_by=tuple))
+        model[name] = [
+            {"exponents": e, "coeff": draw(st.lists(
+                st.lists(st.sampled_from(_COEFFS), min_size=sizes[cols],
+                         max_size=sizes[cols]),
+                min_size=sizes[rows], max_size=sizes[rows]))}
+            for e in exponents
+        ]
+    return model
+
+
+_WIDE_BOX = {"nx": 1, "nu": 1, "ny": 1, "np": 1,
+             "domain": {"lower": [-1e308], "upper": [1e308]},
+             "A": [{"exponents": [1], "coeff": [[-1.0]]}], "B": [], "C": [], "D": []}
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_model())
+@example(model=_WIDE_BOX)
+def test_every_drawn_model_file_keeps_the_error_contract(files, model):
+    path = f"{files['dir']}/model.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(model, fh)
+    p = ",".join(map(repr, model["domain"]["upper"]))
+    scenario = ["--u=1"] * model["nu"] + [f"--p={v!r}" for v in model["domain"]["upper"]]
+    scenario += ["--x0=" + ",".join(["1"] * model["nx"]), "--t-end=0.4"]
+    for argv in (["check", "--ts=0.1", "--grid=3", "--samples=5"],
+                 ["discretize", "--ts=0.1", f"--p={p}"],
+                 ["simulate", "--ts=0.1", *scenario],
+                 ["loop-simulate", "--ts=0.1", *scenario],
+                 ["freqresp", "--ts=0.1", f"--p={p}", "--decades=1",
+                  "--points-per-decade=3"],
+                 ["compare", "--ts=0.1", *scenario],
+                 ["converge", "--ts-list=0.2,0.1,0.05", "--oversample=2", *scenario]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([argv[0], f"--model={path}", *argv[1:]])
+        assert code in (0, 1, 2, 3)
+        assert _LINE.match(err.getvalue()) if code else err.getvalue() == "", err.getvalue()

@@ -529,6 +529,38 @@ def test_overflow_bound_adds_the_terms():
                       one, one, one, SchedulingDomain([0.0], [1.0]))
 
 
+def test_overflow_bound_is_per_entry(capsys, tmp_path):
+    # A = [[-1e308, 1e308 p], [0, -1]] on [0, 1]: the two large terms sit in
+    # different entries, so no entry leaves the float range
+    text = json.dumps({
+        "nx": 2, "nu": 1, "ny": 1, "np": 1, "domain": {"lower": [0], "upper": [1]},
+        "A": [{"exponents": [0], "coeff": [[-1e308, 0], [0, -1]]},
+              {"exponents": [1], "coeff": [[0, 1e308], [0, 0]]}],
+        "B": [{"exponents": [0], "coeff": [[0], [1]]}],
+        "C": [{"exponents": [0], "coeff": [[1, 0]]}],
+    })
+    model = parse_model(text)
+    assert_array_equal(model.matrices_at([1.0])[0], [[-1e308, 1e308], [0.0, -1.0]])
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["discretize", "--model", str(path), "--ts", "0.1", "--p", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("lower, upper", [(-1e308, 1e308), (-9e307, 9e307),
+                                          (-1.7e308, 1e308)])
+def test_a_box_wider_than_the_float_range_is_refused(lower, upper):
+    with pytest.raises(DomainError) as exc:
+        SchedulingDomain([0.0, lower], [1.0, upper])
+    assert str(exc.value) == (
+        f"domain width must be finite: {np.array([0.0, lower])}, "
+        f"{np.array([1.0, upper])}"
+    )
+    # as wide as the float range allows, or a point at its edge, is a box
+    for lo, hi in ((0.0, 1e308), (-1e308, 0.0), (-8.9e307, 8.9e307), (1e308, 1e308)):
+        assert SchedulingDomain([lo], [hi]).n_p == 1
+
+
 def _frozen_point_results():
     """name -> the public frozen-point function of ``msd`` at p, Ts = 0.1."""
     m, cfg = msd_model(), DiscretizationConfig(0.1)

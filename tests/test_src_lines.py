@@ -43,3 +43,24 @@ def test_a_small_module_is_classified_line_by_line():
     assert src_lines.count(source) == {
         "code": 6, "docstring": 4, "comment": 1, "blank": 2,
     }
+
+
+def test_compare_pairs_the_counts_of_two_sources():
+    old = "import math\n\n# two\nx = 1\n"
+    new = '"""Doc."""\nimport math\nx = 1\ny = 2\n'
+    assert src_lines.compare(old, new) == {
+        "code": (2, 3), "docstring": (0, 1), "comment": (1, 0), "blank": (1, 0),
+        "lines": (4, 4),
+    }
+    # a module present on one side only is compared with the empty source
+    assert src_lines.compare("", new)["lines"] == (0, 4)
+    assert src_lines.compare(old, "")["code"] == (2, 0)
+
+
+def test_a_comparison_renders_each_pair_and_its_change():
+    pairs = {"code": (462, 451), "docstring": (39, 37), "comment": (9, 9),
+             "blank": (74, 74), "lines": (584, 571)}
+    assert src_lines.render_comparison("cli.py", pairs) == (
+        "cli.py: code 462 -> 451 (-11), docstring 39 -> 37 (-2), comment 9 -> 9 (+0), "
+        "blank 74 -> 74 (+0), lines 584 -> 571 (-13)"
+    )
