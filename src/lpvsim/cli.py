@@ -55,6 +55,7 @@ from .model import parse_model
 from .simulate import (
     Scenario,
     SignalSpec,
+    _sized,
     _table_rows,
     read_trajectory_csv,
     sample_scenario,
@@ -195,10 +196,7 @@ def _vector(text, what, n, default):
     """``text`` as exactly n comma-separated numbers; ``default()`` if None."""
     if text is None:
         return default()
-    vals = _floats(text, what)
-    if len(vals) != n:
-        raise DimensionError(f"{what} has {len(vals)} entries, model needs {n}")
-    return np.array(vals)
+    return _sized(_floats(text, what), n, what)
 
 
 def _default_p(model):
@@ -344,10 +342,8 @@ def _input_trajectory(model, args, cfg):
     if args.traj:
         if args.p or args.u:
             raise ConfigError("--traj replaces --p/--u signals; give one or the other")
-        traj = read_trajectory_csv(_read_file(args.traj, "trajectory table"), cfg.ts)
-        return traj, x0
-    scen = _scenario_from_args(model, args, cfg.ts, x0)
-    return sample_scenario(scen, cfg), scen.x0
+        return read_trajectory_csv(_read_file(args.traj, "trajectory table"), cfg.ts), x0
+    return sample_scenario(_scenario_from_args(model, args, cfg.ts, x0), cfg), x0
 
 
 def cmd_check(args, model, cfg):

@@ -103,7 +103,8 @@ class SchedulingDomain:
         return self.lower.size
 
     def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
+        # lower + upper can overflow; __post_init__ refuses a non-finite width
+        return self.lower + 0.5 * (self.upper - self.lower)
 
     def vertices(self) -> np.ndarray:
         """All 2**n_p box corners, last dimension cycling fastest."""

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .discretize import DiscretizationConfig, _step_blocks, singular_rows
+from .discretize import DiscretizationConfig, _check_stack, _step_blocks, singular_rows
 from .errors import (
     ConfigError,
     DataError,
@@ -108,7 +108,9 @@ class SignalSpec:
                 raise ConfigError(
                     f"chirp needs 0 <= f0 <= f1, got f0={self.f0}, f1={self.f1}"
                 )
-        if self.kind == "csv_column" and self.table is not None:
+        if self.kind == "csv_column":
+            if self.table is None:
+                raise DataError(f"csv_column signal {self.path!r} has no loaded table")
             try:
                 tab = np.array(self.table, dtype=float)
             except (TypeError, ValueError) as exc:  # ragged rows, non-numbers
@@ -163,10 +165,6 @@ def generate_signal(spec: SignalSpec, t) -> np.ndarray:
             phase = 2.0 * np.pi * (spec.f0 * t + 0.5 * rate * t * t)
             return spec.offset + spec.amplitude * np.sin(phase)
         # csv_column, the one kind left: SignalSpec rejects any other
-        if spec.table is None:
-            raise DataError(
-                f"csv_column signal has no loaded table (path {spec.path!r})"
-            )
         tab = spec.table
         return spec.offset + spec.amplitude * np.interp(t, tab[:, 0], tab[:, 1])
 
@@ -184,7 +182,7 @@ class Scenario:
     p : tuple of SignalSpec, one per scheduling dimension
     u : tuple of SignalSpec, one per input channel
     x0 : initial physical state, shape (n_x,)
-    t_end : final time; sampling yields k = 0 .. floor(t_end/Ts)
+    t_end : final time, 0 < t_end < inf; sampling yields k = 0 .. floor(t_end/Ts)
     """
 
     p: tuple
@@ -196,10 +194,11 @@ class Scenario:
         object.__setattr__(self, "p", tuple(self.p))
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "x0", _frozen_array(np.ravel(self.x0)))
-        if not (float(self.t_end) > 0.0):
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if float(self.t_end) == math.inf:
-            raise ConfigError(f"t_end must be finite, got {self.t_end}")
+        if not (self.p and self.u):
+            raise ConfigError(f"a scenario needs p and u signals, got "
+                              f"{len(self.p)} and {len(self.u)}")
+        if not (0.0 < float(self.t_end) < math.inf):
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         object.__setattr__(self, "t_end", float(self.t_end))
 
     def p_at(self, t) -> np.ndarray:
@@ -214,8 +213,8 @@ class Scenario:
 class Trajectory:
     """Uniformly sampled signals of one run; every channel is (N, width).
 
-    ``x`` and ``xi`` may be None when state logging was not requested or the
-    data came from an input file without state columns.
+    An input trajectory read from a table has only ``p`` and ``u``; the RK4
+    reference has no ``xi``.
     """
 
     ts: float
@@ -255,11 +254,6 @@ class Trajectory:
         return got
 
 
-#: the fewest float64 samples that one array cannot hold: numpy sizes an
-#: array in bytes, as a signed pointer-width integer
-_SAMPLE_LIMIT = (np.iinfo(np.intp).max + 1) // 8
-
-
 def sample_scenario(scenario: Scenario, cfg: DiscretizationConfig) -> Trajectory:
     """Sample scenario waveforms on the uniform grid k*Ts up to t_end.
 
@@ -268,17 +262,12 @@ def sample_scenario(scenario: Scenario, cfg: DiscretizationConfig) -> Trajectory
     Raises
     ------
     ConfigError
-        If the grid has more samples than one float64 array can hold.
+        If the sampled grid takes more bytes than one request may allocate.
     """
     ratio = scenario.t_end / cfg.ts
     n_steps = np.floor(ratio + 1e-9 * max(1.0, ratio)) + 1.0
-    # np.arange would fail on such a count with a bare ValueError, or on
-    # inf with an OverflowError from int()
-    if not n_steps < _SAMPLE_LIMIT:
-        raise ConfigError(
-            f"t_end = {scenario.t_end} at ts = {cfg.ts} gives {n_steps:.6g} "
-            f"samples, more than one array can hold"
-        )
+    _check_stack(8 * n_steps, f"a grid of {n_steps:.6g} samples "
+                 f"(t_end = {scenario.t_end} at ts = {cfg.ts})")
     n_steps = int(n_steps)
     t = np.arange(n_steps) * cfg.ts
     return Trajectory(ts=cfg.ts, p=scenario.p_at(t), u=scenario.u_at(t))
@@ -292,12 +281,22 @@ def sigma_initial_state(model, cfg, p0, u0, x0) -> np.ndarray:
     """Internal start state that reproduces x0 exactly at the first sample.
 
     xi(0) = (2/Ts) x0 - A(p(0)) x0 - B(p(0)) u(0).  A and B come from the one
-    frozen-point guard, so a p(0) off the box is a :class:`DomainError`.
+    frozen-point guard, so a p(0) off the box is a :class:`DomainError`; an
+    x0 or u0 of another length is a :class:`DimensionError`.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(model.n_x)
-    u0 = np.asarray(u0, dtype=float).reshape(model.n_u)
+    x0 = _sized(x0, model.n_x, "x0")
+    u0 = _sized(u0, model.n_u, "u0")
     A0, B0 = model.matrices_at(p0)[:2]
     return _seed_xi(A0, B0 @ u0, x0, cfg.ts)
+
+
+def _sized(values, n, what):
+    """``values`` as n floats, else a :class:`DimensionError` naming ``what``."""
+    # a copy: a view would keep its temporary base alive for the run
+    values = np.asarray(values, dtype=float).flatten()
+    if values.size != n:
+        raise DimensionError(f"{what} has {values.size} entries, model needs {n}")
+    return values
 
 
 def _check_finite_u(u, where):
@@ -310,7 +309,8 @@ def _check_finite_u(u, where):
 
 
 def _check_run_inputs(model, cfg, traj, x0):
-    """Shared up-front guard of both engines; returns x0 as an (n_x,) array."""
+    """The one up-front guard of all three engines, on the sampled p and u,
+    ``ts`` and x0; returns x0 as an (n_x,) array."""
     if traj.p.shape[1] != model.n_p:
         raise DimensionError(
             f"scheduling width {traj.p.shape[1]} != n_p {model.n_p}"
@@ -324,7 +324,7 @@ def _check_run_inputs(model, cfg, traj, x0):
         )
     check_in_box(model.domain, traj.p, where=lambda k: f"step {k}")
     _check_finite_u(traj.u, where=lambda k: f"step {k}")
-    x0 = np.asarray(x0, dtype=float).reshape(model.n_x)
+    x0 = _sized(x0, model.n_x, "x0")
     if not np.all(np.isfinite(x0)):
         raise ConfigError(f"initial state {list(map(float, x0))} is not finite")
     return x0
@@ -335,7 +335,7 @@ def _matvecs(M, v):
     return np.einsum("kij,kj->ki", M, v)
 
 
-def _result(engine, model, cfg, traj, x, xi, record_state=True):
+def _result(engine, model, cfg, traj, x, xi):
     """The engines' one result step: y = C(p) x + D(p) u from the state
     log x, one finiteness guard, and the run's :class:`Trajectory`.
 
@@ -356,12 +356,10 @@ def _result(engine, model, cfg, traj, x, xi, record_state=True):
             f"(t = {k * cfg.ts!r}); the run diverges",
             step_index=k,
         )
-    if not record_state:
-        x = xi = None
     return Trajectory(ts=cfg.ts, p=p, u=u, y=y, x=x, xi=xi)
 
 
-def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
+def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     """Run the loop-free per-step matrices over a sampled trajectory.
 
     Everything that depends only on p(k) is computed for all samples at
@@ -378,13 +376,12 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
 
     Raises
     ------
-    DomainError
-        If any sampled p(k) leaves the scheduling box or is not finite
-        (checked up front, reporting the first offending step).
-    DataError
-        If any u(k) is not finite.
-    ConfigError
-        If x0 is not finite or ``traj.ts`` differs from ``cfg.ts``.
+    DimensionError, DomainError, DataError, ConfigError
+        From the input guard that all three engines share, before any work:
+        a p or u narrower or wider than the model's or an x0 of another
+        length; a p(k) outside the scheduling box or not finite, or a u(k)
+        not finite, naming the first such step; an x0 not finite or a
+        ``traj.ts`` other than ``cfg.ts``.
     WellposednessError
         If I - A(p(k)) Ts/2 is numerically singular; carries the index of
         the first such step.
@@ -410,7 +407,7 @@ def simulate_dt(model, cfg, traj, x0, record_state=True) -> Trajectory:
         xis[1:] = xis[0] + G @ np.append(xis[0], 1.0)
         del G
         x = _matvecs(Xxi, xis[:-1] + Bu)
-    return _result("simulate_dt", model, cfg, traj, x, xis[:-1], record_state)
+    return _result("simulate_dt", model, cfg, traj, x, xis[:-1])
 
 
 #: the LAPACK gesv gufunc that ``np.linalg.solve`` calls for one matrix and
@@ -451,7 +448,7 @@ def _solve_loop_steps(loops, rhs):
     return sol
 
 
-def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajectory:
+def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     """Independent engine: re-solve the integrator feedback loop each step.
 
     The trapezoidal integrator block holds xi = (2/Ts) x - r x and advances
@@ -472,7 +469,8 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     itself (see :func:`_solve_loop_steps`).  No per-point matrices (Phi or
     the step blocks) are shared with :func:`simulate_dt`; the two paths
     share only the model, the input and result guards, the xi(0) seed and
-    the singularity threshold.  It raises as :func:`simulate_dt` does.
+    the singularity threshold.  It raises as :func:`simulate_dt` does, from
+    the same input guard.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
     ts = cfg.ts
@@ -503,8 +501,7 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=True) -> Trajecto
     del A
     sol = _solve_loop_steps(loops, rhs)
     del loops
-    return _result("simulate_dt_loop_oracle", model, cfg, traj, sol[:, :n],
-                   rhs[:-1, :n], record_state)
+    return _result("simulate_dt_loop_oracle", model, cfg, traj, sol[:, :n], rhs[:-1, :n])
 
 
 #: fine substeps per window of the RK4 reference's scan.  Windows start at
@@ -609,10 +606,10 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     ------
     ConfigError
         If oversample is not an integer >= 1.
-    DomainError, DataError, ConfigError
-        As :func:`simulate_dt` for the sampled p, u and x0; DomainError and
-        DataError also when p(t) leaves the box or u(t) is not finite at an
-        RK4 stage time, naming the earliest such t.
+    DimensionError, DomainError, DataError, ConfigError
+        As :func:`simulate_dt`, from the same guard, for the sampled p, u and
+        x0; DomainError and DataError also when p(t) leaves the box or u(t)
+        is not finite at an RK4 stage time, naming the earliest such t.
     NonFiniteError
         If x or y is not finite at some sample, because the run diverges.
     """
@@ -623,11 +620,6 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     if not counts:
         raise ConfigError(f"oversample must be an integer >= 1, got {oversample}")
     oversample = int(oversample)
-    if len(scenario.p) != model.n_p or len(scenario.u) != model.n_u:
-        raise DimensionError(
-            f"scenario has {len(scenario.p)} p and {len(scenario.u)} u "
-            f"channels, model needs {model.n_p} and {model.n_u}"
-        )
     samp = sample_scenario(scenario, cfg)
     x0 = _check_run_inputs(model, cfg, samp, scenario.x0)
     n_keep = samp.n_steps
@@ -666,7 +658,8 @@ def write_trajectory_csv(traj: Trajectory, include_state=False) -> str:
     """Render a result trajectory as CSV text.
 
     Columns are ``k,t`` then y channels, and with ``include_state`` also the
-    x and xi channels when the trajectory recorded them.  Values are written
+    x and xi channels; a trajectory without one is a :class:`DataError`
+    that names it.  Values are written
     as the shortest decimal that round-trips (``repr`` of a Python float).
     """
     if traj.y is None:
@@ -675,11 +668,10 @@ def write_trajectory_csv(traj: Trajectory, include_state=False) -> str:
     columns = [traj.times(), traj.y]
     header += [f"y{i + 1}" for i in range(traj.y.shape[1])]
     if include_state:
-        if traj.x is None or traj.xi is None:
-            raise DataError("state logging was not enabled for this run")
-        header += [f"x{i + 1}" for i in range(traj.x.shape[1])]
-        header += [f"xi{i + 1}" for i in range(traj.xi.shape[1])]
-        columns += [traj.x, traj.xi]
+        x, xi = traj.channel("x"), traj.channel("xi")
+        header += [f"x{i + 1}" for i in range(x.shape[1])]
+        header += [f"xi{i + 1}" for i in range(xi.shape[1])]
+        columns += [x, xi]
     return _render_csv(header, columns, numbered=True)
 
 

@@ -78,8 +78,8 @@ def test_criterion_2_loop_removal_exactness():
         u = rng.uniform(-1.0, 1.0, (n_steps, model.n_u))
         x0 = rng.uniform(-1.0, 1.0, model.n_x)
         traj = Trajectory(ts=ts, p=p, u=u)
-        ya = simulate_dt(model, cfg, traj, x0, record_state=False).y
-        yb = simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=False).y
+        ya = simulate_dt(model, cfg, traj, x0).y
+        yb = simulate_dt_loop_oracle(model, cfg, traj, x0).y
         gap = np.max(np.abs(ya - yb)) / max(1.0, np.max(np.abs(ya)))
         worst = max(worst, float(gap))
     elapsed = time.perf_counter() - start

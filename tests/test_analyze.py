@@ -411,9 +411,7 @@ def test_convergence_reference_equals_per_ts_runs_bit_for_bit():
         cfg = DiscretizationConfig(ts)
         over = int(round(oversample * ts / ts_list[-1]))
         ct = simulate_ct_reference(model, cfg, scen, oversample=over)
-        dt = simulate_dt(
-            model, cfg, sample_scenario(scen, cfg), scen.x0, record_state=False
-        )
+        dt = simulate_dt(model, cfg, sample_scenario(scen, cfg), scen.x0)
         per_ts.append(float(np.max(np.abs(dt.y - ct.y))))
     assert study.max_errors == tuple(per_ts)
 

@@ -98,7 +98,7 @@ def _spec_fields(spec):
     ("step:", lambda T: SignalSpec.step()),
     ("sine:", lambda T: SignalSpec.sine()),
     ("chirp:", lambda T: SignalSpec.chirp()),
-    ("csv:path={T}", lambda T: SignalSpec.csv_column(T, 1)),
+    ("csv:path={T}", lambda T: SignalSpec.csv_column(T, 1, table=[[0.0, 0.0]])),
     ("step:amp=2,t0=0.5,offset=-1",
      lambda T: SignalSpec.step(amplitude=2.0, t0=0.5, offset=-1.0)),
     ("sine:amp=3,f=0.25,phase=1.5,offset=1",
@@ -106,7 +106,8 @@ def _spec_fields(spec):
     ("chirp:amp=2,f0=0.1,f1=3,t1=4,offset=-2",
      lambda T: SignalSpec.chirp(amplitude=2.0, f0=0.1, f1=3.0, t1=4.0, offset=-2.0)),
     ("csv:path={T},col=2,offset=0.5,amp=3",
-     lambda T: SignalSpec.csv_column(T, 2, offset=0.5, amplitude=3.0)),
+     lambda T: SignalSpec.csv_column(T, 2, offset=0.5, amplitude=3.0,
+                                     table=[[0.0, 0.0]])),
 ])
 def test_signal_grammar_matches_the_constructors_field_by_field(tmp_path, text, expected):
     table = tmp_path / "u.csv"
@@ -293,18 +294,19 @@ def test_bad_x0_and_bad_signal_report_the_same_fault_first(capsys, command, mess
 # never add a count that an array could hold
 @pytest.mark.parametrize("argv, message", [
     (("simulate", "--ts", "0.1", "--t-end", "1e300"),
-     "t_end = 1e+300 at ts = 0.1 gives 1e+301 samples"),
+     "a grid of 1e+301 samples (t_end = 1e+300 at ts = 0.1)"),
     (("simulate", "--ts", "1e-300", "--t-end", "1"),
-     "t_end = 1.0 at ts = 1e-300 gives 1e+300 samples"),
+     "a grid of 1e+300 samples (t_end = 1.0 at ts = 1e-300)"),
     (("converge", "--ts-list", "0.2,0.1,0.05", "--t-end", "1e300"),
-     "t_end = 1e+300 at ts = 0.05 gives 2e+301 samples"),
+     "a grid of 2e+301 samples (t_end = 1e+300 at ts = 0.05)"),
 ])
 def test_a_run_too_long_for_an_array_is_one_parse_line(capsys, argv, message):
     code, out, err = run(
         capsys, argv[0], "--model", "msd", *argv[1:], "--p", "1", "--u", "1",
     )
     assert (code, out) == (1, "")
-    assert err == f"E_PARSE: {message}, more than one array can hold\n"
+    assert err == (f"E_PARSE: {message} takes more than {2**30} bytes, the most "
+                   "one request may allocate\n")
 
 
 _SIM = ("simulate", "--model", "msd", "--ts", "0.1", "--t-end", "0.3", "--p", "2")
@@ -391,6 +393,26 @@ def test_a_box_wider_than_the_float_range_is_one_domain_line(capsys, tmp_path, s
                          "--samples", samples)
     assert (code, out) == (1, "")
     assert err == "E_DOMAIN: domain width must be finite: [-1.e+308], [1.e+308]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("discretize",), ("freqresp",), ("simulate", "--u", "1", "--steps", "3"),
+])
+def test_the_default_point_of_a_box_near_the_float_range_is_its_midpoint(
+    capsys, tmp_path, argv
+):
+    # lower + upper overflows on this box, though its midpoint is finite
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "nx": 1, "nu": 1, "ny": 1, "np": 1,
+        "domain": {"lower": [9e307], "upper": [9e307]},
+        "A": [{"exponents": [0], "coeff": [[-1.0]]}],
+    }))
+    code, out, err = run(capsys, argv[0], "--model", str(path), "--ts", "0.1",
+                         *argv[1:])
+    assert (code, err) == (0, "")
+    if argv[0] != "simulate":  # the JSON reports the point it used
+        assert json.loads(out)["p"] == [9e307]
 
 
 @pytest.mark.parametrize("argv, fault", [

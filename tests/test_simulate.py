@@ -3,12 +3,13 @@ trajectory CSV round trip."""
 
 import csv
 import io
+import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -24,12 +25,14 @@ from conftest import (
     scalar_gain_model,
 )
 from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain, simulate
+from lpvsim.analyze import convergence_order
 from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, phi, tustin_frozen
 from lpvsim.errors import (
     ConfigError,
     DataError,
     DimensionError,
     DomainError,
+    LpvError,
     NonFiniteError,
     WellposednessError,
 )
@@ -142,9 +145,8 @@ def test_csv_column_signal_rejects_a_table_without_time_value_rows(table):
 
 
 def test_csv_column_signal_requires_table():
-    spec = SignalSpec.csv_column("missing.csv", 0)
     with pytest.raises(DataError):
-        generate_signal(spec, [0.0])
+        SignalSpec.csv_column("missing.csv", 0)
 
 
 # --- scenarios and sampling ------------------------------------------------
@@ -153,6 +155,23 @@ def test_csv_column_signal_requires_table():
 def test_scenario_rejects_nonpositive_horizon():
     with pytest.raises(ConfigError):
         unit_scenario(t_end=0.0)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+def test_scenario_horizon_has_one_rule_and_one_message(t_end):
+    with pytest.raises(ConfigError) as exc:
+        unit_scenario(t_end=t_end)
+    assert str(exc.value) == f"t_end must be positive and finite, got {t_end}"
+
+
+@pytest.mark.parametrize("p, u", [((), (1.0,)), ((1.0,), ()), ((), ())])
+def test_scenario_needs_a_p_and_a_u_signal(p, u):
+    with pytest.raises(ConfigError) as exc:
+        Scenario(p=[SignalSpec.constant(v) for v in p],
+                 u=[SignalSpec.constant(v) for v in u], x0=[0.0], t_end=1.0)
+    assert str(exc.value) == (
+        f"a scenario needs p and u signals, got {len(p)} and {len(u)}"
+    )
 
 
 def test_sample_scenario_grid():
@@ -314,15 +333,6 @@ def test_matrix_cache_does_not_change_results():
     assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
 
 
-def test_record_state_off_drops_state_channels():
-    cfg = DiscretizationConfig(0.5)
-    traj = sample_scenario(unit_scenario(), cfg)
-    out = simulate_dt(integrator_model(), cfg, traj, [0.0], record_state=False)
-    assert out.x is None and out.xi is None
-    with pytest.raises(DataError):
-        out.channel("x")
-
-
 def test_engines_reject_out_of_box_schedule():
     cfg = DiscretizationConfig(0.5)
     traj = Trajectory(ts=0.5, p=np.array([[0.0], [2.0]]), u=np.ones((2, 1)))
@@ -467,12 +477,12 @@ _DIVERGING = [
 def test_a_diverging_run_raises_at_its_first_non_finite_step(engine, model, ts, n):
     cfg = DiscretizationConfig(ts)
 
-    def run(steps, record_state=True):
+    def run(steps):
         traj = Trajectory(ts=ts, p=np.zeros((steps, 1)), u=np.ones((steps, 1)))
-        return engine(model, cfg, traj, np.zeros(model.n_x), record_state)
+        return engine(model, cfg, traj, np.zeros(model.n_x))
 
     with pytest.raises(NonFiniteError) as exc:
-        run(n, record_state=False)
+        run(n)
     k = exc.value.step_index
     assert 0 < k < n
     assert exc.value.code == "E_NONFINITE" and f"step k={k} " in str(exc.value)
@@ -500,8 +510,8 @@ def test_engines_agree_property(seed, ts):
         u=rng.uniform(-1, 1, (n, model.n_u)),
     )
     x0 = rng.uniform(-1, 1, model.n_x)
-    ya = simulate_dt(model, cfg, traj, x0, record_state=False).y
-    yb = simulate_dt_loop_oracle(model, cfg, traj, x0, record_state=False).y
+    ya = simulate_dt(model, cfg, traj, x0).y
+    yb = simulate_dt_loop_oracle(model, cfg, traj, x0).y
     assert np.max(np.abs(ya - yb)) <= 1e-9 * max(1.0, float(np.max(np.abs(ya))))
 
 
@@ -606,7 +616,7 @@ def test_engines_accept_one_sample_and_unrecorded_state():
             out = engine(model, cfg, traj, x0)
             assert out.y.shape == (n, 1) and out.xi.shape == (n, 3)
             assert_allclose(out.x[0], x0, rtol=0, atol=1e-12)
-            assert np.array_equal(engine(model, cfg, traj, x0, record_state=False).y, out.y)
+            assert np.array_equal(engine(model, cfg, traj, x0).y, out.y)
 
 
 def test_loop_oracle_solves_once_per_step(monkeypatch):
@@ -930,6 +940,59 @@ def test_ct_reference_rejects_non_finite_u_and_x0():
         simulate_ct_reference(lag_model(), cfg, unit_scenario(x0=(np.inf,)))
 
 
+def test_every_engine_reports_a_wrong_width_or_length_alike():
+    model, cfg = msd_model(), DiscretizationConfig(0.1)
+    one = [SignalSpec.constant(1.0)]
+    wide = Scenario(p=one * 2, u=one, x0=[0.0, 0.0], t_end=0.3)
+    long_x0 = Scenario(p=one, u=one, x0=[0.0] * 3, t_end=0.3)
+    for scen, message in ((wide, "scheduling width 2 != n_p 1"),
+                          (long_x0, "x0 has 3 entries, model needs 2")):
+        traj = sample_scenario(scen, cfg)
+        runs = [lambda: simulate_ct_reference(model, cfg, scen, oversample=2)]
+        runs += [lambda e=e: e(model, cfg, traj, scen.x0)
+                 for e in (simulate_dt, simulate_dt_loop_oracle)]
+        for run in runs:
+            with pytest.raises(DimensionError) as exc:
+                run()
+            assert str(exc.value) == message
+    with pytest.raises(DimensionError, match="^u0 has 2 entries, model needs 1$"):
+        sigma_initial_state(model, cfg, [1.0], [0.0, 0.0], [0.0, 0.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_x0=st.integers(0, 4), n_u0=st.integers(0, 4),
+    n_p=st.integers(0, 3), n_u=st.integers(0, 3),
+)
+# both ended in numpy's ValueError before every run had one input guard: a
+# scenario without u channels ("need at least one array to concatenate")
+# and an x0 too long for msd ("cannot reshape array of size 3 into shape (2,)")
+@example(n_x0=2, n_u0=1, n_p=1, n_u=0)
+@example(n_x0=3, n_u0=1, n_p=1, n_u=1)
+def test_the_library_boundary_raises_only_lpv_errors(n_x0, n_u0, n_p, n_u):
+    model, cfg = msd_model(), DiscretizationConfig(0.1)
+    x0, u0 = np.zeros(n_x0), np.zeros(n_u0)
+    traj = Trajectory(ts=0.1, p=np.ones((4, n_p)), u=np.ones((4, n_u)))
+
+    def scenario():
+        return Scenario(p=[SignalSpec.constant(1.0)] * n_p,
+                        u=[SignalSpec.constant(1.0)] * n_u, x0=x0, t_end=0.3)
+
+    calls = [
+        lambda: sample_scenario(scenario(), cfg),
+        lambda: simulate_dt(model, cfg, traj, x0),
+        lambda: simulate_dt_loop_oracle(model, cfg, traj, x0),
+        lambda: simulate_ct_reference(model, cfg, scenario(), oversample=2),
+        lambda: sigma_initial_state(model, cfg, np.ones(n_p), u0, x0),
+        lambda: convergence_order(model, scenario(), [0.1, 0.05, 0.025], oversample=2),
+    ]
+    for call in calls:
+        try:
+            call()
+        except LpvError:
+            pass
+
+
 def test_ct_reference_raises_on_a_diverging_run():
     model, ts, _ = _DIVERGING[1]
     with pytest.raises(NonFiniteError) as exc:
@@ -1026,9 +1089,19 @@ def test_write_trajectory_csv_with_state_columns():
     out = simulate_dt(integrator_model(), cfg, traj, [0.0])
     text = write_trajectory_csv(out, include_state=True)
     assert text.startswith("k,t,y1,x1,xi1\n")
-    out2 = simulate_dt(integrator_model(), cfg, traj, [0.0], record_state=False)
+    out2 = simulate_ct_reference(integrator_model(), cfg, unit_scenario(), oversample=2)
     with pytest.raises(DataError):
         write_trajectory_csv(out2, include_state=True)
+
+
+def test_state_columns_name_the_channel_a_trajectory_lacks():
+    cfg = DiscretizationConfig(0.5)
+    ref = simulate_ct_reference(integrator_model(), cfg, unit_scenario(), oversample=2)
+    outputs_only = Trajectory(ts=0.5, p=ref.p, u=ref.u, y=ref.y)
+    for traj, name in ((outputs_only, "x"), (ref, "xi")):
+        with pytest.raises(DataError) as exc:
+            write_trajectory_csv(traj, include_state=True)
+        assert str(exc.value) == f"trajectory has no {name!r} channel"
 
 
 def test_write_trajectory_values_round_trip_through_repr():
