@@ -78,7 +78,8 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
     The top frequency is 0.9 * pi / Ts, safely below the w_max * Ts < pi
     requirement of :func:`freqresp_dt`.  The grid holds
     round(decades * points_per_decade) points, which must be at least one;
-    a one-point grid is the top frequency alone.
+    a one-point grid is the top frequency alone, and no point may underflow
+    or merge with its neighbour.
     """
     if decades <= 0 or not points_per_decade >= 1:
         raise ConfigError("grid needs decades > 0 and points_per_decade >= 1")
@@ -98,7 +99,11 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
         )
     if n == 1:
         return np.array([top])
-    return np.logspace(np.log10(top) - decades, np.log10(top), n)
+    grid = np.logspace(np.log10(top) - decades, np.log10(top), n)
+    if not (grid[0] > 0.0 and np.all(np.diff(grid) > 0.0)):
+        raise ConfigError(f"grid of {decades:g} decades below {top:.4g} rad/s "
+                          "leaves the float range")
+    return grid
 
 
 def _response(s, omegas, A, B, C, D) -> FrequencyResponse:

@@ -210,6 +210,7 @@ def _default_p(model):
 
 
 def _load_signal_table(path, col):
+    """Column 0 and ``col`` of a signal table file, as SignalSpec's texts."""
     rows = _table_rows(_read_file(path, "signal table"), f"signal table {path!r}")
     if rows:
         try:
@@ -222,22 +223,12 @@ def _load_signal_table(path, col):
         if len(row) != len(rows[0]):
             raise DataError(f"signal table {path!r}: row {j} has {len(row)} "
                             f"cells, expected {len(rows[0])}")
-    try:
-        data = np.array([[float(c) for c in r] for r in rows])
-    except ValueError as exc:
-        raise DataError(f"signal table {path!r}: {exc}") from None
-    if col < 1 or col >= data.shape[1]:
+    if col < 1 or col >= len(rows[0]):
         raise DataError(
             f"signal table {path!r} has no value column {col} "
-            f"(column 0 is time, values in 1..{data.shape[1] - 1})"
+            f"(column 0 is time, values in 1..{len(rows[0]) - 1})"
         )
-    bad = ~np.isfinite(data[:, col])
-    if bad.any():
-        raise DataError(
-            f"signal table {path!r} has a non-finite value in column {col} "
-            f"at t = {float(data[np.argmax(bad), 0])}"
-        )
-    return data[:, [0, col]]
+    return [(row[0], row[col]) for row in rows]
 
 
 def _signal_option(key, text, field_type):

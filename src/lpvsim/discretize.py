@@ -18,18 +18,14 @@ engine step at the same p start from bit-identical matrices:
 * :func:`singular_rows` -- the one singularity predicate on
   det(I - A(p) Ts/2), shared by :func:`phi`, both simulation engines and
   :func:`wellposedness_check`.
-* :func:`sigma_step` -- the loop-free update blocks obtained by solving the
-  instantaneous feedback through the integrator block in closed form (the
-  B = I case of the builder below; ``perfbench/tracing.py`` wraps it by name):
-
-      xi(k+1) = (I + Phi A Ts) xi(k) + 2 Phi ubar(k)
-      x(k)    = Phi Ts/2 xi(k) + Phi Ts/2 ubar(k),     ubar = B(p) u
-
-* :func:`dt_step_matrices` -- the blocks above composed with B, C, D into a
-  single-state-update form, from the one block builder that
-  :func:`~lpvsim.simulate.simulate_dt` calls on its stacks.
-* :func:`tustin_frozen` -- the classical Tustin state-space blocks at frozen
-  p; related to the former by the constant similarity xi = (2/Ts) x.
+* :func:`dt_step_matrices`, :func:`sigma_step` and :func:`tustin_frozen`
+  -- the three builders of the one result type, :class:`StepMatrices`:
+  the loop-free update obtained by solving the instantaneous feedback
+  through the integrator block in closed form, from the one block builder
+  that :func:`~lpvsim.simulate.simulate_dt` calls on its stacks; its
+  B = C = I, D = 0 case, the integrator block around Phi alone
+  (``perfbench/tracing.py`` wraps it by name); and the classical Tustin
+  blocks, related by the constant similarity xi = (2/Ts) x.
 * :func:`wellposedness_check` -- a deterministic sampled sweep of the
   determinant condition over the scheduling box (vertices + grid + seeded
   random draws).  Two samples whose determinants differ in sign refute the
@@ -48,7 +44,6 @@ from .model import LpvStateSpace, _frozen_array, eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
     "DiscretizationConfig",
-    "SigmaRealization",
     "StepMatrices",
     "WellposednessReport",
     "phi",
@@ -91,21 +86,6 @@ class DiscretizationConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SigmaRealization:
-    """Loop-free update blocks at one frozen scheduling point.
-
-    [xi(k+1); x(k)] = [[M11, M12], [M21, M22]] [xi(k); ubar(k)] with
-    ubar(k) = B(p(k)) u(k).  M21 and M22 are the same array (both equal
-    Phi * Ts/2, computed once).
-    """
-
-    M11: np.ndarray  # I + Phi A Ts
-    M12: np.ndarray  # 2 Phi
-    M21: np.ndarray  # Phi Ts/2
-    M22: np.ndarray  # Phi Ts/2 (same array as M21)
-
-
-@dataclass(frozen=True, eq=False)
 class StepMatrices:
     """One-step update, output, and state-reconstruction matrices.
 
@@ -113,9 +93,11 @@ class StepMatrices:
     y(k)    = Cxi xi(k) + Dxi u(k)
     x(k)    = Xxi xi(k) + Xu  u(k)
 
-    :func:`dt_step_matrices` stores xi; :func:`tustin_frozen` stores x
-    itself (Xxi = I, Xu = 0).  :func:`~lpvsim.simulate.simulate_dt` steps
-    the former's blocks for all samples at once; the loop oracle, none.
+    The one result type of the three frozen-point builders.
+    :func:`dt_step_matrices` stores xi; :func:`sigma_step` is its B = C = I,
+    D = 0 case, driven by ubar = B(p) u with y = x; :func:`tustin_frozen`
+    stores x itself (Xxi = I, Xu = 0).  :func:`~lpvsim.simulate.simulate_dt`
+    steps the first's blocks for all samples at once; the loop oracle, none.
     """
 
     Axi: np.ndarray
@@ -214,20 +196,28 @@ def _step_blocks(A, B, cfg: DiscretizationConfig, points=None):
     return DA, PhiB, Phi
 
 
-def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> SigmaRealization:
-    """Loop-free update blocks of the discretization at scheduling point p:
-    the blocks of :func:`_step_blocks` with B = I.
+def _pack_step(A_p, B_p, C_p, D_p, cfg: DiscretizationConfig) -> StepMatrices:
+    """Read-only :class:`StepMatrices` of the frozen (A, B, C, D), from one
+    :func:`_step_blocks` call."""
+    DA, Bxi, Xxi = _step_blocks(A_p, B_p, cfg)
+    Xu = Xxi @ B_p
+    return StepMatrices(
+        Axi=_frozen_array(np.eye(A_p.shape[0]) + DA),
+        Bxi=_frozen_array(Bxi),
+        Cxi=_frozen_array(C_p @ Xxi),
+        Dxi=_frozen_array(C_p @ Xu + D_p),
+        Xxi=_frozen_array(Xxi),
+        Xu=_frozen_array(Xu),
+    )
 
-    Raises
-    ------
-    DomainError
-        If p lies outside the model's scheduling box.
-    WellposednessError
-        Propagated from :func:`phi`.
-    """
+
+def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMatrices:
+    """Loop-free update blocks at scheduling point p: :func:`dt_step_matrices`
+    with B = C = I and D = 0, so the input is ubar = B(p) u and the output is
+    x itself.  Raises as it does: DomainError for a p outside the box, and
+    WellposednessError from :func:`phi`."""
     eye = np.eye(model.n_x)
-    DA, M12, half = map(_frozen_array, _step_blocks(model.matrices_at(p)[0], eye, cfg))
-    return SigmaRealization(M11=_frozen_array(eye + DA), M12=M12, M21=half, M22=half)
+    return _pack_step(model.matrices_at(p)[0], eye, eye, 0.0 * eye, cfg)
 
 
 def dt_step_matrices(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMatrices:
@@ -236,17 +226,7 @@ def dt_step_matrices(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> Step
     The induced update is xi(k+1) = Axi xi + Bxi u, y = Cxi xi + Dxi u, and
     the physical state is reconstructed as x = Xxi xi + Xu u.
     """
-    A_p, B_p, C_p, D_p = model.matrices_at(p)
-    DA, Bxi, Xxi = _step_blocks(A_p, B_p, cfg)
-    Xu = Xxi @ B_p
-    return StepMatrices(
-        Axi=_frozen_array(np.eye(model.n_x) + DA),
-        Bxi=_frozen_array(Bxi),
-        Cxi=_frozen_array(C_p @ Xxi),
-        Dxi=_frozen_array(C_p @ Xu + D_p),
-        Xxi=_frozen_array(Xxi),
-        Xu=_frozen_array(Xu),
-    )
+    return _pack_step(*model.matrices_at(p), cfg)
 
 
 def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMatrices:

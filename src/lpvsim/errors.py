@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all lpvsim modules.
 
 Every exception carries a short machine-greppable ``code`` (``E_PARSE``,
-``E_DIM``, ``E_WELLPOSED``, ``E_NONFINITE``, ``E_DOMAIN``, ``E_IO``,
-``E_THRESHOLD``) that the command-line front end prints on its single-line
-failure path.
+``E_DIM``, ``E_WELLPOSED``, ``E_NONFINITE``, ``E_DOMAIN``, ``E_IO``) that
+the command-line front end prints on its single-line failure path.  No
+exception carries ``E_THRESHOLD``: ``compare`` prints it itself when its
+metrics exceed the tolerance.
 """
 
 import numpy as np

@@ -76,8 +76,8 @@ class SignalSpec:
     t0 : step onset time; the step is 0 before t0 and on from t0 inclusive
     f0, f1, t1 : chirp sweeps linearly from f0 at t=0 to f1 at t=t1
     path, column, table : CSV source, 0-based value column and its loaded
-        (t, value) rows, stored stably sorted by t; linearly interpolated
-        between samples and held constant beyond the ends
+        (t, value) rows of finite numbers or their texts, stored stably
+        sorted by t; linearly interpolated, held constant beyond the ends
     """
 
     kind: str
@@ -122,7 +122,13 @@ class SignalSpec:
                 )
             if not np.all(np.isfinite(tab[:, 0])):
                 raise DataError(f"signal table {self.path!r} has a non-finite time")
-            object.__setattr__(self, "table", tab[np.argsort(tab[:, 0], kind="stable")])
+            tab = tab[np.argsort(tab[:, 0], kind="stable")]
+            bad = ~np.isfinite(tab[:, 1])
+            if bad.any():
+                t = float(tab[np.argmax(bad), 0])
+                raise DataError(f"signal table {self.path!r} has a non-finite value "
+                                f"in column {self.column} at t = {t}")
+            object.__setattr__(self, "table", tab)
 
     @classmethod
     def constant(cls, value):
@@ -262,11 +268,12 @@ def sample_scenario(scenario: Scenario, cfg: DiscretizationConfig) -> Trajectory
     Raises
     ------
     ConfigError
-        If the sampled grid takes more bytes than one request may allocate.
+        If the sampled t, p and u take more bytes than one request may allocate.
     """
     ratio = scenario.t_end / cfg.ts
     n_steps = np.floor(ratio + 1e-9 * max(1.0, ratio)) + 1.0
-    _check_stack(8 * n_steps, f"a grid of {n_steps:.6g} samples "
+    width = 1 + len(scenario.p) + len(scenario.u)
+    _check_stack(8 * n_steps * width, f"a grid of {n_steps:.6g} samples "
                  f"(t_end = {scenario.t_end} at ts = {cfg.ts})")
     n_steps = int(n_steps)
     t = np.arange(n_steps) * cfg.ts
@@ -308,9 +315,19 @@ def _check_finite_u(u, where):
         raise DataError(f"input {list(map(float, u[k]))} at {where(k)} is not finite")
 
 
+def _run_bytes(model):
+    """Bytes per sample that bound what either discrete engine holds at once:
+    3 (2 n_x + 1)^2 floats for the oracle's (2 n_x)^2 loop stack beside A(p),
+    or simulate_dt's blocks and scan, and 4 r c for each (r, c) B, C or D,
+    twice its stack and one term's product while evaluated.  Both engines
+    peak below half of it (tracemalloc, n_x 1 to 16, n_u and n_y 1 to 40)."""
+    n, m, q = model.n_x, model.n_u, model.n_y
+    return 8 * (3 * (2 * n + 1) ** 2 + 4 * (n * m + q * n + q * m))
+
+
 def _check_run_inputs(model, cfg, traj, x0):
     """The one up-front guard of all three engines, on the sampled p and u,
-    ``ts`` and x0; returns x0 as an (n_x,) array."""
+    ``ts``, x0 and the run's memory; returns x0 as an (n_x,) array."""
     if traj.p.shape[1] != model.n_p:
         raise DimensionError(
             f"scheduling width {traj.p.shape[1]} != n_p {model.n_p}"
@@ -322,6 +339,8 @@ def _check_run_inputs(model, cfg, traj, x0):
             f"trajectory sampled at ts = {traj.ts}, configuration has "
             f"ts = {cfg.ts}"
         )
+    _check_stack(traj.n_steps * _run_bytes(model),
+                 f"a run of {traj.n_steps} samples at n_x = {model.n_x}")
     check_in_box(model.domain, traj.p, where=lambda k: f"step {k}")
     _check_finite_u(traj.u, where=lambda k: f"step {k}")
     x0 = _sized(x0, model.n_x, "x0")
@@ -380,8 +399,8 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
         From the input guard that all three engines share, before any work:
         a p or u narrower or wider than the model's or an x0 of another
         length; a p(k) outside the scheduling box or not finite, or a u(k)
-        not finite, naming the first such step; an x0 not finite or a
-        ``traj.ts`` other than ``cfg.ts``.
+        not finite, naming the first such step; an x0 not finite, a
+        ``traj.ts`` other than ``cfg.ts`` or a run over the 1 GiB cap.
     WellposednessError
         If I - A(p(k)) Ts/2 is numerically singular; carries the index of
         the first such step.

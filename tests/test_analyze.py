@@ -36,6 +36,7 @@ from lpvsim.discretize import (
     DiscretizationConfig,
     StepMatrices,
     dt_step_matrices,
+    sigma_step,
     tustin_frozen,
 )
 from lpvsim.errors import ConfigError, DataError, DimensionError, DomainError
@@ -87,6 +88,17 @@ def test_one_point_log_grid_is_the_top_frequency():
     assert grid.size == 3
     assert np.array_equal(grid, np.logspace(np.log10(0.9 * np.pi / 0.1) - 1.5,
                                             np.log10(0.9 * np.pi / 0.1), 3))
+
+
+@pytest.mark.parametrize("decades, points_per_decade", [(330, 1), (400, 3), (322.5, 1000)])
+def test_log_grid_refuses_a_bottom_past_the_float_range(decades, points_per_decade):
+    # the bottom underflows to 0, or neighbouring subnormals merge
+    with pytest.raises(ConfigError) as exc:
+        log_frequency_grid(DiscretizationConfig(0.1), decades, points_per_decade)
+    assert str(exc.value) == (
+        f"grid of {decades:g} decades below 28.27 rad/s leaves the float range"
+    )
+    assert log_frequency_grid(DiscretizationConfig(0.1), 300, 1)[0] > 0.0
 
 
 def test_frequency_response_container_validation():
@@ -278,6 +290,22 @@ def test_warping_identity_property(seed, ts):
     grid = log_frequency_grid(cfg, decades=3, points_per_decade=10)
     peak = float(np.max(np.abs(freqresp_ct(model, p, grid).values)))
     assert warping_residual(model, p, cfg, grid) <= 1e-9 * max(1.0, peak)
+
+
+def test_sigma_realization_through_the_one_kernel_is_the_warped_resolvent():
+    # Sigma is the B = C = I, D = 0 case of the step matrices: from ubar to
+    # x, its response is (j Omega I - A(p))^-1 at the warped frequency
+    cfg = DiscretizationConfig(0.1)
+    grid = log_frequency_grid(cfg)
+    warped = (2.0 / cfg.ts) * np.tan(grid * cfg.ts / 2.0)
+    rng = np.random.default_rng(7)
+    affine = random_affine_model(rng, n_x_max=4)
+    for model, p in ((msd_model(), [1.5]), (affine, rng.uniform(-1.0, 1.0, affine.n_p))):
+        A = model.matrices_at(p)[0]
+        want = np.linalg.inv(1j * warped[:, None, None] * np.eye(model.n_x) - A)
+        got = freqresp_dt(sigma_step(model, p, cfg), cfg, grid).values
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-9 * scale
 
 
 def test_warping_euler_negative_control_fails_loudly():

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lpvsim import analyze, cli
+from lpvsim import analyze, cli, discretize
 from lpvsim.analyze import log_frequency_grid, warping_residual
 from lpvsim.cli import main, parse_signal_text
 from lpvsim.discretize import DiscretizationConfig
@@ -309,6 +309,17 @@ def test_a_run_too_long_for_an_array_is_one_parse_line(capsys, argv, message):
                    "one request may allocate\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "loop-simulate", "compare"])
+def test_a_run_over_the_engines_budget_is_one_parse_line(capsys, monkeypatch, command):
+    # msd at 10 001 samples: 240 kB of sample grid, 7.6 MB by the run budget
+    monkeypatch.setattr(discretize, "_STACK_LIMIT", 2**20)
+    code, out, err = run(capsys, command, "--model", "msd", "--ts", "0.01",
+                         "--t-end", "100", "--p", "2", "--u", "1")
+    assert (code, out) == (1, "")
+    assert err == ("E_PARSE: a run of 10001 samples at n_x = 2 takes more than "
+                   "1048576 bytes, the most one request may allocate\n")
+
+
 _SIM = ("simulate", "--model", "msd", "--ts", "0.1", "--t-end", "0.3", "--p", "2")
 
 
@@ -475,6 +486,30 @@ def test_x0_is_read_without_the_next_xi(capsys):
         "--t-end=1e-300",
     )
     assert (code, out, err) == (0, "k,t,y1\n0,0.0,0.0\n", "")
+
+
+def test_signal_table_reads_only_the_time_and_selected_columns(capsys, tmp_path):
+    # a cell that is no number outside them is not read, as a non-finite one
+    table = tmp_path / "u.csv"
+    table.write_text("t,a,b\n0,0,abc\n1,2,\n")
+    code, out, err = run(
+        capsys, "simulate", "--model", "lag1", "--ts", "0.1", "--steps", "3",
+        "--u", f"csv:path={table},col=1",
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("k,t,y1\n")
+
+
+def test_a_bad_signal_option_is_reported_before_a_bad_table_cell(capsys, tmp_path):
+    # the file is read where col= is parsed; its cells are judged with the spec
+    table = tmp_path / "u.csv"
+    table.write_text("t,v\n0,abc\n")
+    code, out, err = run(
+        capsys, "simulate", "--model", "lag1", "--ts", "0.1", "--steps", "3",
+        "--u", f"csv:path={table},col=1,offset=zz",
+    )
+    assert (code, out) == (1, "")
+    assert err == "E_PARSE: signal option offset='zz' is not a number\n"
 
 
 @pytest.mark.parametrize("argv, table, message", [
@@ -933,6 +968,22 @@ def test_freqresp_grid_rounding_to_no_points_is_one_line(capsys):
     )
     assert code == 1 and out == ""
     assert err.startswith("E_PARSE:") and err.count("\n") == 1
+
+
+def test_freqresp_grid_past_the_float_range_names_its_decades(capsys):
+    # the grid's bottom underflows to 0: the reason is the decades asked for,
+    # not the grid the user never gave
+    code, out, err = run(
+        capsys, "freqresp", "--model", "lag1", "--ts", "0.1",
+        "--decades", "330", "--points-per-decade", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err == "E_PARSE: grid of 330 decades below 28.27 rad/s leaves the float range\n"
+    code, out, err = run(
+        capsys, "freqresp", "--model", "lag1", "--ts", "0.1",
+        "--decades", "300", "--points-per-decade", "1",
+    )
+    assert (code, err) == (0, "")
 
 
 # --- compare --------------------------------------------------------------------

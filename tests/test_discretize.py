@@ -139,17 +139,17 @@ def test_det_scale_is_max_abs_bit_for_bit():
 
 def test_sigma_step_integrator():
     sig = sigma_step(integrator_model(), [0.0], DiscretizationConfig(0.5))
-    assert np.array_equal(sig.M11, [[1.0]])
-    assert np.array_equal(sig.M12, [[2.0]])
-    assert np.array_equal(sig.M21, [[0.25]])
-    assert sig.M21 is sig.M22
+    assert np.array_equal(sig.Axi, [[1.0]])
+    assert np.array_equal(sig.Bxi, [[2.0]])
+    assert np.array_equal(sig.Xxi, [[0.25]])
+    assert np.array_equal(sig.Xxi, sig.Xu)
 
 
 def test_sigma_step_scalar_lag():
     sig = sigma_step(lag_model(), [0.0], DiscretizationConfig(0.1))
-    assert_allclose(sig.M11, [[M11_LAG]], rtol=1e-12)
-    assert_allclose(sig.M12, [[M12_LAG]], rtol=1e-15)
-    assert_allclose(sig.M21, [[M21_LAG]], rtol=1e-15)
+    assert_allclose(sig.Axi, [[M11_LAG]], rtol=1e-12)
+    assert_allclose(sig.Bxi, [[M12_LAG]], rtol=1e-15)
+    assert_allclose(sig.Xxi, [[M21_LAG]], rtol=1e-15)
 
 
 def test_sigma_step_rejects_point_outside_box():
@@ -299,10 +299,10 @@ def test_sigma_blocks_reduce_to_integrator_block_for_zero_A():
     sig = sigma_step(model, [0.0], cfg)
     eye, half = np.eye(2), (cfg.ts / 2.0) * np.eye(2)
     R = np.block([[eye, 2.0 * eye], [half, half]])
-    assert np.array_equal(sig.M11, R[:2, :2])
-    assert np.array_equal(sig.M12, R[:2, 2:])
-    assert np.array_equal(sig.M21, R[2:, :2])
-    assert np.array_equal(sig.M22, R[2:, 2:])
+    assert np.array_equal(sig.Axi, R[:2, :2])
+    assert np.array_equal(sig.Bxi, R[:2, 2:])
+    assert np.array_equal(sig.Xxi, R[2:, :2])
+    assert np.array_equal(sig.Xu, R[2:, 2:])
 
 
 def test_wellposedness_clean_model_passes():

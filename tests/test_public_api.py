@@ -10,7 +10,7 @@ EXPORTED = """
     ComparisonMetrics ConvergenceStudy FrequencyResponse compare_traj
     convergence_order freqresp_ct freqresp_dt frequency_response_csv
     log_frequency_grid render_convergence_report warping_residual
-    DiscretizationConfig SigmaRealization StepMatrices WellposednessReport
+    DiscretizationConfig StepMatrices WellposednessReport
     dt_step_matrices phi sigma_step tustin_frozen
     wellposedness_check
     ConfigError DataError DimensionError DomainError LpvError NonFiniteError
@@ -27,7 +27,7 @@ MODULES = (analyze, discretize, errors, fixtures, model, simulate)
 
 
 def test_every_name_exported_before_still_resolves():
-    assert len(EXPORTED) == 50
+    assert len(EXPORTED) == 49
     missing = [n for n in EXPORTED + ["__version__"] if not hasattr(lpvsim, n)]
     assert missing == []
 

@@ -24,7 +24,7 @@ from conftest import (
     random_lpv_model,
     scalar_gain_model,
 )
-from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain, simulate
+from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain, discretize, simulate
 from lpvsim.analyze import convergence_order
 from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, phi, tustin_frozen
 from lpvsim.errors import (
@@ -41,6 +41,7 @@ from lpvsim.simulate import (
     _RK4_WINDOW,
     _csv_rows,
     _render_csv,
+    _run_bytes,
     _scan,
     _table_rows,
     Scenario,
@@ -144,6 +145,36 @@ def test_csv_column_signal_rejects_a_table_without_time_value_rows(table):
         SignalSpec.csv_column("mem.csv", 1, table=table)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_csv_column_signal_rejects_a_non_finite_value_when_built(value):
+    # np.interp used to drop the value at t = 0.02 between the samples at
+    # 0 and 0.05, and a run from the spec was finite
+    table = [[0.01 * k, 1.0] for k in range(11)]
+    table[2][1] = value
+    with pytest.raises(DataError) as exc:
+        SignalSpec.csv_column("u_nan.csv", 1, table=table)
+    assert str(exc.value) == (
+        "signal table 'u_nan.csv' has a non-finite value in column 1 at t = 0.02"
+    )
+
+
+def test_csv_column_signal_names_the_earliest_non_finite_value():
+    table = [[3.0, np.nan], [0.0, 0.0], [2.0, np.inf], [1.0, 1.0]]
+    with pytest.raises(DataError) as exc:
+        SignalSpec.csv_column("mem.csv", 4, table=table)
+    assert str(exc.value) == (
+        "signal table 'mem.csv' has a non-finite value in column 4 at t = 2.0"
+    )
+
+
+def test_csv_column_signal_converts_number_texts_as_float_does():
+    texts = SignalSpec.csv_column("mem.csv", 1, table=[(" 1", "2.5 "), ("0", "1_0")])
+    assert texts.table.tolist() == [[0.0, 10.0], [1.0, 2.5]]
+    with pytest.raises(DataError) as exc:
+        SignalSpec.csv_column("mem.csv", 1, table=[("0", "1"), ("1", "abc")])
+    assert str(exc.value) == "signal table 'mem.csv': could not convert string to float: 'abc'"
+
+
 def test_csv_column_signal_requires_table():
     with pytest.raises(DataError):
         SignalSpec.csv_column("missing.csv", 0)
@@ -197,6 +228,20 @@ def test_sample_scenario_keeps_end_sample_within_relative_tolerance():
     assert traj.n_steps == 20
     for ts, n in ((0.2, 11), (0.1, 21), (0.05, 41)):
         assert sample_scenario(unit_scenario(t_end=2.0), DiscretizationConfig(ts)).n_steps == n
+
+
+def test_the_sample_grid_counts_its_times_p_and_u(monkeypatch):
+    # 8 bytes for each of t, p and u per sample: 43 690 samples fit in 1 MiB,
+    # though 8 bytes of t alone would let 131 072 pass
+    monkeypatch.setattr(discretize, "_STACK_LIMIT", 2**20)
+    cfg = DiscretizationConfig(0.5)
+    assert sample_scenario(unit_scenario(t_end=21844.5), cfg).n_steps == 43690
+    with pytest.raises(ConfigError) as exc:
+        sample_scenario(unit_scenario(t_end=21845.0), cfg)
+    assert str(exc.value) == (
+        "a grid of 43691 samples (t_end = 21845.0 at ts = 0.5) takes more than "
+        "1048576 bytes, the most one request may allocate"
+    )
 
 
 def test_trajectory_rejects_mismatched_channel_lengths():
@@ -350,6 +395,61 @@ def test_engines_reject_width_mismatch():
     traj = Trajectory(ts=0.5, p=np.zeros((3, 1)), u=np.ones((3, 2)))
     with pytest.raises(DimensionError):
         simulate_dt_loop_oracle(integrator_model(), cfg, traj, [0.0])
+
+
+def test_every_engine_refuses_a_run_over_the_cap_before_any_work(monkeypatch):
+    # msd's run budget is 760 bytes per sample, so 1379 samples fit in 1 MiB
+    # and 10 001 do not, though their sample grid takes only 240 kB
+    monkeypatch.setattr(discretize, "_STACK_LIMIT", 2**20)
+    model, cfg = msd_model(), DiscretizationConfig(0.01)
+    assert _run_bytes(model) == 760
+    fits = Trajectory(ts=0.01, p=np.full((1379, 1), 2.0), u=np.ones((1379, 1)))
+    for engine in (simulate_dt, simulate_dt_loop_oracle):
+        assert engine(model, cfg, fits, [0.0, 0.0]).n_steps == 1379
+    message = ("a run of 10001 samples at n_x = 2 takes more than 1048576 bytes, "
+               "the most one request may allocate")
+    long = Trajectory(ts=0.01, p=np.full((10001, 1), 2.0), u=np.ones((10001, 1)))
+    for engine in (simulate_dt, simulate_dt_loop_oracle):
+        with pytest.raises(ConfigError) as exc:
+            engine(model, cfg, long, [0.0, 0.0])
+        assert str(exc.value) == message
+    scen = Scenario(p=[SignalSpec.constant(2.0)], u=[SignalSpec.constant(1.0)],
+                    x0=[0.0, 0.0], t_end=100.0)
+    with pytest.raises(ConfigError) as exc:
+        simulate_ct_reference(model, cfg, scen)
+    assert str(exc.value) == message
+
+
+def _affine_io_model(rng, n_x, n_u, n_y):
+    """Affine in one channel in all four matrices, so each evaluation adds
+    one term's product, on the box [-1, 1]."""
+    def affine(rows, cols, const=0.0, scale=1.0):
+        return PMatrixFunction.affine(const + scale * rng.uniform(-1, 1, (rows, cols)),
+                                      [scale * rng.uniform(-1, 1, (rows, cols))])
+    return LpvStateSpace(
+        n_x=n_x, n_u=n_u, n_y=n_y, n_p=1,
+        A=affine(n_x, n_x, -np.eye(n_x), 0.2 / n_x),
+        B=affine(n_x, n_u), C=affine(n_y, n_x), D=affine(n_y, n_u),
+        domain=SchedulingDomain([-1.0], [1.0]),
+    )
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 4, 8, 16])
+def test_each_engine_peaks_under_its_run_budget(n_x):
+    rng = np.random.default_rng(n_x)
+    cfg, n = DiscretizationConfig(0.05), 1000
+    for n_u, n_y in ((1, 1), (1, 3), (3, 1), (3, 3)):
+        model = _affine_io_model(rng, n_x, n_u, n_y)
+        traj = Trajectory(ts=0.05, p=rng.uniform(-1, 1, (n, 1)),
+                          u=rng.uniform(-1, 1, (n, n_u)))
+        for engine in (simulate_dt, simulate_dt_loop_oracle):
+            tracemalloc.start()
+            try:
+                engine(model, cfg, traj, np.zeros(n_x))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= n * _run_bytes(model), (engine.__name__, n_u, n_y)
 
 
 def test_wellposedness_failure_reports_step():
@@ -1025,21 +1125,22 @@ def test_ct_reference_names_the_earliest_stage_time_outside_the_box():
 
 
 def test_ct_reference_rejects_a_non_finite_u_between_samples():
-    # np.interp keeps the samples at t = 0 and 0.05 finite around the NaN
-    # row, so only the check at the RK4 stage times can see it.  A library
-    # table skips the CLI loader, which rejects such a row on its own
+    # np.interp keeps the samples at t = 0 and 0.05 at 1e308 around the
+    # spike row, and the gain overflows only between them, so only the check
+    # at the RK4 stage times can see it.  A table with a non-finite value is
+    # refused when the spec is built, so the spike is finite
     cfg, oversample = DiscretizationConfig(0.05), 20
     table = np.column_stack([np.arange(11) * 0.01, np.ones(11)])
-    table[2, 1] = np.nan
-    spec = SignalSpec.csv_column("u_nan.csv", 1, table=table)
+    table[2, 1] = 10.0
+    spec = SignalSpec.csv_column("u_spike.csv", 1, amplitude=1e308, table=table)
     scen = Scenario(p=[SignalSpec.constant(0.0)], u=[spec], x0=[0.0], t_end=0.1)
     assert np.all(np.isfinite(sample_scenario(scen, cfg).u))
     grid = np.arange(2 * 2 * oversample + 1) * (0.5 * cfg.ts / oversample)
-    j = int(np.argmax(np.isnan(generate_signal(spec, grid))))
+    j = int(np.argmax(~np.isfinite(generate_signal(spec, grid))))
     assert 0.01 <= grid[j] < 0.02
     with pytest.raises(DataError) as exc:
         simulate_ct_reference(lag_model(), cfg, scen, oversample)
-    assert str(exc.value) == f"input [nan] at t = {float(grid[j])} is not finite"
+    assert str(exc.value) == f"input [inf] at t = {float(grid[j])} is not finite"
 
 
 def test_ct_reference_memory_is_bounded_by_the_window():
