@@ -211,7 +211,8 @@ def _default_p(model):
 
 def _load_signal_table(path, col):
     """Column 0 and ``col`` of a signal table file, as SignalSpec's texts."""
-    rows = _table_rows(_read_file(path, "signal table"), f"signal table {path!r}")
+    blocks = _table_rows(_read_file(path, "signal table"), f"signal table {path!r}")
+    rows = [row for block in blocks for row in block]
     if rows:
         try:
             float(rows[0][0])

@@ -133,7 +133,9 @@ def singular_rows(det, A, ts: float):
 def _resolvent_det(A, ts: float):
     """``M = I - A Ts/2`` and ``det(M)``, for one matrix A or a stack.  At a
     huge Ts det overflows to inf, which is far from singular: no warning."""
-    M = np.eye(A.shape[-1]) - A * (ts / 2.0)
+    # formed in place: one (N, n, n) stack, no temporary A Ts/2 beside it
+    M = A * (ts / 2.0)
+    np.subtract(np.eye(A.shape[-1]), M, out=M)
     with np.errstate(over="ignore"):
         return M, np.linalg.det(M)
 

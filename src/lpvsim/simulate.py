@@ -8,10 +8,10 @@ recurrence as a log-depth scan over its increment maps, each stored as one
 block [D | s], so the only Python loop left is over the scan's log2(N) levels.
 The loop oracle re-solves the implicit feedback loop around the trapezoidal
 integrator block at every step, written in xi itself: each step solves for x
-and the increment of xi and adds that increment.  Only its loop matrices are
-stacked, once, for one determinant check and the per-step solves; the solve
-stays per step.  Both realize the identical map, so their outputs agree to
-machine precision; keeping both is the point, since each checks the other.  A
+and the increment of xi and adds that increment.  Its loop matrices exist
+one fixed window of steps at a time, for the window's determinants and
+solves; one check of all the determinants follows the last step.  Both
+realize the identical map, so their outputs agree to machine precision; keeping both is the point, since each checks the other.  A
 fixed-step RK4 integrator provides the continuous-time reference.  The model
 is linear in x, so each RK4 substep is an increment map x+ = x + G_i [x; 1]
 with G_i = [D_i | s_i]; the reference builds those blocks batched from
@@ -317,8 +317,8 @@ def _check_finite_u(u, where):
 
 def _run_bytes(model):
     """Bytes per sample that bound what either discrete engine holds at once:
-    3 (2 n_x + 1)^2 floats for the oracle's (2 n_x)^2 loop stack beside A(p),
-    or simulate_dt's blocks and scan, and 4 r c for each (r, c) B, C or D,
+    3 (2 n_x + 1)^2 floats for simulate_dt's blocks and scan (the oracle's
+    loop matrices are windowed), and 4 r c for each (r, c) B, C or D,
     twice its stack and one term's product while evaluated.  Both engines
     peak below half of it (tracemalloc, n_x 1 to 16, n_u and n_y 1 to 40)."""
     n, m, q = model.n_x, model.n_u, model.n_y
@@ -429,18 +429,24 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     return _result("simulate_dt", model, cfg, traj, x, xis[:-1])
 
 
-#: the LAPACK gesv gufunc that ``np.linalg.solve`` calls for one matrix and
-#: one right-hand side; bound once, so the oracle's loop calls it directly
+#: the LAPACK gufuncs behind ``np.linalg.solve`` (one matrix, one right-hand
+#: side) and ``np.linalg.slogdet``; bound once, so the oracle calls them directly
 _solve1 = _umath_linalg.solve1
+_slogdet = _umath_linalg.slogdet
+
+#: steps per window of the loop oracle's loop matrices.  A window costs about
+#: 6 us of calls (one BLAS thread, 2-core x86-64 Xeon): on 320- to 20 000-step
+#: runs, windows of 64 took 1-5% longer than one whole-run stack at n_x <= 4
+#: and 8-15% less at n_x = 16; windows of 128 saved 1-2% more but raised a
+#: 320-step benchmark job's allocation peak at n_x = 4 from 190 to 219 KiB
+_ORACLE_WINDOW = 64
 
 
-def _solve_loop_steps(loops, rhs):
-    """Step the closed loop of the oracle through all its samples.
+def _solve_loop_steps(loops, rhs, sol):
+    """Step the closed loop of the oracle through one window of samples.
 
-    Step k solves ``loops[k] (x, w) = rhs[k]`` into row k of the returned
-    solutions and writes xi(k+1) = xi(k) + w into the top half of
-    ``rhs[k + 1]``.  A function of its own, so that the loop's row views
-    are gone once it returns and the caller can free the stack.
+    Step k solves ``loops[k] (x, w) = rhs[k]`` into ``sol[k]`` and writes
+    xi(k+1) = xi(k) + w into the top half of ``rhs[k + 1]``.
 
     Each solve is the gufunc that ``np.linalg.solve`` itself calls, with the
     same ``dd->d`` signature, so its bits are those of ``np.linalg.solve``.
@@ -448,23 +454,20 @@ def _solve_loop_steps(loops, rhs):
     solve: on an 8 x 8 loop matrix (numpy 2.4, one BLAS thread, 2-core
     x86-64 Xeon) ``np.linalg.solve`` took 5.7-7.9 us, of which 1.7-2.4 us
     was the gufunc and the rest its type checks and the ``np.errstate`` it
-    enters at every call.  The loop enters one errstate instead, with every
-    floating-point warning off: the caller's determinant check rejects a
-    singular loop matrix before the loop, so no step meets a zero pivot, and
-    a diverging run, which overflows to inf and then NaN, is reported by the
-    caller's finiteness check on the logs, not by a warning or a raise
-    midway.
+    enters at every call.  The caller enters one errstate for the whole
+    run instead, with every floating-point warning off: a singular loop
+    matrix, which gives NaN rows, is reported by the caller's determinant
+    check once every step is solved, and a diverging run, which overflows
+    to inf and then NaN, by the caller's finiteness check on the logs,
+    never by a warning or a raise midway.
     """
     n = loops.shape[1] // 2
-    sol = np.empty((len(loops), 2 * n))
     solve, add = _solve1, np.add
     # the rows of each array are views, zipped once, so a step indexes nothing
     steps = zip(loops, rhs, sol, rhs[:, :n], sol[:, n:], rhs[1:, :n])
-    with np.errstate(all="ignore"):
-        for loop_k, rhs_k, sol_k, xi_k, w_k, xi_next in steps:
-            solve(loop_k, rhs_k, out=sol_k, signature="dd->d")
-            add(xi_k, w_k, out=xi_next)
-    return sol
+    for loop_k, rhs_k, sol_k, xi_k, w_k, xi_next in steps:
+        solve(loop_k, rhs_k, out=sol_k, signature="dd->d")
+        add(xi_k, w_k, out=xi_next)
 
 
 def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
@@ -479,12 +482,14 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
 
     The top half of each right-hand side is xi itself, so a step is one
     solve into its solution row and one add of 2 r x into the next step's
-    top half.  A..D and B u are evaluated batched, and the loop matrices of
-    all steps are stacked once; the stack serves both one stacked
-    determinant check, det = Ts^-n det(I - A Ts/2) by block elimination,
-    and the per-step solves.  Each solve calls LAPACK's gesv gufunc
-    directly, the one ``np.linalg.solve`` wraps, with the same bits: the
-    wrapper's per-call checks and errstate cost about twice the solve
+    top half.  A..D and B u are evaluated batched.  The loop matrices live
+    in one buffer of ``_ORACLE_WINDOW`` steps whose constant blocks are
+    written once; per window, -A(p(k)) is written, the determinants,
+    det = Ts^-n det(I - A Ts/2) by block elimination, are logged and the
+    steps solved.  One check of all the determinants then names the first
+    singular step.  Each solve calls LAPACK's gesv
+    gufunc directly, the one ``np.linalg.solve`` wraps, with the same bits:
+    the wrapper's per-call checks and errstate cost about twice the solve
     itself (see :func:`_solve_loop_steps`).  No per-point matrices (Phi or
     the step blocks) are shared with :func:`simulate_dt`; the two paths
     share only the model, the input and result guards, the xi(0) seed and
@@ -492,23 +497,26 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     the same input guard.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
-    ts = cfg.ts
-    n = model.n_x
+    ts, n, n_steps = cfg.ts, model.n_x, traj.n_steps
     A = eval_pmatrix_many(model.A, traj.p)
-    # the rows (xi(k), B u(k)); the last row's top half takes xi(N), unused.
-    # B u and the seed come before the stack, which sets the allocation peak
-    rhs = np.empty((traj.n_steps + 1, 2 * n))
+    # the rows (xi(k), B u(k)); the last row's top half takes xi(N), unused
+    rhs = np.empty((n_steps + 1, 2 * n))
     rhs[:-1, n:] = Bu = _matvecs(eval_pmatrix_many(model.B, traj.p), traj.u)
     rhs[0, :n] = _seed_xi(A[0], Bu[0], x0, ts)
     del Bu
     eye = np.eye(n)
-    loops = np.empty((traj.n_steps, 2 * n, 2 * n))
+    loops = np.empty((min(_ORACLE_WINDOW, n_steps), 2 * n, 2 * n))
     loops[:] = np.block([[(2.0 / ts) * eye, -0.5 * eye], [0.0 * eye, 0.5 * eye]])
-    np.negative(A, out=loops[:, n:, :n])
-    # det(loop) = Ts^-n det(I - A Ts/2) by block elimination; taken through
-    # logarithms, since Ts^-n alone overflows for large n; an overflow to
-    # inf is far from singular, so it is no warning
-    sign, logdet = np.linalg.slogdet(loops)
+    sign, logdet, sol = np.empty(n_steps), np.empty(n_steps), np.empty((n_steps, 2 * n))
+    with np.errstate(all="ignore"):  # see _solve_loop_steps
+        for k0 in range(0, n_steps, len(loops)):
+            k1 = min(k0 + len(loops), n_steps)
+            window = loops[:k1 - k0]
+            np.negative(A[k0:k1], out=window[:, n:, :n])
+            _slogdet(window, out=(sign[k0:k1], logdet[k0:k1]), signature="d->dd")
+            _solve_loop_steps(window, rhs[k0:k1 + 1], sol[k0:k1])
+    # taken through logarithms, since Ts^-n alone overflows for large n; an
+    # overflow to inf is far from singular, so it is no warning
     with np.errstate(over="ignore"):
         bad = singular_rows(sign * np.exp(logdet + n * math.log(ts)), A, ts)
     if bad.any():
@@ -518,8 +526,6 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
             A_p=A[k], ts=ts, step_index=k, p=traj.p[k],
         )
     del A
-    sol = _solve_loop_steps(loops, rhs)
-    del loops
     return _result("simulate_dt_loop_oracle", model, cfg, traj, sol[:, :n], rhs[:-1, :n])
 
 
@@ -719,31 +725,50 @@ def _csv_rows(text, what):
         raise DataError(f"{what}: {exc}") from None
 
 
+#: characters per block that :func:`_table_rows` splits; its cells take about 9
+#: times its text.  The benchmark's 320-row tables read 4-11% slower than in one
+#: split in blocks of 8 KiB, and 1-7% in blocks of 16 KiB (2-core x86-64 Xeon)
+_READ_BLOCK = 16384
+
+
 def _table_rows(text, what):
     """The rows of a CSV table as ``csv.reader`` reads them, blank rows left
-    out: a row is blank when all its cells are whitespace.
+    out, yielded as one list per block: a row is blank when all its cells
+    are whitespace.
 
     Text with no ``"``, no CR and no line over the csv module's field limit
     is read by ``csv.reader`` as each line split at commas, so it is split
-    that way; any other text goes through :func:`_csv_rows`.
+    that way, in blocks of about ``_READ_BLOCK`` characters cut at line
+    ends.  Any other text goes through :func:`_csv_rows`, as one block.
     """
     limit = csv.field_size_limit()
-    if '"' in text or "\r" in text or (
-        len(text) > limit and max(map(len, text.split("\n"))) > limit
+    # a line over the limit holds a multiple of limit + 1, so only the lines
+    # there are measured; find's -1 (no line end) mod len + 1 is the end
+    if '"' in text or "\r" in text or any(
+        (text.find("\n", c) % (len(text) + 1)) - text.rfind("\n", 0, c) - 1 > limit
+        for c in range(0, len(text), limit + 1)
     ):
-        rows = _csv_rows(text, what)
-    else:
-        rows = [line.split(",") for line in text.split("\n")]
+        yield _non_blank(_csv_rows(text, what))
+        return
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _READ_BLOCK - 1)
+        end = len(text) if end < 0 else end
+        yield _non_blank(line.split(",") for line in text[start:end].split("\n"))
+        start = end + 1
+
+
+def _non_blank(rows):
     return [r for r in rows if "".join(r).strip()]
 
 
-def _columns(body, width, ts):
-    """The t, p and u values of a trajectory table as an (n, width - 1)
-    array, one row per table row, or None if any row is bad.
+def _columns(body, width, ts, first):
+    """The t, p and u values of trajectory table rows ``first``, ``first`` +
+    1, ... as an (n, width - 1) array, or None if any row is bad.
 
     The cell counts are checked over the rows; then the cells are taken in
     one flat list, k parsed with ``int`` from every width-th cell and the
-    rest with ``float`` in one pass, and k = 0, 1, 2, ... and
+    rest with ``float`` in one pass, and k = first, first + 1, ... and
     |t - k ts| <= 1e-9 checked over whole columns.
     """
     if set(map(len, body)) != {width}:
@@ -751,7 +776,7 @@ def _columns(body, width, ts):
     n = len(body)
     cells = list(itertools.chain.from_iterable(body))
     try:
-        if list(map(int, cells[::width])) != list(range(n)):
+        if list(map(int, cells[::width])) != list(range(first, first + n)):
             return None
         del cells[::width]
         data = np.fromiter(
@@ -760,18 +785,18 @@ def _columns(body, width, ts):
     except ValueError:
         return None
     # written as not <=, so that a NaN t fails the check
-    if not np.all(np.abs(data[:, 0] - np.arange(n) * ts) <= 1e-9):
+    if not (np.abs(data[:, 0] - np.arange(first, first + n) * ts) <= 1e-9).all():
         return None
     return data
 
 
-def _raise_first_row_fault(body, width, ts):
-    """Raise the error of the first bad row, scanning row by row.
+def _raise_first_row_fault(body, width, ts, first):
+    """Raise the error of the first bad row of ``first``, ... row by row.
 
     Runs only once :func:`_columns` has found a fault, so the error names
     the first bad row and its first fault whatever the order of checks.
     """
-    for j, row in enumerate(body):
+    for j, row in enumerate(body, first):
         if len(row) != width:
             raise DataError(f"row {j} has {len(row)} cells, expected {width}")
         try:
@@ -794,14 +819,15 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
 
     The k column must count 0,1,2,... and every t must be finite and equal
     k*ts within 1e-9; both guard against feeding a table sampled at a
-    different rate.  Cells are parsed in one flat pass and checked column by
-    column; only a table with a fault is scanned row by row, to name its
-    first bad row.
+    different rate.  Each block of rows (see :func:`_table_rows`) is parsed
+    in one flat pass and checked column by column; only a block with a
+    fault is scanned row by row, to name the table's first bad row.
     """
-    rows = _table_rows(text, "trajectory table")
-    if not rows:
+    blocks = filter(None, _table_rows(text, "trajectory table"))
+    rows = next(blocks, None)
+    if rows is None:
         raise DataError("empty trajectory table")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows.pop(0)]
     n_pc = sum(1 for h in header if h.startswith("p") and h[1:].isdigit())
     n_uc = sum(1 for h in header if h.startswith("u") and h[1:].isdigit())
     expected = (
@@ -814,12 +840,16 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
             "trajectory header must be k,t,p1..pN,u1..uM in order, got "
             + ",".join(header)
         )
-    body = rows[1:]
-    if not body:
+    parts, n = [], 0
+    for body in filter(None, itertools.chain([rows], blocks)):
+        data = _columns(body, len(header), ts, n)
+        if data is None:
+            _raise_first_row_fault(body, len(header), ts, n)
+        parts.append(data)
+        n += len(body)
+        body.clear()  # its cells are gone before the next block is split
+    if n == 0:
         raise DataError("trajectory table has a header but no rows")
-    data = _columns(body, len(header), ts)
-    if data is None:
-        _raise_first_row_fault(body, len(header), ts)
-    return Trajectory(
-        ts=float(ts), p=data[:, 1:1 + n_pc].copy(), u=data[:, 1 + n_pc:].copy()
-    )
+    p = np.concatenate([d[:, 1:1 + n_pc] for d in parts])
+    u = np.concatenate([d[:, 1 + n_pc:] for d in parts])
+    return Trajectory(ts=float(ts), p=p, u=u)

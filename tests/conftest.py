@@ -1,10 +1,33 @@
 """Shared builders for unit and acceptance tests."""
 
+import importlib
+import pathlib
+import sys
+
 import numpy as np
+import pytest
 
 from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain
 from lpvsim.discretize import DiscretizationConfig, wellposedness_check
 from lpvsim.model import eval_pmatrix_many
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """The benchmark's ``gen``, ``workloads`` and ``tracing`` modules, imported
+    read-only: no bytecode is written in ``perfbench/``, and its modules
+    leave ``sys.modules`` afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    before = set(sys.modules)
+    try:
+        yield tuple(importlib.import_module(m) for m in ("gen", "workloads", "tracing"))
+    finally:
+        for name in set(sys.modules) - before:
+            if getattr(sys.modules[name], "__file__", "").startswith(str(PERFBENCH)):
+                del sys.modules[name]
 
 
 def constant_model(A, B, C, D, box=(-1.0, 1.0)):

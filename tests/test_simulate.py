@@ -452,6 +452,23 @@ def test_each_engine_peaks_under_its_run_budget(n_x):
             assert peak <= n * _run_bytes(model), (engine.__name__, n_u, n_y)
 
 
+def test_loop_oracle_memory_is_bounded_by_its_window():
+    # the loop matrices exist one window at a time, so at n_x = 16 the peak
+    # is A(p) and its evaluation, 4096 bytes per sample; a whole-run
+    # (N, 32, 32) stack of loop matrices would add 8192 more
+    rng = np.random.default_rng(16)
+    model, cfg, n = _affine_io_model(rng, 16, 1, 1), DiscretizationConfig(0.05), 4000
+    traj = Trajectory(ts=0.05, p=rng.uniform(-1, 1, (n, 1)), u=rng.uniform(-1, 1, (n, 1)))
+    simulate_dt_loop_oracle(model, cfg, traj, np.zeros(16))  # first-call allocations
+    tracemalloc.start()
+    try:
+        simulate_dt_loop_oracle(model, cfg, traj, np.zeros(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5000 * n
+
+
 def test_wellposedness_failure_reports_step():
     # A(p) = p at Ts = 0.1 loses the update exactly at p = 20
     model = scalar_gain_model(+1.0, hi=40.0)
@@ -513,20 +530,25 @@ def test_first_of_several_singular_steps_is_reported():
     )
 
 
-def test_loop_oracle_reports_first_of_several_singular_steps():
-    # singular at p = 20: steps 4, 6 and 9 of a longer run
+@pytest.mark.parametrize("window", [1, 3, 11])
+@pytest.mark.parametrize("singular", [[4, 6, 9], [9]])
+def test_loop_oracle_reports_first_of_several_singular_steps(monkeypatch, singular, window):
+    # singular at p = 20: steps 4, 6 and 9 of a longer run, or only its last
+    # step.  With windows of 3 steps, step 4 falls in the second window and
+    # step 9 alone in the last; a window of 11 holds the whole run
+    monkeypatch.setattr(simulate, "_ORACLE_WINDOW", window)
     model = scalar_gain_model(+1.0, hi=40.0)
     cfg = DiscretizationConfig(0.1)
     p = np.linspace(1.0, 10.0, 10)[:, None]
-    p[[4, 6, 9]] = 20.0
+    p[singular] = 20.0
     traj = Trajectory(ts=0.1, p=p, u=np.ones((10, 1)))
     found = []
     for engine in (simulate_dt, simulate_dt_loop_oracle):
         with pytest.raises(WellposednessError) as exc:
             engine(model, cfg, traj, [0.0])
         found.append(exc.value.step_index)
-    assert found == [4, 4]
-    assert str(exc.value) == "integrator feedback loop is singular at step 4"
+    assert found == [singular[0]] * 2
+    assert str(exc.value) == f"integrator feedback loop is singular at step {singular[0]}"
     assert list(exc.value.p) == [20.0]
     assert exc.value.ts == 0.1
     assert np.array_equal(exc.value.A_p, [[20.0]])
@@ -756,10 +778,13 @@ def oracle_step_loop(model, cfg, traj, x0):
     return x, xi[:-1], y
 
 
+@pytest.mark.parametrize("window", [1, 3, 1000])
 @pytest.mark.parametrize("n_x", [1, 2, 3, 4])
-def test_loop_oracle_matches_np_linalg_solve_bit_for_bit(n_x):
+def test_loop_oracle_matches_np_linalg_solve_bit_for_bit(monkeypatch, n_x, window):
     # the oracle calls the LAPACK gufunc behind np.linalg.solve directly;
-    # a numpy whose public solve computes differently fails here
+    # a numpy whose public solve computes differently fails here.  Windows
+    # of one step, of 3 (the last one partial) and of more than the run
+    monkeypatch.setattr(simulate, "_ORACLE_WINDOW", window)
     rng = np.random.default_rng(60 + n_x)
     for n in (1, 2, 57, 320):
         model, traj = scan_run(rng, n_x, n)
@@ -1494,29 +1519,59 @@ def trajectory_texts(draw):
     return "".join(line + end for line, end in zip(lines, ends)), ts
 
 
-def assert_reads_as_the_reference(text, ts):
-    try:
-        want_rows = [r for r in csv.reader(io.StringIO(text)) if "".join(r).strip()]
-    except csv.Error as exc:
-        with pytest.raises(DataError) as got:
-            _table_rows(text, "table")
-        assert str(got.value) == f"table: {exc}"
-    else:
-        assert _table_rows(text, "table") == want_rows
-    got = _read_outcome(_read_trajectory, text, ts)
-    assert got == _read_outcome(read_trajectory_reference, text, ts)
+#: block sizes of the reader's split: a line per block, blocks cut inside
+#: the header or a row, and the default, one block for these short tables
+_READ_BLOCKS = [1, 7, 64, simulate._READ_BLOCK]
 
 
+def assert_reads_as_the_reference(text, ts, read_block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_READ_BLOCK", read_block)
+        try:
+            want_rows = [r for r in csv.reader(io.StringIO(text)) if "".join(r).strip()]
+        except csv.Error as exc:
+            with pytest.raises(DataError) as got:
+                list(_table_rows(text, "table"))
+            assert str(got.value) == f"table: {exc}"
+        else:
+            assert [r for block in _table_rows(text, "table") for r in block] == want_rows
+        got = _read_outcome(_read_trajectory, text, ts)
+        assert got == _read_outcome(read_trajectory_reference, text, ts)
+
+
+@pytest.mark.parametrize("read_block", _READ_BLOCKS)
 @settings(max_examples=300, deadline=None)
 @given(trajectory_texts())
-def test_read_trajectory_csv_matches_the_csv_module_reference(table):
-    assert_reads_as_the_reference(*table)
+def test_read_trajectory_csv_matches_the_csv_module_reference(read_block, table):
+    assert_reads_as_the_reference(*table, read_block)
 
 
+@pytest.mark.parametrize("read_block", _READ_BLOCKS)
 @pytest.mark.parametrize("text", _CSV_EDGE_TEXTS, ids=lambda text: repr(text[:12]))
 @pytest.mark.parametrize("head", ["", _TABLE_HEAD])
-def test_read_trajectory_csv_matches_the_reference_on_edge_texts(head, text):
-    assert_reads_as_the_reference(head + text, 0.1)
+def test_read_trajectory_csv_matches_the_reference_on_edge_texts(head, text, read_block):
+    assert_reads_as_the_reference(head + text, 0.1, read_block)
+
+
+def test_read_trajectory_csv_memory_is_bounded_by_its_block():
+    # only one block's cells exist at a time: the peak is the parsed values
+    # and one block, not a str per cell of the table (695 bytes per row)
+    rng = np.random.default_rng(20)
+    n = 20_000
+    rows = ["k,t,p1,p2,u1,u2"] + [
+        ",".join(map(repr, [k, k * 0.05, *values]))
+        for k, values in enumerate(rng.uniform(-1, 1, (n, 4)).tolist())
+    ]
+    text = "\n".join(rows) + "\n"
+    del rows
+    read_trajectory_csv(text, 0.05)  # first-call allocations
+    tracemalloc.start()
+    try:
+        read_trajectory_csv(text, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250 * n
 
 
 def test_render_csv_writes_each_value_as_its_repr():

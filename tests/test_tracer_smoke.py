@@ -5,19 +5,12 @@ per-layer metric.
 traced function whose return type or arguments change under the tracer's
 work counters would still break ``perfbench/run.py --trace 1``.  So one job
 of each workload runs here under ``tracing.Tracer``, as a traced run would.
-``perfbench/`` is imported read-only: no bytecode is written there, and its
-modules leave ``sys.modules`` afterwards.
+``perfbench/`` is imported read-only, by conftest's ``perfbench`` fixture.
 """
-
-import importlib
-import pathlib
-import sys
 
 import pytest
 
 from lpvsim import cli
-
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 #: workload -> (the job run, its subcommands' exit codes)
 JOBS = {
@@ -27,19 +20,6 @@ JOBS = {
     # the fourth job's check model is singular inside its box
     "freq": (3, [0, 0, 3]),
 }
-
-
-@pytest.fixture
-def perfbench(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    before = set(sys.modules)
-    try:
-        yield tuple(importlib.import_module(m) for m in ("gen", "workloads", "tracing"))
-    finally:
-        for name in set(sys.modules) - before:
-            if getattr(sys.modules[name], "__file__", "").startswith(str(PERFBENCH)):
-                del sys.modules[name]
 
 
 @pytest.mark.parametrize("workload", sorted(JOBS))
