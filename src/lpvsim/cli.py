@@ -106,6 +106,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()  # no nan or inf to spell out as a string
         return _jsonable(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -136,16 +138,14 @@ def _emit(text, out_path):
     """Write ``text`` to the file ``out_path``, or to stdout if it is None.
 
     The one place the CLI writes a file.  An existing file is overwritten in
-    place and then cut to the new length, rather than truncated on open: on
-    ext4, truncating a non-empty file to zero costs about 90 us in ``open``
-    and makes the close start a writeback that the next rewrite waits for.
-    Only a regular file is cut; a FIFO, ``/dev/null`` or a terminal is just
-    written.  If the write raises, a regular file is emptied before the error
-    propagates.  This is weaker than truncating on open: a process killed
-    (or a host crashing) between the write and the cut leaves the new bytes
-    followed by the old file's tail, where ``open(path, "w")`` left at worst
-    a short file.  The old tail is removed only when this function returns or
-    raises.
+    place and then cut to the new length, which was measured faster than
+    truncating on open.  Only a regular file is cut; a FIFO, ``/dev/null``
+    or a terminal is just written.  If the write raises, a regular file is
+    emptied before the error propagates.  This is weaker than truncating on
+    open: a process killed (or a host crashing) between the write and the
+    cut leaves the new bytes followed by the old file's tail, where
+    ``open(path, "w")`` left at worst a short file.  The old tail is removed
+    only when this function returns or raises.
     """
     if not out_path:
         sys.stdout.write(text)

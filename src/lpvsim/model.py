@@ -20,6 +20,7 @@ Model files are JSON; see :func:`parse_model` for the format.
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -88,13 +89,14 @@ class SchedulingDomain:
             raise DimensionError("domain bounds must be 1-D vectors of equal length")
         if lower.size < 1:
             raise DimensionError("scheduling dimension must be at least 1")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise DomainError(f"domain bounds must be finite: {lower}, {upper}")
-        if np.any(lower > upper):
-            raise DomainError(f"domain has lower > upper: {lower} > {upper}")
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(upper - lower)):
-                raise DomainError(f"domain width must be finite: {lower}, {upper}")
+        # a finite width hi - lo >= 0 passes the three checks below
+        if not all(math.isfinite(hi - lo) and lo <= hi
+                   for lo, hi in zip(lower.tolist(), upper.tolist())):
+            if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+                raise DomainError(f"domain bounds must be finite: {lower}, {upper}")
+            if np.any(lower > upper):
+                raise DomainError(f"domain has lower > upper: {lower} > {upper}")
+            raise DomainError(f"domain width must be finite: {lower}, {upper}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -127,8 +129,8 @@ class PTerm:
     coeff: np.ndarray
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
+        exps = tuple(map(int, self.exponents))
+        if exps and min(exps) < 0:
             raise DimensionError(f"exponents must be non-negative, got {exps}")
         coeff = _frozen_array(self.coeff)
         if coeff.ndim != 2:
@@ -161,25 +163,21 @@ class PMatrixFunction:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise DimensionError("matrix shape must be positive")
-        terms = tuple(
-            t if isinstance(t, PTerm) else PTerm(t[0], t[1]) for t in self.terms
-        )
-        n_p = None
+        shape = (self.rows, self.cols)
+        terms = [t if isinstance(t, PTerm) else PTerm(t[0], t[1]) for t in self.terms]
         seen = set()
         for t in terms:
-            if t.coeff.shape != (self.rows, self.cols):
+            if t.coeff.shape != shape:
                 raise DimensionError(
                     f"term coefficient shape {t.coeff.shape} != ({self.rows}, {self.cols})"
                 )
-            if n_p is None:
-                n_p = len(t.exponents)
-            elif len(t.exponents) != n_p:
+            if len(t.exponents) != len(terms[0].exponents):
                 raise DimensionError("terms mix exponent vectors of different lengths")
             if t.exponents in seen:
                 raise DimensionError(f"duplicate exponent vector {t.exponents}")
             seen.add(t.exponents)
-        terms = tuple(sorted(terms, key=lambda t: t.exponents))
-        object.__setattr__(self, "terms", terms)
+        terms.sort(key=lambda t: t.exponents)
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def exponent_length(self):
@@ -205,13 +203,9 @@ class PMatrixFunction:
     def affine(cls, const, linear):
         """``const + sum_i p_i * linear[i]`` with n_p = len(linear)."""
         const = np.asarray(const, dtype=float)
-        n_p = len(linear)
-        terms = [(tuple([0] * n_p), const)]
-        for i, mat in enumerate(linear):
-            e = [0] * n_p
-            e[i] = 1
-            terms.append((tuple(e), mat))
-        return cls(const.shape[0], const.shape[1], tuple(terms))
+        units = map(tuple, np.eye(len(linear), dtype=int).tolist())
+        terms = ((tuple([0] * len(linear)), const), *zip(units, linear))
+        return cls(const.shape[0], const.shape[1], terms)
 
     def scaled(self, alpha: float) -> "PMatrixFunction":
         """Same polynomial with every coefficient multiplied by ``alpha``."""
@@ -306,6 +300,28 @@ def check_in_box(domain: SchedulingDomain, points, where=None) -> None:
         )
 
 
+#: leaves the walk's sums 2**24 of float range, which rounding over n terms,
+#: at most a factor (1 + 2**-52)**(2 n), does not use up
+_BOUND_MARGIN = 2.0**1000
+
+
+def _bounds_fit(funcs, reach):
+    """True when each matrix's sum_terms reach**e * max|coeff|, weights formed
+    as :class:`LpvStateSpace`'s walk forms them, is below ``_BOUND_MARGIN``, so
+    the walk would pass; False (nan, inf or an OverflowError) defers to it."""
+    terms = [t for f in funcs for t in f.terms]
+    if not terms:
+        return True
+    starts = list(accumulate((t.coeff.size for t in terms[:-1]), initial=0))
+    flat = np.abs(np.concatenate([t.coeff.ravel() for t in terms]))
+    peaks = iter(np.maximum.reduceat(flat, starts).tolist())
+    try:
+        return all(sum(math.prod(map(pow, reach, t.exponents)) * next(peaks)
+                       for t in f.terms) < _BOUND_MARGIN for f in funcs)
+    except OverflowError:
+        return False
+
+
 def _matrix_shapes(n_x, n_u, n_y):
     """Shapes of A, B, C, D, in that order, for the given dimensions."""
     return {"A": (n_x, n_x), "B": (n_x, n_u), "C": (n_y, n_x), "D": (n_y, n_u)}
@@ -321,7 +337,9 @@ class LpvStateSpace:
         State, input, output, and scheduling dimensions (all >= 1).
     A, B, C, D : PMatrixFunction
         Shapes n_x*n_x, n_x*n_u, n_y*n_x, n_y*n_u; every coefficient finite,
-        and every entry within the float range anywhere on the box.
+        and every entry within the float range anywhere on the box: passed at
+        once if each matrix's sum_terms max|p|**e * max|coeff| < 2**1000,
+        else by a per-entry walk that names the first failing term.
     domain : SchedulingDomain
     """
 
@@ -346,8 +364,10 @@ class LpvStateSpace:
             )
         # entry (r, c) on the box is at most sum_terms prod_i max|p_i|**e_i *
         # |coeff[r, c]|, formed as the evaluator forms its terms, powers
-        # first; terms that cancel in one entry (1e308 - 1e308 p) are refused
-        reach = list(np.maximum(np.abs(self.domain.lower), np.abs(self.domain.upper)))
+        # first; terms that cancel in one entry (1e308 - 1e308 p) are refused.
+        # This per-entry walk runs only where _bounds_fit cannot vouch for it
+        reach = np.maximum(np.abs(self.domain.lower), np.abs(self.domain.upper))
+        fits = _bounds_fit([getattr(self, k) for k in _MATRIX_KEYS], reach.tolist())
         for name, shape in _matrix_shapes(self.n_x, self.n_u, self.n_y).items():
             f = getattr(self, name)
             if (f.rows, f.cols) != shape:
@@ -359,6 +379,8 @@ class LpvStateSpace:
                     f"{name} terms use exponent vectors of length "
                     f"{f.exponent_length}, expected n_p={self.n_p}"
                 )
+            if fits:
+                continue
             bound = np.zeros(shape)
             with np.errstate(over="ignore", invalid="ignore"):
                 for t in f.terms:
@@ -392,14 +414,17 @@ _ALLOWED_KEYS = set(_REQUIRED_KEYS) | set(_MATRIX_KEYS)
 
 def _json_numbers(value, what):
     """A JSON value as a float array; :class:`ParseError` after ``what`` unless
-    every cell is a JSON number (numpy also converts strings, bools and null)."""
+    every cell is a JSON number (numpy also converts strings, bools and null).
+    A 1-D or 2-D value is checked on its lists, a bad cell named in flat order."""
     try:
         out = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what} not numeric: {exc}") from None
-    for cell in np.array(value, dtype=object).flat:
-        if type(cell) not in (int, float):
-            raise ParseError(f"{what} not numeric: {json.dumps(cell)} is not a JSON number")
+    cells = value if out.ndim == 1 else chain.from_iterable(value) if out.ndim == 2 else ()
+    if out.ndim not in (1, 2) or not {int, float}.issuperset(map(type, cells)):
+        for cell in np.array(value, dtype=object).flat:
+            if type(cell) not in (int, float):
+                raise ParseError(f"{what} not numeric: {json.dumps(cell)} is not a JSON number")
     return out
 
 
@@ -420,14 +445,14 @@ def _parse_terms(raw, name, rows, cols, n_p):
                 f'"{name}" term {i} needs {n_p} non-negative integer exponents'
             )
         coeff = _json_numbers(entry["coeff"], f'"{name}" term {i} coefficient is')
-        if coeff.ndim != 2 or coeff.shape != (rows, cols):
+        if coeff.shape != (rows, cols):
             raise DimensionError(
                 f'"{name}" term {i} coefficient has shape {coeff.shape}, '
                 f"expected ({rows}, {cols})"
             )
         key = tuple(exps)
         merged[key] = merged[key] + coeff if key in merged else coeff
-    return tuple((exps, coeff) for exps, coeff in merged.items())
+    return tuple(merged.items())
 
 
 def parse_model(text: str) -> LpvStateSpace:
@@ -446,7 +471,8 @@ def parse_model(text: str) -> LpvStateSpace:
         Syntax errors (with line/column), missing or unknown keys,
         malformed terms, a string, boolean or null where a number belongs,
         a non-finite coefficient (``NaN``, ``Infinity`` or an overflowing
-        literal), or a matrix that can overflow on the box.
+        literal), or a matrix that can overflow on the box (the two-stage
+        bound of :class:`LpvStateSpace`, with its 2**1000 margin).
     DimensionError
         Coefficient shapes inconsistent with the declared dimensions.
     DomainError
@@ -483,11 +509,8 @@ def parse_model(text: str) -> LpvStateSpace:
 
     funcs = {}
     for name, (rows, cols) in _matrix_shapes(dims["nx"], dims["nu"], dims["ny"]).items():
-        if name in data:
-            terms = _parse_terms(data[name], name, rows, cols, dims["np"])
-            funcs[name] = PMatrixFunction(rows, cols, terms)
-        else:
-            funcs[name] = PMatrixFunction.zero(rows, cols)
+        terms = _parse_terms(data[name], name, rows, cols, dims["np"]) if name in data else ()
+        funcs[name] = PMatrixFunction(rows, cols, terms)
     return LpvStateSpace(
         n_x=dims["nx"], n_u=dims["nu"], n_y=dims["ny"], n_p=dims["np"],
         domain=domain, **funcs,
@@ -500,24 +523,12 @@ def serialize_model(model: LpvStateSpace) -> str:
     Terms are written in canonical (exponent-sorted) order and matrices with
     no terms are omitted, so parse -> serialize -> parse is the identity.
     """
-    data = {
-        "nx": model.n_x,
-        "nu": model.n_u,
-        "ny": model.n_y,
-        "np": model.n_p,
-        "domain": {
-            "lower": [float(v) for v in model.domain.lower],
-            "upper": [float(v) for v in model.domain.upper],
-        },
-    }
+    data = {"nx": model.n_x, "nu": model.n_u, "ny": model.n_y, "np": model.n_p,
+            "domain": {"lower": model.domain.lower.tolist(),
+                       "upper": model.domain.upper.tolist()}}
     for name in _MATRIX_KEYS:
         f = getattr(model, name)
         if f.terms:
-            data[name] = [
-                {
-                    "exponents": list(t.exponents),
-                    "coeff": [[float(v) for v in row] for row in t.coeff],
-                }
-                for t in f.terms
-            ]
+            data[name] = [{"exponents": list(t.exponents), "coeff": t.coeff.tolist()}
+                          for t in f.terms]
     return json.dumps(data, indent=1)

@@ -434,11 +434,8 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
 _solve1 = _umath_linalg.solve1
 _slogdet = _umath_linalg.slogdet
 
-#: steps per window of the loop oracle's loop matrices.  A window costs about
-#: 6 us of calls (one BLAS thread, 2-core x86-64 Xeon): on 320- to 20 000-step
-#: runs, windows of 64 took 1-5% longer than one whole-run stack at n_x <= 4
-#: and 8-15% less at n_x = 16; windows of 128 saved 1-2% more but raised a
-#: 320-step benchmark job's allocation peak at n_x = 4 from 190 to 219 KiB
+#: steps per window of the loop oracle's loop matrices; measured against run
+#: time and allocation peak at n_x 4 and 16 (figures in CHANGES.md)
 _ORACLE_WINDOW = 64
 
 
@@ -449,17 +446,14 @@ def _solve_loop_steps(loops, rhs, sol):
     xi(k+1) = xi(k) + w into the top half of ``rhs[k + 1]``.
 
     Each solve is the gufunc that ``np.linalg.solve`` itself calls, with the
-    same ``dd->d`` signature, so its bits are those of ``np.linalg.solve``.
-    The public function is skipped because its wrapper costs more than the
-    solve: on an 8 x 8 loop matrix (numpy 2.4, one BLAS thread, 2-core
-    x86-64 Xeon) ``np.linalg.solve`` took 5.7-7.9 us, of which 1.7-2.4 us
-    was the gufunc and the rest its type checks and the ``np.errstate`` it
-    enters at every call.  The caller enters one errstate for the whole
-    run instead, with every floating-point warning off: a singular loop
-    matrix, which gives NaN rows, is reported by the caller's determinant
-    check once every step is solved, and a diverging run, which overflows
-    to inf and then NaN, by the caller's finiteness check on the logs,
-    never by a warning or a raise midway.
+    same ``dd->d`` signature, so its bits are those of ``np.linalg.solve``;
+    the public wrapper was measured to cost more than the solve itself.
+    The caller enters one errstate for the whole run instead, with every
+    floating-point warning off: a singular loop matrix, which gives NaN
+    rows, is reported by the caller's determinant check once every step is
+    solved, and a diverging run, which overflows to inf and then NaN, by
+    the caller's finiteness check on the logs, never by a warning or a
+    raise midway.
     """
     n = loops.shape[1] // 2
     solve, add = _solve1, np.add
@@ -533,10 +527,7 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
 #: multiples of this length on the fine grid, so a substep's prefix map
 #: depends only on its fine-grid index, whatever Ts and oversample are.  The
 #: length bounds the window's stage samples and (rows, n, n + 1) blocks, and so
-#: the reference's memory, whatever t_end is.  Measured with the [D | s]
-#: blocks on 800- to 80 000-substep runs at n_x 2 and 4 (one BLAS thread,
-#: 2-core x86-64 Xeon): a window of 128 took 28-51% longer, and one of 512
-#: took 1-18% less time but raised the allocation peak by 31-94%
+#: the reference's memory, whatever t_end is; sized by run time against peak
 _RK4_WINDOW = 256
 
 
@@ -725,9 +716,7 @@ def _csv_rows(text, what):
         raise DataError(f"{what}: {exc}") from None
 
 
-#: characters per block that :func:`_table_rows` splits; its cells take about 9
-#: times its text.  The benchmark's 320-row tables read 4-11% slower than in one
-#: split in blocks of 8 KiB, and 1-7% in blocks of 16 KiB (2-core x86-64 Xeon)
+#: characters per block that :func:`_table_rows` splits, sized by read time
 _READ_BLOCK = 16384
 
 

@@ -1,0 +1,43 @@
+"""``tools/ab_pairs.py`` runs alternating benchmark pairs of two revisions
+and summarises every end-to-end metric."""
+
+import importlib.util
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+
+def test_summary_counts_pairs_won_in_the_metric_direction():
+    metrics = [{"name": "ms", "unit": "ms", "better": "lower"},
+               {"name": "rate", "unit": "1/s", "better": "higher"}]
+    parent = [{"metrics": {"ms": {"value": a}, "rate": {"value": r}}}
+              for a, r in ((10.0, 5.0), (12.0, 5.0), (11.0, 5.0), (13.0, 5.0))]
+    change = [{"metrics": {"ms": {"value": a}, "rate": {"value": r}}}
+              for a, r in ((9.0, 6.0), (12.0, 4.0), (10.0, 5.0), (12.5, 7.0))]
+    ms, rate = ab_pairs.summary(metrics, parent, change)
+    # the parent's median 11.5 and quartiles 10.75 .. 12.25; ties are not won
+    assert ms[:6] == ("ms", "ms", 11.5, 10.75, 12.25, 11.0)
+    assert ms[6] == (11.0 - 11.5) / 11.5
+    assert ms[7:] == (False, 3)  # a change of 0.5 inside the spread of 1.5
+    assert rate[2] == 5.0 and rate[5] == 5.5
+    assert rate[7:] == (True, 2)  # any change is beyond a spread of 0
+
+
+def test_one_pair_of_head_against_itself_reports_every_metric():
+    done = subprocess.run(
+        [sys.executable, "tools/ab_pairs.py", "HEAD", "HEAD", "--workload", "converge",
+         "--pairs", "1", "--seconds", "0.05"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("ab_pairs: converge, 1 pair(s) of 0.05 s runs, HEAD against HEAD")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert [line.split()[0] for line in lines[2:]] == names
+    assert all(line.split()[-1] in ("0/1", "1/1") for line in lines[2:])

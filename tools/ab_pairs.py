@@ -1,0 +1,115 @@
+"""Compare the benchmark's end-to-end metrics of two git revisions, run in
+alternating pairs.
+
+Usage, from the repository root:
+
+    python3 tools/ab_pairs.py PARENT CHANGE --workload W --pairs K [--seconds S]
+
+Exports each revision whole with ``git archive`` into a temporary directory.
+Draws K seeds at random and, for each, runs
+``python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
+once in each export, one run at a time: PARENT first in even pairs, CHANGE
+first in odd ones.  Each export runs its own ``perfbench/`` and ``src/``;
+nothing in this checkout is written.
+
+Prints the seeds, then one row per end-to-end metric of ``BENCHMARK.json``:
+the parent's median and quartiles, the change's median, the change of the
+medians, whether it exceeds the parent's interquartile spread, and the pairs
+the change won (strictly better in the metric's direction).  Exits 1 if a
+run reports a failed job.
+"""
+
+import argparse
+import io
+import json
+import pathlib
+import random
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def export(rev, dest):
+    """Write the whole tree of git revision ``rev`` under ``dest``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+        fh.extractall(dest)
+    return dest
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The result line of one untraced benchmark run in ``checkout``."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def summary(metrics, parent, change):
+    """One row per metric: (name, unit, parent median, q1, q3, change median,
+    relative change, beyond the parent's spread, pairs won).
+
+    ``parent`` and ``change`` are lists of run results in pair order;
+    ``metrics`` is the ``end_to_end`` list of ``BENCHMARK.json``.
+    """
+    rows = []
+    for m in metrics:
+        a = [r["metrics"][m["name"]]["value"] for r in parent]
+        b = [r["metrics"][m["name"]]["value"] for r in change]
+        sign = 1.0 if m["better"] == "higher" else -1.0
+        q1, q3 = np.quantile(a, [0.25, 0.75])
+        med_a, med_b = statistics.median(a), statistics.median(b)
+        rows.append((m["name"], m["unit"], med_a, float(q1), float(q3), med_b,
+                     (med_b - med_a) / med_a if med_a else 0.0,
+                     abs(med_b - med_a) > q3 - q1,
+                     sum(sign * (y - x) > 0 for x, y in zip(a, b))))
+    return rows
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="git revision of the base side")
+    ap.add_argument("change", help="git revision of the changed side")
+    ap.add_argument("--workload", required=True,
+                    choices=("scheduled", "piecewise", "converge", "freq"))
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=8.0, help="length of each run")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    seeds = random.SystemRandom().sample(range(1, 1_000_000), args.pairs)
+    print(f"ab_pairs: {args.workload}, {args.pairs} pair(s) of {args.seconds:g} s runs, "
+          f"{args.parent} against {args.change}, seeds {' '.join(map(str, seeds))}")
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        dirs = {"parent": export(args.parent, pathlib.Path(tmp) / "parent"),
+                "change": export(args.change, pathlib.Path(tmp) / "change")}
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(seeds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(run_once(dirs[side], args.workload, seed, args.seconds))
+
+    print(f"{'metric':<26} {'parent p50':>12} {'parent q1..q3':>25} {'change p50':>12} "
+          f"{'change':>8} {'>IQR':>5} {'won':>6}")
+    for name, unit, med_a, q1, q3, med_b, rel, beyond, won in summary(
+            metrics, runs["parent"], runs["change"]):
+        print(f"{name + ' (' + unit + ')':<26} {med_a:>12.5g} {q1:>12.5g}..{q3:<12.5g} "
+              f"{med_b:>12.5g} {rel:>+8.2%} {'yes' if beyond else 'no':>5} "
+              f"{won:>3}/{args.pairs}")
+    failed = sum(r["failed"] for side in runs.values() for r in side)
+    if failed:
+        print(f"ab_pairs: {failed} job(s) failed their checks", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
