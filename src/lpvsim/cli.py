@@ -17,12 +17,14 @@ check or threshold fails.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
 import pathlib
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -124,7 +126,35 @@ def _jsonable(obj):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(_jsonable(payload), indent=1) + "\n"
+    """``json.dumps(_jsonable(payload), indent=1) + "\\n"``, byte for byte,
+    with one call of the C encoder, which ``indent`` bypasses, for all
+    scalars, NUL-separated: no JSON text holds a raw NUL."""
+    scalars = []
+    parts = _layout(_jsonable(payload), "\n", scalars).split("\0")
+    texts = json.dumps(scalars, separators=("\0", ""))[1:-1].split("\0")
+    return parts[0] + "".join(itertools.chain.from_iterable(zip(texts, parts[1:]))) + "\n"
+
+
+def _layout(obj, nl, scalars):
+    """``json.dumps(obj, indent=1)`` of str-keyed dicts, with each line break
+    written as ``nl`` (the break and pad of ``obj``'s depth) and a NUL in
+    place of each scalar, which is appended to ``scalars`` in text order."""
+    if type(obj) not in (list, dict):
+        scalars.append(obj)
+        return "\0"
+    if not obj:
+        return json.dumps(obj)  # [] or {}
+    inner = nl + " "
+    if type(obj) is dict:  # each key as the indenting encoder writes it
+        items = [encode_basestring_ascii(k) + ": " + _layout(v, inner, scalars)
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if set(map(type, obj)).isdisjoint((list, dict)):  # a row of scalars
+        scalars.extend(obj)
+        items = "\0" * len(obj)
+    else:
+        items = [_layout(v, inner, scalars) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
 def _report(command, out_path, **fields):

@@ -14,7 +14,7 @@ batched evaluator the simulation engines use, so a frozen-p block and an
 engine step at the same p start from bit-identical matrices:
 
 * :func:`phi` -- the resolvent itself, via an LU inverse, for one frozen
-  A(p) or for a stack of them (one per sample of a trajectory).
+  A(p) or for a stack of them (one per run of equal points of a trajectory).
 * :func:`singular_rows` -- the one singularity predicate on
   det(I - A(p) Ts/2), shared by :func:`phi`, both simulation engines and
   :func:`wellposedness_check`.
@@ -140,7 +140,7 @@ def _resolvent_det(A, ts: float):
         return M, np.linalg.det(M)
 
 
-def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None) -> np.ndarray:
+def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None) -> np.ndarray:
     """Resolvent ``Phi = (I - A_p * Ts/2)^-1`` via ``np.linalg.inv``
     (LAPACK's LU solve against the identity).
 
@@ -150,8 +150,11 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None) -> np.ndarray:
         Frozen state matrix A(p), or one per scheduling point of a stack;
         a stack is inverted in one batched call.
     cfg : DiscretizationConfig
-    points : ndarray, shape (m, n_p), optional
-        A stack's scheduling points; the error then names its step's p.
+    points : ndarray, shape (N, n_p), optional
+        A stack's scheduling points, one per step; the error names its p.
+    run : ndarray of int, shape (N,), optional
+        The step map: the (nondecreasing) row holding each step's A, when a
+        row stands for a run of equal steps.  Without it, row k is step k.
 
     Returns
     -------
@@ -163,8 +166,8 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None) -> np.ndarray:
     ------
     WellposednessError
         If ``|det(I - A_p Ts/2)|`` falls below ``1e-12 * max(1, |A_p| Ts/2)``.
-        For a stack it reports the first singular matrix, whose index is the
-        error's ``step_index``; with ``points``, it is also its ``p``.
+        For a stack it reports the first step of the first singular row,
+        as the error's ``step_index`` and, with ``points``, its ``p``.
     """
     A_p = np.asarray(A_p, dtype=float)
     M, d = _resolvent_det(A_p, cfg.ts)
@@ -172,26 +175,31 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None) -> np.ndarray:
     if np.any(bad):
         k = int(np.argmax(bad)) if A_p.ndim == 3 else None
         A_bad, d_bad = (A_p, d) if k is None else (A_p[k], d[k])
-        p_bad = None if points is None else points[k]
-        where = "" if p_bad is None else f"step k={k}, p={list(map(float, p_bad))}: "
+        step = k if run is None else int(np.searchsorted(run, k))
+        p_bad = None if points is None else points[step]
+        where = "" if p_bad is None else f"step k={step}, p={list(map(float, p_bad))}: "
         raise WellposednessError(
             f"{where}|det(I - A(p)*Ts/2)| = {abs(float(d_bad)):.3e} is numerically "
             f"zero (Ts = {cfg.ts})",
             A_p=A_bad,
             ts=cfg.ts,
-            step_index=k,
+            step_index=step,
             p=p_bad,
         )
     return np.linalg.inv(M)
 
 
-def _step_blocks(A, B, cfg: DiscretizationConfig, points=None):
+def _step_blocks(A, B, cfg: DiscretizationConfig, points=None, run=None):
     """Axi - I = Ts Phi A, Bxi = 2 Phi B and Xxi = Ts/2 Phi of one (A, B)
     pair, or of each of an (N, n, n) and (N, n, m) stack, from one
-    :func:`phi` call, to which ``points`` is passed on."""
-    Phi = phi(A, cfg, points)
+    :func:`phi` call, to which ``points`` and ``run`` are passed on.  With
+    the step map ``run``, A has a row per run and B per step: Phi and Ts Phi
+    A are formed per run, then gathered to the steps."""
+    Phi = phi(A, cfg, points, run)
     DA = Phi @ A
     DA *= cfg.ts
+    if run is not None:
+        Phi, DA = Phi[run], DA[run]
     PhiB = Phi @ B
     PhiB *= 2.0
     Phi *= cfg.ts / 2.0

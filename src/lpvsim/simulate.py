@@ -2,10 +2,11 @@
 
 Two discrete-time engines advance the same internal state xi over a sampled
 scheduling trajectory.  The loop-free engine builds the paper's per-step
-matrices for every sample at once -- A(p(k)) and B(p(k)) as (N, n, n) and
-(N, n, m) stacks, one stacked factorization for Phi(p(k)) -- and runs the xi
-recurrence as a log-depth scan over its increment maps, each stored as one
-block [D | s], so the only Python loop left is over the scan's log2(N) levels.
+matrices for every sample at once -- A(p(k)) once per run of equal p(k),
+B(p(k)) as an (N, n, m) stack, one stacked factorization of Phi(p(k)) over
+the runs -- and runs the xi recurrence as a log-depth scan over its
+increment maps, each stored as one block [D | s], so the only Python loop
+left is over the scan's log2(N) levels.
 The loop oracle re-solves the implicit feedback loop around the trapezoidal
 integrator block at every step, written in xi itself: each step solves for x
 and the increment of xi and adds that increment.  Its loop matrices exist
@@ -381,10 +382,13 @@ def _result(engine, model, cfg, traj, x, xi):
 def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     """Run the loop-free per-step matrices over a sampled trajectory.
 
-    Everything that depends only on p(k) is computed for all samples at
-    once: A and B u are evaluated as stacks, and one call of the builder of
-    :func:`~lpvsim.discretize.dt_step_matrices`' blocks gives D = Ts Phi A,
-    s = 2 Phi B u and Xxi = Ts/2 Phi.  The recurrence xi(k+1) = xi(k) +
+    What depends only on p(k) is computed once per run of equal points, a
+    run starting where p(k) differs bit for bit from p(k - 1): A at the run
+    starts, B u at every sample.  One call of the builder of
+    :func:`~lpvsim.discretize.dt_step_matrices`' blocks factors Phi per run,
+    gathers Phi and D = Ts Phi A to the steps by the run index and forms
+    s = 2 Phi B u and Xxi = Ts/2 Phi, so each step's blocks are bit for bit
+    those of its own p.  The recurrence xi(k+1) = xi(k) +
     G_k [xi(k); 1], with G_k = [D_k | s_k], is a chain of increment maps,
     the form of the RK4 reference's substeps, so it runs through the same
     log-depth scan, :func:`_scan`, after which row k maps xi(0) to xi(k+1)
@@ -409,7 +413,11 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
         carries the index of the first such step.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
-    A = eval_pmatrix_many(model.A, traj.p)
+    # bit for bit: a -0.0 after a 0.0 starts a run, as it can reach A(p)
+    bits = np.ascontiguousarray(traj.p).view(np.int64)
+    starts = np.concatenate(([True], (bits[1:] != bits[:-1]).any(axis=1)))
+    run = None if starts.all() else np.cumsum(starts) - 1
+    A = eval_pmatrix_many(model.A, traj.p if run is None else traj.p[starts])
     Bu = _matvecs(eval_pmatrix_many(model.B, traj.p), traj.u)
     xis = np.empty((traj.n_steps + 1, model.n_x))
     xis[0] = _seed_xi(A[0], Bu[0], x0, cfg.ts)
@@ -418,7 +426,7 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         # B u as the (N, n, 1) B of the blocks: their Bxi is then s itself.
         # Each stack is dropped once used: live (N, n, .) stacks set the peak
-        D, s, Xxi = _step_blocks(A, Bu[:, :, None], cfg, traj.p)
+        D, s, Xxi = _step_blocks(A, Bu[:, :, None], cfg, traj.p, run)
         del A
         G = np.concatenate((D, s), axis=2)
         del D, s
@@ -743,12 +751,13 @@ def _table_rows(text, what):
     while start < len(text):
         end = text.find("\n", start + _READ_BLOCK - 1)
         end = len(text) if end < 0 else end
-        yield _non_blank(line.split(",") for line in text[start:end].split("\n"))
+        yield _non_blank([line.split(",") for line in text[start:end].split("\n")])
         start = end + 1
 
 
 def _non_blank(rows):
-    return [r for r in rows if "".join(r).strip()]
+    # the first cell decides most rows; [] (csv.reader's blank line) is blank
+    return [r for r in rows if r and (r[0].strip() or "".join(r).strip())]
 
 
 def _columns(body, width, ts, first):

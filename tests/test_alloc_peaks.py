@@ -1,7 +1,9 @@
 """``tools/alloc_peaks.py`` runs on one job per workload and names a place,
-and no ``scheduled`` benchmark job allocates more than its budget."""
+also inside a generator, and no ``scheduled`` benchmark job allocates more
+than its budget."""
 
 import gc
+import importlib.util
 import pathlib
 import re
 import subprocess
@@ -51,3 +53,34 @@ def test_every_scheduled_job_allocates_at_most_240_kib(perfbench, tmp_path):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 8 and max(peaks) <= 240.0, peaks
+
+
+def test_a_peak_reached_inside_a_generator_is_named_after_it(perfbench, monkeypatch):
+    # the tool sets one BLAS thread and puts src/ and perfbench/ on the path
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("alloc_peaks", ROOT / "tools" / "alloc_peaks.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    locator = tool.PeakLocator()
+
+    def blocks():
+        # the peak: a buffer made and freed while the generator runs, as
+        # _table_rows splits a block, and not when the generator is made
+        for size in (2**20, 16):
+            yield len(bytearray(size))
+
+    def read():
+        return list(wrapped_blocks())
+
+    wrapped_blocks, wrapped_read = locator._wrap(blocks), locator._wrap(read)
+    tracemalloc.start()
+    try:
+        locator.start_job()
+        assert wrapped_read() == [2**20, 16]
+        locator.read()
+    finally:
+        tracemalloc.stop()
+    assert locator.where == f"{__name__}.{blocks.__qualname__}"
+    assert locator.stack == []

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpvsim import LpvStateSpace, ParseError, PMatrixFunction, PTerm, SchedulingDomain
-from lpvsim.cli import _json_text
+from lpvsim.cli import _json_text, _jsonable
 from lpvsim.errors import DimensionError, DomainError
 from lpvsim.model import _BOUND_MARGIN, _bounds_fit, _json_numbers
 
@@ -305,3 +305,33 @@ def test_a_box_is_judged_as_by_the_per_check_rules(lower, upper):
 def test_json_text_bytes_are_those_of_the_recursion(payload):
     expected = json.dumps(_jsonable_by_recursion(payload), indent=1) + "\n"
     assert _json_text(payload) == expected
+
+
+#: texts that look like the separators, brackets and numbers of the report
+_TRICKY_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from([", ", "[", "]", "],\n [", '"', '\\"', "\0", "\n", "é ∑ 😀",
+                     "nan", "inf", "-inf", "1, 2", ": ", "{}", ""]),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**30), 10**30),
+    st.floats(), _TRICKY_TEXT,
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(st.lists(st.floats(allow_nan=False), min_size=1, max_size=4), max_size=4),
+        st.dictionaries(_TRICKY_TEXT, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS)
+@example({"a": [], "b": {}, "c": [[]], "d": [{}], "e": [[1.0, 2.0], [3.0, 4.0]]})
+@example([[1, "x"], [2.5], [None, True, False]])
+@example({"k, [": {"": ["nan", "inf", "-inf", "\0"]}})
+def test_json_text_bytes_are_those_of_the_indenting_encoder(payload):
+    assert _json_text(payload) == json.dumps(_jsonable(payload), indent=1) + "\n"

@@ -530,6 +530,95 @@ def test_first_of_several_singular_steps_is_reported():
     )
 
 
+def phi_rows(monkeypatch):
+    """Record the number of matrices in each stack that reaches ``phi``."""
+    rows, original = [], discretize.phi
+
+    def counting_phi(A_p, *args):
+        rows.append(A_p.shape[0])
+        return original(A_p, *args)
+
+    monkeypatch.setattr(discretize, "phi", counting_phi)
+    return rows
+
+
+def piecewise_p(levels, lengths):
+    """Each row of ``levels`` held for the matching count of samples."""
+    return np.repeat(np.asarray(levels, dtype=float), lengths, axis=0)
+
+
+@pytest.mark.parametrize("p, factored", [
+    (piecewise_p([[2.0], [7.5], [0.25]], [4, 5, 3]), 3),
+    (np.linspace(0.0, 10.0, 12)[:, None], 12),
+    # a -0.0 after a 0.0 starts a run: the sign of a zero can reach A(p)
+    (np.array([[0.0], [-0.0], [-0.0], [0.0]]), 3),
+])
+def test_simulate_dt_factors_each_run_of_equal_points_once(monkeypatch, p, factored):
+    rows = phi_rows(monkeypatch)
+    model = scalar_gain_model(+1.0, hi=40.0)
+    traj = Trajectory(ts=0.1, p=p, u=np.ones((len(p), 1)))
+    simulate_dt(model, DiscretizationConfig(0.1), traj, [0.5])
+    assert rows == [factored]
+
+
+def captured_blocks(monkeypatch, model, cfg, traj, x0):
+    """simulate_dt's step blocks, each as the engine took it from
+    ``_step_blocks``, and the (N, n, 1) stack B u it passed in."""
+    seen = []
+
+    def keep(A, Bu, *args):
+        blocks = discretize._step_blocks(A, Bu, *args)
+        seen.append((Bu.copy(), [b.copy() for b in blocks]))
+        return blocks
+
+    monkeypatch.setattr(simulate, "_step_blocks", keep)
+    simulate_dt(model, cfg, traj, x0)
+    (Bu, blocks), = seen
+    return Bu, blocks
+
+
+@pytest.mark.parametrize("n_x", [1, 4])
+@pytest.mark.parametrize("lengths", [
+    [40, 1, 23, 30, 7],   # levels of one sample and of many
+    [1],                  # N = 1
+    [64],                 # one run throughout
+])
+def test_gathered_blocks_equal_the_blocks_of_every_step(monkeypatch, n_x, lengths):
+    # the runs' blocks, gathered back to one row per step, are the blocks of
+    # the whole per-step stack bit for bit, so the scan sees the same input
+    rng = np.random.default_rng(70 + n_x)
+    model = random_time_varying_model(rng, n_x, 2)
+    levels = rng.uniform(-0.9, 0.9, (len(lengths), 2))
+    levels[2::2, 0] = levels[1::2, 0][:len(levels[2::2])]  # one channel holds
+    p = piecewise_p(levels, lengths)
+    cfg = DiscretizationConfig(0.05)
+    traj = Trajectory(ts=0.05, p=p, u=rng.uniform(-1, 1, (len(p), 2)))
+    rows = phi_rows(monkeypatch)
+    Bu, blocks = captured_blocks(monkeypatch, model, cfg, traj, rng.uniform(-1, 1, n_x))
+    assert rows == [len(lengths)]
+    for got, want in zip(blocks, discretize._step_blocks(
+            eval_pmatrix_many(model.A, p), Bu, cfg)):
+        assert got.shape == want.shape == (len(p), n_x, want.shape[2])
+        assert np.array_equal(got, want)
+
+
+def test_a_singular_run_is_reported_at_its_first_step():
+    # A(p) = p at Ts = 0.1 is singular at p = 20: the run of steps 2 and 3,
+    # which is the second row of the factored stack
+    model = scalar_gain_model(+1.0, hi=40.0)
+    cfg = DiscretizationConfig(0.1)
+    p = np.array([[0.0], [0.0], [20.0], [20.0], [5.0]])
+    with pytest.raises(WellposednessError) as exc:
+        simulate_dt(model, cfg, Trajectory(ts=0.1, p=p, u=np.ones((5, 1))), [0.0])
+    assert str(exc.value) == (
+        "step k=2, p=[20.0]: |det(I - A(p)*Ts/2)| = 0.000e+00 is numerically "
+        "zero (Ts = 0.1)"
+    )
+    assert exc.value.step_index == 2
+    assert list(exc.value.p) == [20.0]
+    assert np.array_equal(exc.value.A_p, [[20.0]])
+
+
 @pytest.mark.parametrize("window", [1, 3, 11])
 @pytest.mark.parametrize("singular", [[4, 6, 9], [9]])
 def test_loop_oracle_reports_first_of_several_singular_steps(monkeypatch, singular, window):
@@ -1284,6 +1373,8 @@ _CSV_EDGE_TEXTS = [
     "a,b\n\x0c\nc\u2028d,e\x1c\n",     # not line ends for io.StringIO
     '"x""y",z\r\n',
     "x," + "1" * 140_000 + "\n",      # over the field limit: a csv.Error
+    " ,1\n", " , \n", ",,\n",          # one non-blank cell keeps a row
+    " ,1\n , \n\n,,\n0,0.0,1.0,2.0\n",
 ]
 
 
@@ -1374,6 +1465,14 @@ def test_read_trajectory_csv_skips_only_blank_rows():
     with pytest.raises(DataError) as exc:
         read_trajectory_csv(_TABLE_HEAD + " , ,3, \n", ts=0.1)
     assert str(exc.value) == "row 1: invalid literal for int() with base 10: ' '"
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_table_rows_keep_a_row_with_one_non_blank_cell(quote):
+    # a quote sends the text through csv.reader, which reads a blank line
+    # as [], where the split reads it as [""]
+    text = f"{quote} {quote},1\n , \n\n,,\n"
+    assert [r for block in _table_rows(text, "table") for r in block] == [[" ", "1"]]
 
 
 def test_read_write_pair_is_consistent():

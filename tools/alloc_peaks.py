@@ -53,9 +53,10 @@ import workloads  # noqa: E402
 class PeakLocator:
     """Wraps lpvsim's module functions to name where a traced peak is hit.
 
-    Every call and return reads tracemalloc's peak.  When the peak has grown
-    since the last read, it was reached since then, while the innermost
-    function on the wrapper stack at that read was running.
+    Every call and return, and every step of a generator's iteration,
+    reads tracemalloc's peak.  When the peak has grown since the last read,
+    it was reached since then, while the innermost function on the wrapper
+    stack at that read was running.
     """
 
     def __init__(self):
@@ -73,15 +74,31 @@ class PeakLocator:
     def _wrap(self, fn):
         name = f"{fn.__module__}.{fn.__qualname__}"
 
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
+        def run(step, *args, **kwargs):
             self.read()
             self.stack.append(name)
             try:
-                return fn(*args, **kwargs)
+                return step(*args, **kwargs)
             finally:
                 self.read()
                 self.stack.pop()
+
+        if inspect.isgeneratorfunction(fn):
+            # a generator does its work as it is iterated, not when it is
+            # made, so each step of the iteration runs under its name
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                steps = fn(*args, **kwargs)
+                while True:
+                    try:
+                        item = run(next, steps)
+                    except StopIteration:
+                        return
+                    yield item
+        else:
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                return run(fn, *args, **kwargs)
 
         return wrapper
 
