@@ -16,13 +16,12 @@ right side from A..D.  Both responses come from one kernel that solves
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import DiscretizationConfig, StepMatrices, _check_stack, dt_step_matrices
 from .errors import ConfigError, DimensionError, DomainError
-from .model import LpvStateSpace, _frozen_array
+from .model import LpvStateSpace, _frozen_array, _record
 from .simulate import (
     Scenario,
     _render_csv,
@@ -46,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class FrequencyResponse:
     """Complex response matrices on a positive, strictly increasing grid.
 
@@ -189,7 +188,7 @@ def frequency_response_csv(fr: FrequencyResponse) -> str:
     return _render_csv(header, [fr.omegas, parts])
 
 
-@dataclass(frozen=True)
+@_record(eq="tuple")
 class ComparisonMetrics:
     """Error summary between two sampled channels.
 
@@ -225,7 +224,7 @@ def compare_traj(a, b, channel="y") -> ComparisonMetrics:
     )
 
 
-@dataclass(frozen=True)
+@_record(eq="tuple")
 class ConvergenceStudy:
     """Ts sweep results: per-Ts max error, pairwise orders, fitted slope.
 

@@ -35,12 +35,11 @@ engine step at the same p start from bit-identical matrices:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, WellposednessError
-from .model import LpvStateSpace, _frozen_array, eval_pmatrix, eval_pmatrix_many
+from .model import LpvStateSpace, _frozen_array, _record, eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
     "DiscretizationConfig",
@@ -71,7 +70,7 @@ def _check_stack(nbytes, what):
         )
 
 
-@dataclass(frozen=True)
+@_record(eq="tuple")
 class DiscretizationConfig:
     """Sampling configuration; ``ts`` is the sampling time in seconds."""
 
@@ -85,7 +84,7 @@ class DiscretizationConfig:
         object.__setattr__(self, "ts", float(self.ts))
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class StepMatrices:
     """One-step update, output, and state-reconstruction matrices.
 
@@ -259,7 +258,7 @@ def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMat
     )
 
 
-@dataclass(frozen=True)
+@_record(eq="tuple")
 class WellposednessReport:
     """Sampled evidence for the determinant condition over the box.
 

@@ -17,10 +17,14 @@ arrays, the types are unhashable.
 Model files are JSON; see :func:`parse_model` for the format.
 """
 
+import inspect
 import json
 import math
-from dataclasses import dataclass, fields
-from itertools import accumulate, chain
+import reprlib
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from functools import partial
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -56,19 +60,93 @@ def _frozen_array(a, dtype=float):
     return out
 
 
-def _fields_equal(self, other):
-    """``__eq__`` of the model types: every dataclass field equal, arrays
-    by ``np.array_equal``; NotImplemented for another type."""
-    if not isinstance(other, type(self)):
-        return NotImplemented
-    for f in fields(self):
-        a, b = getattr(self, f.name), getattr(other, f.name)
-        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
-            return False
-    return True
+def _record(cls=None, *, eq=None):
+    """``@dataclass(frozen=True)`` for the record types, built without ``exec``.
+
+    The stdlib compiles each generated method with ``exec``, about 1 ms per
+    class in the import of every CLI process (``tools/cold_start.py``).  Here
+    ``dataclass`` only registers the fields (``fields``, ``asdict``,
+    ``replace``, ``is_dataclass`` and ``__match_args__`` work), and closures
+    give ``__init__`` (then ``__post_init__``), the frozen ``__setattr__`` and
+    ``__delattr__`` with their messages, ``__repr__`` and the signature that
+    ``help`` shows.  ``eq``: None keeps identity; ``"tuple"`` compares and
+    hashes the field tuple, as a frozen dataclass does; ``"array"`` compares
+    arrays by ``np.array_equal`` and is unhashable, as arrays are.  Unlike the
+    stdlib's, ``__dataclass_params__.frozen`` reads False, and a call that
+    binds no arguments raises the TypeError of ``inspect.Signature.bind``.
+    """
+    if cls is None:
+        return partial(_record, eq=eq)
+    fs = fields(dataclass(init=False, repr=False, eq=False)(cls))
+    names, fill = tuple(f.name for f in fs), tuple(f.default for f in fs)
+    shown = [f.name for f in fs if f.repr]
+    post_init = hasattr(cls, "__post_init__")
+    setter = object.__setattr__
+    key = attrgetter(*names) if len(names) > 1 else lambda self: (getattr(self, names[0]),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            # each field after the positional ones: by keyword, else its
+            # default, else MISSING, which makes the call bind no arguments
+            n = len(args)
+            args += tuple(map(kwargs.pop, names[n:], fill[n:]))
+            if kwargs or n > len(names) or any(map(is_, args, repeat(MISSING))):
+                given = {k: v for k, v in zip(names[n:], args[n:]) if v is not MISSING}
+                __init__.__signature__.bind(self, *args[:n], **given, **kwargs)  # raises
+        for name, value in zip(names, args):
+            setter(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        text = ", ".join(f"{k}={getattr(self, k)!r}" for k in shown)
+        return f"{self.__class__.__qualname__}({text})"
+
+    methods = [__init__, __setattr__, __delattr__, __repr__]
+    if eq == "tuple":
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        methods += [__eq__, __hash__]
+    elif eq == "array":
+        def __eq__(self, other):
+            if not isinstance(other, type(self)):
+                return NotImplemented
+            return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                       for a, b in zip(key(self), key(other)))
+
+        methods.append(__eq__)
+        cls.__hash__ = None
+    for method in methods:
+        method.__module__ = cls.__module__
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    P = inspect.Parameter
+    __init__.__signature__ = inspect.Signature(
+        [P("self", P.POSITIONAL_OR_KEYWORD)] + [
+            P(f.name, P.POSITIONAL_OR_KEYWORD, annotation=f.type,
+              default=P.empty if f.default is MISSING else f.default) for f in fs],
+        return_annotation=None)
+    return cls
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq="array")
 class SchedulingDomain:
     """Closed box of admissible scheduling vectors.
 
@@ -118,10 +196,8 @@ class SchedulingDomain:
             [np.linspace(lo, hi, points_per_dim) for lo, hi in zip(self.lower, self.upper)]
         )
 
-    __eq__ = _fields_equal
 
-
-@dataclass(frozen=True, eq=False)
+@_record(eq="array")
 class PTerm:
     """One monomial term: ``coeff * prod_i p_i**exponents[i]``."""
 
@@ -138,10 +214,8 @@ class PTerm:
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "coeff", coeff)
 
-    __eq__ = _fields_equal
 
-
-@dataclass(frozen=True, eq=False)
+@_record(eq="array")
 class PMatrixFunction:
     """Matrix-valued polynomial ``M(p) = sum_terms coeff * prod_i p_i**e_i``.
 
@@ -215,8 +289,6 @@ class PMatrixFunction:
 
     def __call__(self, p) -> np.ndarray:
         return eval_pmatrix(self, p)
-
-    __eq__ = _fields_equal
 
 
 def eval_pmatrix(f: PMatrixFunction, p) -> np.ndarray:
@@ -327,7 +399,7 @@ def _matrix_shapes(n_x, n_u, n_y):
     return {"A": (n_x, n_x), "B": (n_x, n_u), "C": (n_y, n_x), "D": (n_y, n_u)}
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq="array")
 class LpvStateSpace:
     """Continuous-time LPV state-space model over a box scheduling domain.
 
@@ -403,8 +475,6 @@ class LpvStateSpace:
     @property
     def is_constant(self) -> bool:
         return all(f.is_constant for f in (self.A, self.B, self.C, self.D))
-
-    __eq__ = _fields_equal
 
 
 _MATRIX_KEYS = ("A", "B", "C", "D")

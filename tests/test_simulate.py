@@ -1706,3 +1706,93 @@ def test_render_csv_frees_the_stacked_table_before_the_join():
     finally:
         tracemalloc.stop()
     assert peak < held + parts.nbytes / 2
+
+
+def matrix_rows(monkeypatch, model):
+    """Record, per matrix of ``model``, the rows of each stack of points at
+    which the engines evaluate it."""
+    rows, original = [], simulate.eval_pmatrix_many
+    names = {id(getattr(model, k)): k for k in "ABCD"}
+
+    def counting(f, points):
+        rows.append((names[id(f)], len(points)))
+        return original(f, points)
+
+    monkeypatch.setattr(simulate, "eval_pmatrix_many", counting)
+    return rows
+
+
+def moving_io_model(rng):
+    """n_x = 2, n_u = 2, n_y = 3 model whose A, B, C and D all move with a
+    2-D scheduling vector on [-1, 1]^2."""
+    def affine(const, scale=1.0):
+        return PMatrixFunction.affine(
+            const, [scale * rng.uniform(-1, 1, const.shape) for _ in range(2)])
+
+    return LpvStateSpace(
+        n_x=2, n_u=2, n_y=3, n_p=2, A=affine(-1.5 * np.eye(2), 0.4),
+        B=affine(rng.uniform(-1, 1, (2, 2))),
+        C=affine(rng.uniform(-1, 1, (3, 2))),
+        D=affine(rng.uniform(-1, 1, (3, 2))),
+        domain=SchedulingDomain([-1.0, -1.0], [1.0, 1.0]),
+    )
+
+
+@pytest.mark.parametrize("p, runs", [
+    (piecewise_p([[2.0], [7.5], [0.25]], [4, 5, 3]), 3),
+    (np.linspace(0.0, 10.0, 12)[:, None], 12),
+    # a -0.0 after a 0.0 starts a run of B, C and D too
+    (np.array([[0.0], [-0.0], [-0.0], [0.0]]), 3),
+])
+def test_b_c_and_d_are_evaluated_once_per_run(monkeypatch, p, runs):
+    model = scalar_gain_model(-1.0, hi=40.0)
+    cfg = DiscretizationConfig(0.1)
+    traj = Trajectory(ts=0.1, p=p, u=np.ones((len(p), 1)))
+    rows = matrix_rows(monkeypatch, model)
+    simulate_dt(model, cfg, traj, [0.5])
+    assert sorted(rows) == [("A", runs), ("B", runs), ("C", runs), ("D", runs)]
+    rows.clear()
+    # the oracle evaluates its own A and B at every step
+    simulate_dt_loop_oracle(model, cfg, traj, [0.5])
+    assert sorted(rows) == [("A", len(p)), ("B", len(p)), ("C", runs), ("D", runs)]
+
+
+@pytest.mark.parametrize("engine", [simulate_dt, simulate_dt_loop_oracle])
+def test_gathered_b_c_and_d_give_the_bits_of_every_step(monkeypatch, engine):
+    # y = C(p) x + D(p) u, and simulate_dt's B u, from the runs' matrices
+    # gathered to the steps equal those of the whole per-step stacks
+    rng = np.random.default_rng(28)
+    model = moving_io_model(rng)
+    levels = rng.uniform(-0.9, 0.9, (5, 2))
+    levels[2, 0] = levels[1, 0]  # one channel holds
+    p = piecewise_p(levels, [40, 1, 23, 30, 7])
+    u = rng.uniform(-1, 1, (len(p), 2))
+    cfg = DiscretizationConfig(0.05)
+    traj = Trajectory(ts=0.05, p=p, u=u)
+    if engine is simulate_dt:
+        Bu, _ = captured_blocks(monkeypatch, model, cfg, traj, [0.3, -0.2])
+        want = np.einsum("kij,kj->ki", eval_pmatrix_many(model.B, p), u)
+        assert np.array_equal(Bu[:, :, 0], want)
+    out = engine(model, cfg, traj, [0.3, -0.2])
+    y = np.einsum("kij,kj->ki", eval_pmatrix_many(model.C, p), out.x)
+    y += np.einsum("kij,kj->ki", eval_pmatrix_many(model.D, p), u)
+    assert np.array_equal(out.y, y)
+
+
+def test_the_private_lapack_bindings_keep_their_gufunc_signatures():
+    # the oracle calls these two gufuncs of numpy.linalg._umath_linalg with
+    # out= and signature= in place of np.linalg.solve and np.linalg.slogdet
+    assert simulate._solve1.signature == "(m,m),(m)->(m)"
+    assert "dd->d" in simulate._solve1.types
+    assert simulate._slogdet.signature == "(m,m)->(),()"
+    assert "d->dd" in simulate._slogdet.types
+    rng = np.random.default_rng(5)
+    M = rng.uniform(-1, 1, (6, 3, 3)) + 2.0 * np.eye(3)
+    b = rng.uniform(-1, 1, (6, 3))
+    x = np.empty_like(b)
+    simulate._solve1(M, b, out=x, signature="dd->d")
+    assert np.array_equal(x, [np.linalg.solve(M_k, b_k) for M_k, b_k in zip(M, b)])
+    sign, logdet = np.empty(6), np.empty(6)
+    simulate._slogdet(M, out=(sign, logdet), signature="d->dd")
+    want = np.linalg.slogdet(M)
+    assert np.array_equal(sign, want.sign) and np.array_equal(logdet, want.logabsdet)
