@@ -125,7 +125,7 @@ def _response(s, omegas, A, B, C, D) -> FrequencyResponse:
     del E  # the (m, n, n) stack is the largest array: free it first
     values = C @ X
     values += D
-    return FrequencyResponse(omegas=omegas, values=values)
+    return FrequencyResponse(omegas, values)
 
 
 def freqresp_ct(model: LpvStateSpace, p, omegas) -> FrequencyResponse:

@@ -130,26 +130,40 @@ def _json_text(payload) -> str:
     with one call of the C encoder, which ``indent`` bypasses, for all
     scalars, NUL-separated: no JSON text holds a raw NUL."""
     scalars = []
-    parts = _layout(_jsonable(payload), "\n", scalars).split("\0")
+    parts = _layout(payload, "\n", scalars).split("\0")
     texts = json.dumps(scalars, separators=("\0", ""))[1:-1].split("\0")
     return parts[0] + "".join(itertools.chain.from_iterable(zip(texts, parts[1:]))) + "\n"
 
 
+#: scalar types that :func:`_jsonable` returns as they are
+_AS_IS = frozenset((str, int, bool, type(None)))
+
+
 def _layout(obj, nl, scalars):
-    """``json.dumps(obj, indent=1)`` of str-keyed dicts, with each line break
-    written as ``nl`` (the break and pad of ``obj``'s depth) and a NUL in
-    place of each scalar, which is appended to ``scalars`` in text order."""
-    if type(obj) not in (list, dict):
+    """``json.dumps(_jsonable(obj), indent=1)`` of str-keyed dicts, with each
+    line break written as ``nl`` (the break and pad of ``obj``'s depth) and a
+    NUL in place of each scalar, which is appended to ``scalars`` in text
+    order.  Values are converted in the same walk: an array by one
+    ``tolist``, a row of finite floats or of scalars that :func:`_jsonable`
+    keeps as they are, whole, and any other scalar by :func:`_jsonable`."""
+    if type(obj) in _AS_IS or type(obj) is float and math.isfinite(obj):
         scalars.append(obj)
         return "\0"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if not isinstance(obj, (dict, list, tuple)):
+        scalars.append(_jsonable(obj))
+        return "\0"
     if not obj:
-        return json.dumps(obj)  # [] or {}
+        return "{}" if isinstance(obj, dict) else "[]"
     inner = nl + " "
-    if type(obj) is dict:  # each key as the indenting encoder writes it
+    if isinstance(obj, dict):  # each key as the indenting encoder writes it
         items = [encode_basestring_ascii(k) + ": " + _layout(v, inner, scalars)
                  for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if set(map(type, obj)).isdisjoint((list, dict)):  # a row of scalars
+    kinds = set(map(type, obj))
+    # a non-finite float makes the sum non-finite
+    if kinds == {float} and math.isfinite(sum(obj)) or kinds <= _AS_IS:
         scalars.extend(obj)
         items = "\0" * len(obj)
     else:

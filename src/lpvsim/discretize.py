@@ -210,13 +210,13 @@ def _pack_step(A_p, B_p, C_p, D_p, cfg: DiscretizationConfig) -> StepMatrices:
     :func:`_step_blocks` call."""
     DA, Bxi, Xxi = _step_blocks(A_p, B_p, cfg)
     Xu = Xxi @ B_p
-    return StepMatrices(
-        Axi=_frozen_array(np.eye(A_p.shape[0]) + DA),
-        Bxi=_frozen_array(Bxi),
-        Cxi=_frozen_array(C_p @ Xxi),
-        Dxi=_frozen_array(C_p @ Xu + D_p),
-        Xxi=_frozen_array(Xxi),
-        Xu=_frozen_array(Xu),
+    return StepMatrices(  # Axi, Bxi, Cxi, Dxi, Xxi, Xu
+        _frozen_array(np.eye(A_p.shape[0]) + DA),
+        _frozen_array(Bxi),
+        _frozen_array(C_p @ Xxi),
+        _frozen_array(C_p @ Xu + D_p),
+        _frozen_array(Xxi),
+        _frozen_array(Xu),
     )
 
 
@@ -248,13 +248,13 @@ def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMat
     Phi = phi(A_p, cfg)
     n = model.n_x
     PhiB = Phi @ B_p
-    return StepMatrices(
-        Axi=_frozen_array(Phi @ (np.eye(n) + A_p * (cfg.ts / 2.0))),
-        Bxi=_frozen_array(PhiB * cfg.ts),
-        Cxi=_frozen_array(C_p @ Phi),
-        Dxi=_frozen_array(D_p + (C_p @ PhiB) * (cfg.ts / 2.0)),
-        Xxi=_frozen_array(np.eye(n)),
-        Xu=_frozen_array(np.zeros((n, model.n_u))),
+    return StepMatrices(  # Axi, Bxi, Cxi, Dxi, Xxi, Xu
+        _frozen_array(Phi @ (np.eye(n) + A_p * (cfg.ts / 2.0))),
+        _frozen_array(PhiB * cfg.ts),
+        _frozen_array(C_p @ Phi),
+        _frozen_array(D_p + (C_p @ PhiB) * (cfg.ts / 2.0)),
+        _frozen_array(np.eye(n)),
+        _frozen_array(np.zeros((n, model.n_u))),
     )
 
 
@@ -339,14 +339,14 @@ def wellposedness_check(
         singular.append(tuple(map(float, zero)))
         refuted_by = "sign_change"
     return WellposednessReport(
-        ts=cfg.ts,
-        samples_checked=points.shape[0],
-        min_abs_det=float(absdet[k]),
-        argmin_p=tuple(float(v) for v in points[k]),
-        max_condition_number=float(np.max(cond)),
-        singular_points=tuple(singular),
-        passed=not singular,
-        refuted_by=refuted_by,
+        cfg.ts,  # ts
+        points.shape[0],  # samples_checked
+        float(absdet[k]),  # min_abs_det
+        tuple(float(v) for v in points[k]),  # argmin_p
+        float(np.max(cond)),  # max_condition_number
+        tuple(singular),  # singular_points
+        not singular,  # passed
+        refuted_by,
     )
 
 

@@ -79,6 +79,8 @@ def _record(cls=None, *, eq=None):
         return partial(_record, eq=eq)
     fs = fields(dataclass(init=False, repr=False, eq=False)(cls))
     names, fill = tuple(f.name for f in fs), tuple(f.default for f in fs)
+    # a positional call of at least this many arguments takes the rest's defaults
+    n_required = max((i + 1 for i, d in enumerate(fill) if d is MISSING), default=0)
     shown = [f.name for f in fs if f.repr]
     post_init = hasattr(cls, "__post_init__")
     setter = object.__setattr__
@@ -86,13 +88,16 @@ def _record(cls=None, *, eq=None):
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
-            # each field after the positional ones: by keyword, else its
-            # default, else MISSING, which makes the call bind no arguments
             n = len(args)
-            args += tuple(map(kwargs.pop, names[n:], fill[n:]))
-            if kwargs or n > len(names) or any(map(is_, args, repeat(MISSING))):
-                given = {k: v for k, v in zip(names[n:], args[n:]) if v is not MISSING}
-                __init__.__signature__.bind(self, *args[:n], **given, **kwargs)  # raises
+            if not kwargs and n_required <= n < len(names):
+                args += fill[n:]
+            else:
+                # each field after the positional ones: by keyword, else its
+                # default, else MISSING, which makes the call bind no arguments
+                args += tuple(map(kwargs.pop, names[n:], fill[n:]))
+                if kwargs or n > len(names) or any(map(is_, args, repeat(MISSING))):
+                    given = {k: v for k, v in zip(names[n:], args[n:]) if v is not MISSING}
+                    __init__.__signature__.bind(self, *args[:n], **given, **kwargs)  # raises
         for name, value in zip(names, args):
             setter(self, name, value)
         if post_init:
@@ -581,10 +586,8 @@ def parse_model(text: str) -> LpvStateSpace:
     for name, (rows, cols) in _matrix_shapes(dims["nx"], dims["nu"], dims["ny"]).items():
         terms = _parse_terms(data[name], name, rows, cols, dims["np"]) if name in data else ()
         funcs[name] = PMatrixFunction(rows, cols, terms)
-    return LpvStateSpace(
-        n_x=dims["nx"], n_u=dims["nu"], n_y=dims["ny"], n_p=dims["np"],
-        domain=domain, **funcs,
-    )
+    return LpvStateSpace(dims["nx"], dims["nu"], dims["ny"], dims["np"],
+                         funcs["A"], funcs["B"], funcs["C"], funcs["D"], domain)
 
 
 def serialize_model(model: LpvStateSpace) -> str:

@@ -9,9 +9,10 @@ over its increment maps, each stored as one block [D | s], so the only
 Python loop left is over the scan's log2(N) levels.
 The loop oracle re-solves the implicit feedback loop around the trapezoidal
 integrator block at every step, written in xi itself: each step solves for x
-and the increment of xi and adds that increment.  Its loop matrices exist
-one fixed window of steps at a time, for the window's determinants and
-solves; one check of all the determinants follows the last step.  Both
+and the increment of xi and adds that increment.  Its A(p(k)) and loop
+matrices exist one fixed window of steps at a time, for the window's
+determinants and solves; one check of all the determinants follows the last
+step.  Both
 realize the identical map, so their outputs agree to machine precision; keeping both is the point, since each checks the other.  A
 fixed-step RK4 integrator provides the continuous-time reference.  The model
 is linear in x, so each RK4 substep is an increment map x+ = x + G_i [x; 1]
@@ -32,7 +33,6 @@ reconstructed state hit x(0) exactly at k = 0.
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import field
 
@@ -278,7 +278,7 @@ def sample_scenario(scenario: Scenario, cfg: DiscretizationConfig) -> Trajectory
                  f"(t_end = {scenario.t_end} at ts = {cfg.ts})")
     n_steps = int(n_steps)
     t = np.arange(n_steps) * cfg.ts
-    return Trajectory(ts=cfg.ts, p=scenario.p_at(t), u=scenario.u_at(t))
+    return Trajectory(cfg.ts, scenario.p_at(t), scenario.u_at(t))
 
 
 def _seed_xi(A0, Bu0, x0, ts):
@@ -394,7 +394,7 @@ def _result(engine, model, cfg, traj, x, xi, runs=None):
             f"(t = {k * cfg.ts!r}); the run diverges",
             step_index=k,
         )
-    return Trajectory(ts=cfg.ts, p=p, u=u, y=y, x=x, xi=xi)
+    return Trajectory(cfg.ts, p, u, y, x, xi)
 
 
 def simulate_dt(model, cfg, traj, x0) -> Trajectory:
@@ -499,13 +499,15 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
 
     The top half of each right-hand side is xi itself, so a step is one
     solve into its solution row and one add of 2 r x into the next step's
-    top half.  A and B u are evaluated batched at every step, C and D once
-    per run of equal points by the result step.  The loop matrices live
-    in one buffer of ``_ORACLE_WINDOW`` steps whose constant blocks are
-    written once; per window, -A(p(k)) is written, the determinants,
-    det = Ts^-n det(I - A Ts/2) by block elimination, are logged and the
-    steps solved.  One check of all the determinants then names the first
-    singular step.  Each solve calls LAPACK's gesv
+    top half.  B u is evaluated batched at every step, C and D once per run
+    of equal points by the result step.  The loop matrices live in one
+    buffer of ``_ORACLE_WINDOW`` steps whose constant blocks are written
+    once; per window, A(p(k)) is evaluated and -A written, the
+    determinants, det = Ts^-n det(I - A Ts/2) by block elimination, are
+    logged and the steps solved.  One singularity test of the least |det|
+    against the run's largest |A| entry then clears every step at once; only
+    a run it does not clear has each window's A evaluated again and its
+    steps judged, which names the first singular step.  Each solve calls LAPACK's gesv
     gufunc directly, the one ``np.linalg.solve`` wraps, with the same bits:
     the wrapper's per-call checks and errstate cost about twice the solve
     itself (see :func:`_solve_loop_steps`).  No per-point matrices (Phi or
@@ -516,34 +518,41 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
     ts, n, n_steps = cfg.ts, model.n_x, traj.n_steps
-    A = eval_pmatrix_many(model.A, traj.p)
     # the rows (xi(k), B u(k)); the last row's top half takes xi(N), unused
     rhs = np.empty((n_steps + 1, 2 * n))
-    rhs[:-1, n:] = Bu = _matvecs(eval_pmatrix_many(model.B, traj.p), traj.u)
-    rhs[0, :n] = _seed_xi(A[0], Bu[0], x0, ts)
-    del Bu
+    rhs[:-1, n:] = _matvecs(eval_pmatrix_many(model.B, traj.p), traj.u)
     eye = np.eye(n)
     loops = np.empty((min(_ORACLE_WINDOW, n_steps), 2 * n, 2 * n))
     loops[:] = np.block([[(2.0 / ts) * eye, -0.5 * eye], [0.0 * eye, 0.5 * eye]])
     sign, logdet, sol = np.empty(n_steps), np.empty(n_steps), np.empty((n_steps, 2 * n))
+    peak = 0.0  # the largest |A(p(k))| entry of the run
     with np.errstate(all="ignore"):  # see _solve_loop_steps
         for k0 in range(0, n_steps, len(loops)):
             k1 = min(k0 + len(loops), n_steps)
-            window = loops[:k1 - k0]
-            np.negative(A[k0:k1], out=window[:, n:, :n])
+            window, A = loops[:k1 - k0], eval_pmatrix_many(model.A, traj.p[k0:k1])
+            if k0 == 0:
+                rhs[0, :n] = _seed_xi(A[0], rhs[0, n:], x0, ts)
+            np.negative(A, out=window[:, n:, :n])
+            peak = max(peak, A.max(), -A.min())
             _slogdet(window, out=(sign[k0:k1], logdet[k0:k1]), signature="d->dd")
             _solve_loop_steps(window, rhs[k0:k1 + 1], sol[k0:k1])
-    # taken through logarithms, since Ts^-n alone overflows for large n; an
-    # overflow to inf is far from singular, so it is no warning
-    with np.errstate(over="ignore"):
-        bad = singular_rows(sign * np.exp(logdet + n * math.log(ts)), A, ts)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise WellposednessError(
-            f"integrator feedback loop is singular at step {k}",
-            A_p=A[k], ts=ts, step_index=k, p=traj.p[k],
-        )
-    del A
+        # taken through logarithms, since Ts^-n alone overflows for large n;
+        # an overflow to inf is far from singular
+        det = sign * np.exp(logdet + n * math.log(ts))
+    # the run's largest entry as one 1 x 1 matrix has a scale that bounds
+    # every step's, so if the least |det| passes, every step passes (fmin
+    # skips a NaN, which the test never calls singular); else each window's
+    # A is evaluated again and its steps judged one by one
+    if singular_rows(np.fmin.reduce(np.abs(det)), np.array([[peak]]), ts):
+        for k0 in range(0, n_steps, len(loops)):
+            A = eval_pmatrix_many(model.A, traj.p[k0:k0 + len(loops)])
+            bad = singular_rows(det[k0:k0 + len(A)], A, ts)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise WellposednessError(
+                    f"integrator feedback loop is singular at step {k0 + k}",
+                    A_p=A[k], ts=ts, step_index=k0 + k, p=traj.p[k0 + k],
+                )
     return _result("simulate_dt_loop_oracle", model, cfg, traj, sol[:, :n], rhs[:-1, :n])
 
 
@@ -740,8 +749,40 @@ def _csv_rows(text, what):
         raise DataError(f"{what}: {exc}") from None
 
 
-#: characters per block that :func:`_table_rows` splits, sized by read time
+#: characters per block of a table's split text, sized by read time
 _READ_BLOCK = 16384
+
+#: ASCII separators that numpy's number parsers skip as whitespace and
+#: Python's ``int`` and ``float`` do not
+_C0_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _split_is_csv(text):
+    """True when ``csv.reader`` reads every line of ``text`` as the line
+    split at commas: text with no ``"``, no CR and no line over the csv
+    module's field limit."""
+    limit = csv.field_size_limit()
+    # a line over the limit holds a multiple of limit + 1, so only the lines
+    # there are measured; find's -1 (no line end) mod len + 1 is the end
+    return not ('"' in text or "\r" in text or any(
+        (text.find("\n", c) % (len(text) + 1)) - text.rfind("\n", 0, c) - 1 > limit
+        for c in range(0, len(text), limit + 1)
+    ))
+
+
+def _line_blocks(text, start=0):
+    """``text`` from ``start`` in blocks of about ``_READ_BLOCK`` characters,
+    each cut at a line end, which it drops."""
+    while start < len(text):
+        end = text.find("\n", start + _READ_BLOCK - 1)
+        end = len(text) if end < 0 else end
+        yield text[start:end]
+        start = end + 1
+
+
+def _split_rows(block):
+    """The non-blank rows of a block of split text."""
+    return _non_blank([line.split(",") for line in block.split("\n")])
 
 
 def _table_rows(text, what):
@@ -749,26 +790,14 @@ def _table_rows(text, what):
     out, yielded as one list per block: a row is blank when all its cells
     are whitespace.
 
-    Text with no ``"``, no CR and no line over the csv module's field limit
-    is read by ``csv.reader`` as each line split at commas, so it is split
-    that way, in blocks of about ``_READ_BLOCK`` characters cut at line
-    ends.  Any other text goes through :func:`_csv_rows`, as one block.
+    Text that :func:`_split_is_csv` passes is split at line ends and commas,
+    in the blocks of :func:`_line_blocks`.  Any other text goes through
+    :func:`_csv_rows`, as one block.
     """
-    limit = csv.field_size_limit()
-    # a line over the limit holds a multiple of limit + 1, so only the lines
-    # there are measured; find's -1 (no line end) mod len + 1 is the end
-    if '"' in text or "\r" in text or any(
-        (text.find("\n", c) % (len(text) + 1)) - text.rfind("\n", 0, c) - 1 > limit
-        for c in range(0, len(text), limit + 1)
-    ):
+    if _split_is_csv(text):
+        yield from map(_split_rows, _line_blocks(text))
+    else:
         yield _non_blank(_csv_rows(text, what))
-        return
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _READ_BLOCK - 1)
-        end = len(text) if end < 0 else end
-        yield _non_blank([line.split(",") for line in text[start:end].split("\n")])
-        start = end + 1
 
 
 def _non_blank(rows):
@@ -776,56 +805,71 @@ def _non_blank(rows):
     return [r for r in rows if r and (r[0].strip() or "".join(r).strip())]
 
 
-def _columns(body, width, ts, first):
-    """The t, p and u values of trajectory table rows ``first``, ``first`` +
-    1, ... as an (n, width - 1) array, or None if any row is bad.
+def _header_cells(text):
+    """The cells of the first non-blank line of split text and the index
+    where the next line starts; (None, len(text)) if every line is blank."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line, start = text[start:end], end + 1
+        if line.replace(",", "").strip():
+            return line.split(","), start
+    return None, start
 
-    The cell counts are checked over the rows; then the cells are taken in
-    one flat list, k parsed with ``int`` from every width-th cell and the
-    rest with ``float`` in one pass, and k = first, first + 1, ... and
-    |t - k ts| <= 1e-9 checked over whole columns.
+
+def _block_values(block, width, ts, first):
+    """The t, p and u values of the rows of one block of split text, rows
+    ``first``, ``first`` + 1, ..., as an (n, width - 1) array.
+
+    numpy's C reader parses the block's lines with k as int64 and every
+    other cell as float64, and k = first, first + 1, ... and |t - k ts| <=
+    1e-9 are checked over whole columns.  Its number parsers read some
+    non-ASCII letters as digits and skip ``_C0_SEPARATORS`` as whitespace;
+    on other ASCII text, what they accept Python's ``int`` and ``float``
+    accept, with the same value.  So a block that is not such text, that
+    holds only blank lines, that numpy refuses or that fails a check goes
+    to :func:`_row_values`, which also names the first fault.
     """
-    if set(map(len, body)) != {width}:
-        return None
-    n = len(body)
-    cells = list(itertools.chain.from_iterable(body))
-    try:
-        if list(map(int, cells[::width])) != list(range(first, first + n)):
-            return None
-        del cells[::width]
-        data = np.fromiter(
-            map(float, cells), dtype=float, count=n * (width - 1)
-        ).reshape(n, width - 1)
-    except ValueError:
-        return None
-    # written as not <=, so that a NaN t fails the check
-    if not (np.abs(data[:, 0] - np.arange(first, first + n) * ts) <= 1e-9).all():
-        return None
-    return data
+    if block.isascii() and block.strip() and not any(c in block for c in _C0_SEPARATORS):
+        try:
+            rows = np.loadtxt(
+                block.split("\n"), delimiter=",", comments=None, quotechar=None,
+                dtype=[("k", np.int64), ("v", np.float64, (width - 1,))], ndmin=1,
+            )
+        except ValueError:
+            pass
+        else:
+            k, data = rows["k"], rows["v"]
+            steps = np.arange(first, first + len(k))
+            # a NaN t fails the <=
+            if (k == steps).all() and (np.abs(data[:, 0] - steps * ts) <= 1e-9).all():
+                return data
+    return _row_values(_split_rows(block), width, ts, first)
 
 
-def _raise_first_row_fault(body, width, ts, first):
-    """Raise the error of the first bad row of ``first``, ... row by row.
-
-    Runs only once :func:`_columns` has found a fault, so the error names
-    the first bad row and its first fault whatever the order of checks.
-    """
-    for j, row in enumerate(body, first):
+def _row_values(rows, width, ts, first):
+    """The t, p and u values of table rows ``first``, ``first`` + 1, ... as
+    an (n, width - 1) array, parsed with ``int`` and ``float`` and checked
+    one row at a time: the first bad row raises the DataError of its first
+    fault, whatever the order of checks elsewhere."""
+    values = []
+    for j, row in enumerate(rows, first):
         if len(row) != width:
             raise DataError(f"row {j} has {len(row)} cells, expected {width}")
         try:
             k = int(row[0])
-            t = float(row[1])
-            for cell in row[2:]:
-                float(cell)
+            cells = list(map(float, row[1:]))
         except ValueError as exc:
             raise DataError(f"row {j}: {exc}") from None
         if k != j:
             raise DataError(f"row {j} has k = {k}, expected {j}")
-        if not abs(t - j * ts) <= 1e-9:
+        if not abs(cells[0] - j * ts) <= 1e-9:
             raise DataError(
-                f"row {j} has t = {t}, expected k*ts = {j * ts} (ts = {ts})"
+                f"row {j} has t = {cells[0]}, expected k*ts = {j * ts} (ts = {ts})"
             )
+        values.append(cells)
+    return np.array(values, dtype=float).reshape(len(values), width - 1)
 
 
 def read_trajectory_csv(text: str, ts: float) -> Trajectory:
@@ -833,15 +877,22 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
 
     The k column must count 0,1,2,... and every t must be finite and equal
     k*ts within 1e-9; both guard against feeding a table sampled at a
-    different rate.  Each block of rows (see :func:`_table_rows`) is parsed
-    in one flat pass and checked column by column; only a block with a
-    fault is scanned row by row, to name the table's first bad row.
+    different rate.  Split text (see :func:`_split_is_csv`) is read after
+    its header in the blocks of :func:`_line_blocks`, each by numpy's C
+    reader and checked column by column (:func:`_block_values`); only a
+    block that it refuses or that has a fault is read row by row, which
+    names the table's first bad row.  Other text is read by ``csv.reader``
+    and then row by row.
     """
-    blocks = filter(None, _table_rows(text, "trajectory table"))
-    rows = next(blocks, None)
-    if rows is None:
+    rows = None
+    if _split_is_csv(text):
+        header, start = _header_cells(text)
+    else:
+        rows = _non_blank(_csv_rows(text, "trajectory table"))
+        header = rows.pop(0) if rows else None
+    if header is None:
         raise DataError("empty trajectory table")
-    header = [h.strip() for h in rows.pop(0)]
+    header = [h.strip() for h in header]
     n_pc = sum(1 for h in header if h.startswith("p") and h[1:].isdigit())
     n_uc = sum(1 for h in header if h.startswith("u") and h[1:].isdigit())
     expected = (
@@ -854,16 +905,16 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
             "trajectory header must be k,t,p1..pN,u1..uM in order, got "
             + ",".join(header)
         )
-    parts, n = [], 0
-    for body in filter(None, itertools.chain([rows], blocks)):
-        data = _columns(body, len(header), ts, n)
-        if data is None:
-            _raise_first_row_fault(body, len(header), ts, n)
-        parts.append(data)
-        n += len(body)
-        body.clear()  # its cells are gone before the next block is split
+    if rows is None:
+        parts, n = [], 0
+        for block in _line_blocks(text, start):
+            parts.append(_block_values(block, len(header), ts, n))
+            n += len(parts[-1])
+    else:
+        parts = [_row_values(rows, len(header), ts, 0)]
+        n = len(parts[0])
     if n == 0:
         raise DataError("trajectory table has a header but no rows")
     p = np.concatenate([d[:, 1:1 + n_pc] for d in parts])
     u = np.concatenate([d[:, 1 + n_pc:] for d in parts])
-    return Trajectory(ts=float(ts), p=p, u=u)
+    return Trajectory(float(ts), p, u)

@@ -32,12 +32,18 @@ def test_summary_counts_pairs_won_in_the_metric_direction():
 def test_one_pair_of_head_against_itself_reports_every_metric():
     done = subprocess.run(
         [sys.executable, "tools/ab_pairs.py", "HEAD", "HEAD", "--workload", "converge",
-         "--pairs", "1", "--seconds", "0.05"],
+         "--pairs", "1", "--seconds", "0.05", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("ab_pairs: converge, 1 pair(s) of 0.05 s runs, HEAD against HEAD")
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    assert [line.split()[0] for line in lines[2:]] == names
-    assert all(line.split()[-1] in ("0/1", "1/1") for line in lines[2:])
+    assert ", traced seeds " in lines[0]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in bench["end_to_end"]]
+    layers = [m["name"] for m in bench["per_layer"]]
+    end_to_end, per_layer = lines[2:2 + len(names)], lines[3 + len(names):]
+    assert [line.split()[0] for line in end_to_end] == names
+    assert lines[2 + len(names)].split()[:2] == ["per-layer", "metric"]
+    assert [line.split()[0] for line in per_layer] == layers
+    assert all(line.split()[-1] in ("0/1", "1/1") for line in end_to_end + per_layer)

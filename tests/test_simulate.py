@@ -4,6 +4,7 @@ trajectory CSV round trip."""
 import csv
 import io
 import math
+import pathlib
 import sys
 import tracemalloc
 
@@ -641,6 +642,23 @@ def test_loop_oracle_reports_first_of_several_singular_steps(monkeypatch, singul
     assert list(exc.value.p) == [20.0]
     assert exc.value.ts == 0.1
     assert np.array_equal(exc.value.A_p, [[20.0]])
+
+
+def test_loop_oracle_judges_each_step_when_the_whole_run_is_in_doubt():
+    # A(p) = p at Ts = 0.1: step 3's |det(I - A Ts/2)| of about 1e-11 clears
+    # its own threshold of 1e-12, but not the 5e-8 of step 5's scale at
+    # p = 1e6, so the test of the whole run is in doubt and the steps decide
+    model = scalar_gain_model(+1.0, hi=2e6)
+    cfg = DiscretizationConfig(0.1)
+    p = np.ones((8, 1))
+    p[3], p[5] = 20.0 - 2e-10, 1e6
+    traj = Trajectory(ts=0.1, p=p, u=np.ones((8, 1)))
+    for engine in (simulate_dt, simulate_dt_loop_oracle):
+        assert np.isfinite(engine(model, cfg, traj, [0.0]).y).all()
+    p[3] = 20.0
+    with pytest.raises(WellposednessError) as exc:
+        simulate_dt_loop_oracle(model, cfg, traj, [0.0])
+    assert exc.value.step_index == 3
 
 
 def test_engines_reject_non_finite_inputs():
@@ -1671,6 +1689,57 @@ def test_read_trajectory_csv_memory_is_bounded_by_its_block():
     finally:
         tracemalloc.stop()
     assert peak <= 250 * n
+
+
+def _spy_on_the_row_pass(monkeypatch):
+    """The ``first`` row of each call of the reader's row-by-row pass, in a
+    list that fills as the reader calls it."""
+    calls, row_values = [], simulate._row_values
+
+    def spy(rows, width, ts, first):
+        calls.append(first)
+        return row_values(rows, width, ts, first)
+
+    monkeypatch.setattr(simulate, "_row_values", spy)
+    return calls
+
+
+@pytest.mark.parametrize("workload", ["scheduled", "piecewise"])
+def test_benchmark_tables_are_read_by_numpys_c_reader(perfbench, tmp_path, monkeypatch, workload):
+    # every seed 1-3 table, and one with empty lines, which numpy skips as
+    # the split does: each block is parsed by np.loadtxt alone, with the
+    # csv-module reference's bits
+    gen = perfbench[0]
+    calls = _spy_on_the_row_pass(monkeypatch)
+    texts = [
+        pathlib.Path(job["traj_path"]).read_text()
+        for seed in (1, 2, 3) for job in gen.generate(workload, seed, tmp_path / str(seed)).jobs
+    ]
+    texts.append(texts[0].replace("\n5,", "\n\n\n5,"))
+    for text in texts:
+        got = _read_outcome(_read_trajectory, text, gen.SIM_TS)
+        assert got == _read_outcome(read_trajectory_reference, text, gen.SIM_TS)
+        assert got[0][0][0] == gen.SIM_SAMPLES  # the rows of p
+    assert len(texts) == 25 and calls == []
+
+
+@pytest.mark.parametrize("rows", [
+    "1,0.1,1.0,2.0\n , \n2,0.2,1.5,2.5\n",  # a blank row of whitespace cells
+    "1,0.1,1_0,2.0\n",  # 10.0 to float, not to numpy
+    "1.0,0.1,1.0,2.0\n",  # 1.0 as k
+    '1,0.1,"1.5",2.0\n',  # a quoted cell: read by csv.reader
+    "1,0.1,1.0,2.0\r\n",  # a CR: read by csv.reader
+    "1,0.1,1.0\n",  # ragged
+    "1,0.1,\u0661,2.0\n",  # a non-ASCII digit, 1.0 to float
+    "\u01fe1,0.1,1.0,2.0\n",  # a letter numpy's int parser reads as digits
+    "1,0.1,\x1c1.0,2.0\n",  # a separator numpy skips as whitespace
+])
+def test_text_the_c_reader_refuses_is_read_row_by_row(monkeypatch, rows):
+    calls = _spy_on_the_row_pass(monkeypatch)
+    text = _TABLE_HEAD + rows
+    got = _read_outcome(_read_trajectory, text, 0.1)
+    assert got == _read_outcome(read_trajectory_reference, text, 0.1)
+    assert calls == [0]
 
 
 def test_render_csv_writes_each_value_as_its_repr():

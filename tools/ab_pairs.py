@@ -3,20 +3,24 @@ alternating pairs.
 
 Usage, from the repository root:
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload W --pairs K [--seconds S]
+    python3 tools/ab_pairs.py PARENT CHANGE --workload W --pairs K [--seconds S] [--trace T]
 
 Exports each revision whole with ``git archive`` into a temporary directory.
 Draws K seeds at random and, for each, runs
 ``python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0``
 once in each export, one run at a time: PARENT first in even pairs, CHANGE
-first in odd ones.  Each export runs its own ``perfbench/`` and ``src/``;
-nothing in this checkout is written.
+first in odd ones.  With ``--trace T``, T more seeds get one traced run
+(``--trace 1``) per export each, in the same alternating order.  Each export
+runs its own ``perfbench/`` and ``src/``; nothing in this checkout is
+written.
 
 Prints the seeds, then one row per end-to-end metric of ``BENCHMARK.json``:
 the parent's median and quartiles, the change's median, the change of the
 medians, whether it exceeds the parent's interquartile spread, and the pairs
-the change won (strictly better in the metric's direction).  Exits 1 if a
-run reports a failed job.
+the change won (strictly better in the metric's direction).  With
+``--trace``, one row per per-layer metric of ``BENCHMARK.json`` follows: the
+two medians over the traced runs, their change and the traced pairs won.
+Exits 1 if a run reports a failed job.
 """
 
 import argparse
@@ -44,10 +48,11 @@ def export(rev, dest):
     return dest
 
 
-def run_once(checkout, workload, seed, seconds):
-    """The result line of one untraced benchmark run in ``checkout``."""
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """The result line of one benchmark run in ``checkout``, traced if
+    ``trace`` is 1."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
                           check=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -58,7 +63,8 @@ def summary(metrics, parent, change):
     relative change, beyond the parent's spread, pairs won).
 
     ``parent`` and ``change`` are lists of run results in pair order;
-    ``metrics`` is the ``end_to_end`` list of ``BENCHMARK.json``.
+    ``metrics`` is the ``end_to_end`` or the ``per_layer`` list of
+    ``BENCHMARK.json``.
     """
     rows = []
     for m in metrics:
@@ -82,30 +88,46 @@ def main(argv=None):
                     choices=("scheduled", "piecewise", "converge", "freq"))
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=8.0, help="length of each run")
+    ap.add_argument("--trace", type=int, default=0, metavar="T",
+                    help="traced pairs, for the per-layer medians (default 0)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.trace < 0:
+        ap.error("--trace must be at least 0")
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    seeds = random.SystemRandom().sample(range(1, 1_000_000), args.pairs)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seeds = random.SystemRandom().sample(range(1, 1_000_000), args.pairs + args.trace)
+    seeds, traced_seeds = seeds[:args.pairs], seeds[args.pairs:]
     print(f"ab_pairs: {args.workload}, {args.pairs} pair(s) of {args.seconds:g} s runs, "
-          f"{args.parent} against {args.change}, seeds {' '.join(map(str, seeds))}")
+          f"{args.parent} against {args.change}, seeds {' '.join(map(str, seeds))}"
+          + (f", traced seeds {' '.join(map(str, traced_seeds))}" if traced_seeds else ""))
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         dirs = {"parent": export(args.parent, pathlib.Path(tmp) / "parent"),
                 "change": export(args.change, pathlib.Path(tmp) / "change")}
         runs = {"parent": [], "change": []}
-        for i, seed in enumerate(seeds):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                runs[side].append(run_once(dirs[side], args.workload, seed, args.seconds))
+        traced = {"parent": [], "change": []}
+        for trace, logs, pair_seeds in ((0, runs, seeds), (1, traced, traced_seeds)):
+            for i, seed in enumerate(pair_seeds):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    logs[side].append(run_once(dirs[side], args.workload, seed,
+                                               args.seconds, trace))
 
     print(f"{'metric':<26} {'parent p50':>12} {'parent q1..q3':>25} {'change p50':>12} "
           f"{'change':>8} {'>IQR':>5} {'won':>6}")
     for name, unit, med_a, q1, q3, med_b, rel, beyond, won in summary(
-            metrics, runs["parent"], runs["change"]):
+            bench["end_to_end"], runs["parent"], runs["change"]):
         print(f"{name + ' (' + unit + ')':<26} {med_a:>12.5g} {q1:>12.5g}..{q3:<12.5g} "
               f"{med_b:>12.5g} {rel:>+8.2%} {'yes' if beyond else 'no':>5} "
               f"{won:>3}/{args.pairs}")
-    failed = sum(r["failed"] for side in runs.values() for r in side)
+    if traced_seeds:
+        print(f"{'per-layer metric':<50} {'parent p50':>12} {'change p50':>12} "
+              f"{'change':>8} {'won':>6}")
+        for name, unit, med_a, _, _, med_b, rel, _, won in summary(
+                bench["per_layer"], traced["parent"], traced["change"]):
+            print(f"{name + ' (' + unit + ')':<50} {med_a:>12.5g} {med_b:>12.5g} "
+                  f"{rel:>+8.2%} {won:>3}/{args.trace}")
+    failed = sum(r["failed"] for logs in (runs, traced) for side in logs.values() for r in side)
     if failed:
         print(f"ab_pairs: {failed} job(s) failed their checks", file=sys.stderr)
     return 1 if failed else 0
