@@ -19,7 +19,8 @@ is linear in x, so each RK4 substep is an increment map x+ = x + G_i [x; 1]
 with G_i = [D_i | s_i]; the reference builds those blocks batched from
 [A | B u] on a half-step grid, in fixed windows of the fine grid, and composes
 them by the loop-free engine's scan, so its only Python loops are over the
-windows and the scan's levels.
+windows and the scan's levels.  A window holds W >= 1 substeps, as many as
+a fixed byte budget allows, so its memory is about 220 KiB at every size.
 
 The internal state relates to the physical one by
 
@@ -556,12 +557,26 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     return _result("simulate_dt_loop_oracle", model, cfg, traj, sol[:, :n], rhs[:-1, :n])
 
 
-#: fine substeps per window of the RK4 reference's scan.  Windows start at
-#: multiples of this length on the fine grid, so a substep's prefix map
-#: depends only on its fine-grid index, whatever Ts and oversample are.  The
-#: length bounds the window's stage samples and (rows, n, n + 1) blocks, and so
-#: the reference's memory, whatever t_end is; sized by run time against peak
-_RK4_WINDOW = 256
+#: bytes one window of the RK4 reference may hold at its peak: what 256
+#: substeps hold at n_x = 4, n_p = n_u = 2 (see _rk4_window)
+_RK4_BUDGET = 256 * 8 * (5 * 4 * 5 + 2 * (1 + 2 + 2))
+
+
+def _rk4_window(model):
+    """Fine substeps per window of the RK4 reference, W = max(1, budget //
+    bytes per substep).
+
+    A substep spans two half-step rows, each with a sample of t, p and u,
+    2 (1 + n_p + n_u) floats, and the window's peak is the larger of two
+    phases: the stage blocks (F = [A | B u] on both rows, G and two stage
+    blocks), 5 n (n + 1) floats, or, while B is evaluated, A, B and one
+    term's product on both rows, 2 (n^2 + 2 n n_u + 1), the larger only when
+    n_u nears n.  W depends only on the model's dimensions, never on Ts or
+    oversample, so windows start at the same multiples of W on every grid.
+    """
+    n, n_u = model.n_x, model.n_u
+    blocks = max(5 * n * (n + 1), 2 * (n * n + 2 * n * n_u + 1))
+    return max(1, _RK4_BUDGET // (8 * (blocks + 2 * (1 + model.n_p + n_u))))
 
 
 def _rk4_affine_maps(model, p, u, h):
@@ -638,18 +653,21 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
 
     For a linear time-varying system one RK4 substep is an affine map
     x+ = x + G_i [x; 1] with G_i = [D_i | s_i], built from [A | B u] at the
-    substep's three stage times.  The fine grid is cut into windows of
-    ``_RK4_WINDOW`` substeps that start at multiples of that length.  Per
+    substep's three stage times.  The fine grid is cut into windows of W
+    substeps that start at multiples of W, where W >= 1 is what a 220 KiB
+    budget holds at 8 (5 n_x (n_x + 1) + 2 (1 + n_p + n_u)) bytes per
+    substep (:func:`_rk4_window`): 256 at n_x = 4, n_p = n_u = 2.  Per
     window, p and u are sampled on its half-step grid, and the blocks are
     built batched and composed by a log-depth prefix scan in this increment
     form, never as I + D_i, whose product would round every entry of x
     afresh.  x is then formed only at the window's rows that end a sample,
     one strided slice of every oversample-th row, in one batched step
     x_start + G_pref [x_start; 1], and at its last row, which starts the
-    next window.  So memory is bounded by the window plus the output log,
+    next window.  So memory is bounded by the budget plus the output log,
     and the only Python loops are over the windows and the scan's levels.
-    Since the windows are fixed on the fine grid, runs at (Ts, oversample)
-    and (2 Ts, 2 oversample) agree bit for bit at the samples they share.
+    W depends only on the model's dimensions, so the windows are fixed on
+    the fine grid, and runs at (Ts, oversample) and (2 Ts, 2 oversample)
+    agree bit for bit at the samples they share.
 
     Raises
     ------
@@ -677,10 +695,11 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
 
     x_log = np.empty((n_keep, model.n_x))
     x_log[0] = x = x0
+    window = _rk4_window(model)
     # as in simulate_dt, a diverging run is reported by the result step
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n_fine, _RK4_WINDOW):
-            i1 = min(i0 + _RK4_WINDOW, n_fine)
+        for i0 in range(0, n_fine, window):
+            i1 = min(i0 + window, n_fine)
             # the window's half-step grid: substep i starts at 2i, ends at 2i+2
             t = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
             p = scenario.p_at(t)

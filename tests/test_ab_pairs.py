@@ -29,6 +29,25 @@ def test_summary_counts_pairs_won_in_the_metric_direction():
     assert rate[7:] == (True, 2)  # any change is beyond a spread of 0
 
 
+def test_a_time_row_reads_its_change_against_the_median_self_ms_change():
+    # every time is 10% slower on the change side but one layer, 20% faster
+    # than that; the median self_ms ratio is the drift, 1.1
+    rows = [(name, unit, a, 0.0, 0.0, b, b / a - 1.0 if a else 0.0, False, 0)
+            for name, unit, a, b in (
+                ("x.self_ms", "ms", 2.0, 2.2),
+                ("y.self_ms", "ms", 1.0, 1.1),
+                ("z.self_ms", "ms", 4.0, 4.4 * 0.8),
+                ("y.us_per_step", "us", 3.0, 3.3),
+                ("y.steps", "count", 100.0, 100.0),
+                ("w.self_ms", "ms", 0.0, 0.0),  # a layer that did not run
+            )]
+    fair = ab_pairs.against_drift(rows)
+    assert [round(f, 12) if f is not None else None for f in fair] == [
+        0.0, 0.0, -0.2, 0.0, None, None]
+    # no self_ms row ran on both sides: no drift to measure
+    assert ab_pairs.against_drift(rows[3:]) == [None, None, None]
+
+
 def test_one_pair_of_head_against_itself_reports_every_metric():
     done = subprocess.run(
         [sys.executable, "tools/ab_pairs.py", "HEAD", "HEAD", "--workload", "converge",
@@ -44,6 +63,14 @@ def test_one_pair_of_head_against_itself_reports_every_metric():
     layers = [m["name"] for m in bench["per_layer"]]
     end_to_end, per_layer = lines[2:2 + len(names)], lines[3 + len(names):]
     assert [line.split()[0] for line in end_to_end] == names
-    assert lines[2 + len(names)].split()[:2] == ["per-layer", "metric"]
+    assert lines[2 + len(names)].split() == [
+        "per-layer", "metric", "parent", "p50", "change", "p50", "change", "vs", "drift", "won"]
     assert [line.split()[0] for line in per_layer] == layers
     assert all(line.split()[-1] in ("0/1", "1/1") for line in end_to_end + per_layer)
+    # the drift column: a signed percentage on each time row that ran, else -
+    units = {m["name"]: m["unit"] for m in bench["per_layer"]}
+    for line in per_layer:
+        cells = line.split()
+        ran = units[cells[0]] in ("ms", "us") and float(cells[-5]) > 0 and float(cells[-4]) > 0
+        assert (cells[-2][0] in "+-" and cells[-2].endswith("%")) if ran else cells[-2] == "-"
+    assert any(line.split()[-2] != "-" for line in per_layer)

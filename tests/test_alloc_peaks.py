@@ -1,6 +1,6 @@
 """``tools/alloc_peaks.py`` runs on one job per workload and names a place,
-also inside a generator, and no ``scheduled`` benchmark job allocates more
-than its budget."""
+also inside a generator, and no ``scheduled`` or ``converge`` benchmark job
+allocates more than its budget."""
 
 import gc
 import importlib.util
@@ -53,6 +53,29 @@ def test_every_scheduled_job_allocates_at_most_240_kib(perfbench, tmp_path):
     finally:
         tracemalloc.stop()
     assert len(peaks) == 8 and max(peaks) <= 240.0, peaks
+
+
+def test_every_converge_job_allocates_at_most_260_kib(perfbench, tmp_path):
+    # measured as perfbench/run.py measures job_alloc_peak_kib.  The n_x = 4
+    # jobs set it near 250 KiB with an RK4 window of 256 substeps; a window
+    # budget under which a smaller model's longer window outgrows theirs
+    # would show here
+    gen, workloads, _ = perfbench
+    pool = gen.generate("converge", 1, tmp_path).jobs
+    workloads.run_job("converge", pool[0], cli.main)  # first-call allocations are no job's
+    peaks = []
+    tracemalloc.start()
+    try:
+        for job in pool:
+            gc.collect()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            results = workloads.run_job("converge", job, cli.main)
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / 1024.0)
+            assert [code for code, _ in results] == [0]
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 8 and max(peaks) <= 260.0, peaks
 
 
 def test_a_peak_reached_inside_a_generator_is_named_after_it(perfbench, monkeypatch):

@@ -39,9 +39,10 @@ from lpvsim.errors import (
 )
 from lpvsim.model import eval_pmatrix_many
 from lpvsim.simulate import (
-    _RK4_WINDOW,
+    _RK4_BUDGET,
     _csv_rows,
     _render_csv,
+    _rk4_window,
     _run_bytes,
     _scan,
     _table_rows,
@@ -1009,11 +1010,14 @@ def test_ct_reference_matches_stagewise_oracle(n_x, n_u):
     rng = np.random.default_rng(10 * n_x + n_u)
     model = random_time_varying_model(rng, n_x, n_u)
     cfg = DiscretizationConfig(0.1)
-    for oversample in (1, 3, 16, 20, _RK4_WINDOW + 1):
+    window = _rk4_window(model)
+    # the largest oversample up to 20 whose samples end on a window edge
+    edge = max(d for d in range(1, 21) if window % d == 0)
+    for oversample in (1, 3, edge, 20, window + 1):
         # sample counts whose fine substeps end below one window of maps,
         # reach or cross its end (at it when oversample divides the window
         # length), and end inside the next window
-        below = (_RK4_WINDOW - 1) // oversample
+        below = (window - 1) // oversample
         for n_samples in (below, below + 1, below + 2):
             scen = Scenario(
                 p=[SignalSpec.sine(amplitude=0.9, f=f, phase=ph)
@@ -1030,7 +1034,12 @@ def test_ct_reference_matches_stagewise_oracle(n_x, n_u):
 
 
 
-@pytest.mark.parametrize("oversample", [2, 20, 2 * _RK4_WINDOW + 2])
+# the window of random_time_varying_model(rng, 3, 2), whatever rng: a window
+# depends only on the model's dimensions
+_WINDOW_3X2 = _rk4_window(random_time_varying_model(np.random.default_rng(0), 3, 2))
+
+
+@pytest.mark.parametrize("oversample", [2, 20, 2 * _WINDOW_3X2 + 2])
 def test_ct_reference_is_the_same_on_a_twice_coarser_grid(oversample):
     # (0.1, ov) and (0.05, ov/2) share the substep h and the fine grid, so
     # every sample of the first run is every second sample of the second,
@@ -1039,7 +1048,7 @@ def test_ct_reference_is_the_same_on_a_twice_coarser_grid(oversample):
     # and across window boundaries
     rng = np.random.default_rng(oversample)
     model = random_time_varying_model(rng, 3, 2)
-    n_fine = 2 * _RK4_WINDOW + 3 * oversample
+    n_fine = 2 * _rk4_window(model) + 3 * oversample
     scen = Scenario(
         p=[SignalSpec.sine(amplitude=0.9, f=f, phase=ph)
            for f, ph in rng.uniform(0.1, 2.0, (2, 2))],
@@ -1299,6 +1308,78 @@ def test_ct_reference_memory_is_bounded_by_the_window():
     peak_and_outputs(800)  # first-call allocations are not the run's
     short, long_ = peak_and_outputs(8_000), peak_and_outputs(80_000)
     assert long_[0] - short[0] <= long_[1] - short[1] + 64 * 1024
+
+
+@pytest.mark.parametrize("n_x", [1, 2, 4, 8, 16, 64])
+@pytest.mark.parametrize("n_u", [1, 2])
+def test_ct_reference_window_peak_is_within_the_budget(n_x, n_u):
+    # a run of one window of W substeps and two samples: its peak is the
+    # window's, whose stacks _rk4_window counts against the byte budget
+    rng = np.random.default_rng(n_x)
+    model = random_time_varying_model(rng, n_x, n_u)
+    window, cfg = _rk4_window(model), DiscretizationConfig(0.1)
+    scen = Scenario(
+        p=[SignalSpec.sine(amplitude=0.9, f=f, phase=ph)
+           for f, ph in rng.uniform(0.1, 2.0, (2, 2))],
+        u=[SignalSpec.sine(f=f) for f in rng.uniform(0.1, 2.0, n_u)],
+        x0=rng.uniform(-1, 1, n_x),
+        t_end=cfg.ts,
+    )
+    simulate_ct_reference(model, cfg, scen, oversample=window)  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = simulate_ct_reference(model, cfg, scen, oversample=window)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.n_steps == 2
+    assert peak <= 1.05 * _RK4_BUDGET, (window, peak)
+
+
+def test_ct_reference_steps_one_substep_per_window_at_n_x_64():
+    rng = np.random.default_rng(64)
+    model = random_time_varying_model(rng, 64, 2)
+    assert _rk4_window(model) == 1
+    cfg = DiscretizationConfig(0.1)
+    scen = Scenario(
+        p=[SignalSpec.sine(amplitude=0.9, f=f, phase=ph)
+           for f, ph in rng.uniform(0.1, 2.0, (2, 2))],
+        u=[SignalSpec.sine(f=f) for f in rng.uniform(0.1, 2.0, 2)],
+        x0=rng.uniform(-1, 1, 64),
+        t_end=0.4,
+    )
+    got = simulate_ct_reference(model, cfg, scen, oversample=3).x
+    want = rk4_stagewise_oracle(model, cfg, scen, 3)
+    assert got.shape == (5, 64)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_ct_reference_window_is_the_same_for_every_ts_and_oversample(monkeypatch):
+    # the scan sees every window's maps: each but a run's last has W rows,
+    # whatever the grid, so a substep's window depends on its index alone
+    rng = np.random.default_rng(7)
+    model = random_time_varying_model(rng, 4, 1)
+    window = _rk4_window(model)
+    lengths = []
+
+    def scan(G):
+        lengths.append(len(G))
+        _scan(G)
+
+    monkeypatch.setattr(simulate, "_scan", scan)
+    for ts, oversample in ((0.1, 1), (0.05, 7), (0.2, 20), (0.1, window + 3)):
+        scen = Scenario(
+            p=[SignalSpec.sine(amplitude=0.9, f=0.3), SignalSpec.sine(amplitude=0.5, f=0.2)],
+            u=[SignalSpec.sine(f=0.7)],
+            x0=rng.uniform(-1, 1, 4),
+            t_end=ts * -(-(2 * window + 1) // oversample),
+        )
+        lengths.clear()
+        out = simulate_ct_reference(model, DiscretizationConfig(ts), scen, oversample)
+        assert lengths[:-1] == [window] * (len(lengths) - 1), (ts, oversample)
+        assert 0 < lengths[-1] <= window
+        assert sum(lengths) == (out.n_steps - 1) * oversample > 2 * window
 
 
 # --- CSV round trip ---------------------------------------------------------

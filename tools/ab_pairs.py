@@ -19,8 +19,9 @@ the parent's median and quartiles, the change's median, the change of the
 medians, whether it exceeds the parent's interquartile spread, and the pairs
 the change won (strictly better in the metric's direction).  With
 ``--trace``, one row per per-layer metric of ``BENCHMARK.json`` follows: the
-two medians over the traced runs, their change and the traced pairs won.
-Exits 1 if a run reports a failed job.
+two medians over the traced runs, their change, the change of a time metric
+against the host's drift (see :func:`against_drift`) and the traced pairs
+won.  Exits 1 if a run reports a failed job.
 """
 
 import argparse
@@ -80,6 +81,25 @@ def summary(metrics, parent, change):
     return rows
 
 
+def against_drift(rows):
+    """Each time row's change against the median change of the traced runs.
+
+    Traced per-layer times are raw wall time, so a host whose load drifts
+    between the two sides moves every layer alike.  The drift is the median
+    ratio of the change's to the parent's median over every ``*.self_ms``
+    row that ran on both sides; a time row (unit ms or us) reads
+    ``ratio / drift - 1``, near 0 for a layer the change did not touch.
+    ``rows`` are :func:`summary` rows; other rows, and rows that did not run
+    on both sides, read None.
+    """
+    ratios = [med_b / med_a for name, _, med_a, _, _, med_b, *_ in rows
+              if name.endswith(".self_ms") and med_a > 0 and med_b > 0]
+    drift = statistics.median(ratios) if ratios else None
+    return [(med_b / med_a) / drift - 1.0
+            if drift and unit in ("ms", "us") and med_a > 0 and med_b > 0 else None
+            for _, unit, med_a, _, _, med_b, *_ in rows]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="git revision of the base side")
@@ -122,11 +142,13 @@ def main(argv=None):
               f"{won:>3}/{args.pairs}")
     if traced_seeds:
         print(f"{'per-layer metric':<50} {'parent p50':>12} {'change p50':>12} "
-              f"{'change':>8} {'won':>6}")
-        for name, unit, med_a, _, _, med_b, rel, _, won in summary(
-                bench["per_layer"], traced["parent"], traced["change"]):
+              f"{'change':>8} {'vs drift':>8} {'won':>6}")
+        rows = summary(bench["per_layer"], traced["parent"], traced["change"])
+        for (name, unit, med_a, _, _, med_b, rel, _, won), fair in zip(
+                rows, against_drift(rows)):
             print(f"{name + ' (' + unit + ')':<50} {med_a:>12.5g} {med_b:>12.5g} "
-                  f"{rel:>+8.2%} {won:>3}/{args.trace}")
+                  f"{rel:>+8.2%} {'-' if fair is None else format(fair, '+.2%'):>8} "
+                  f"{won:>3}/{args.trace}")
     failed = sum(r["failed"] for logs in (runs, traced) for side in logs.values() for r in side)
     if failed:
         print(f"ab_pairs: {failed} job(s) failed their checks", file=sys.stderr)

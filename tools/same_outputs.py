@@ -22,15 +22,19 @@ written there, one BLAS thread and ``COLUMNS=80``.  A side's result maps a
 name to bytes: every file that a pool's jobs leave in the run directory, and
 the exit code, stdout and stderr of every CLI call and demo.  The two
 results are compared by :func:`compare`; each difference is printed, and the
-exit status is 1 if there is any, else 0.
+exit status is 1 if there is any, else 0.  Where two outputs differ only in
+their numbers, the line also gives the largest relative move of a number,
+and the closing line the largest over all outputs.
 """
 
 import argparse
 import contextlib
 import io
+import math
 import os
 import pathlib
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -42,12 +46,28 @@ WORKLOADS = ("scheduled", "piecewise", "converge", "freq")
 SEEDS = (1, 2, 3)
 
 
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_move(a, b):
+    """The largest relative move |x - y| / max(|x|, |y|) of a number between
+    two texts that are equal once every number is masked; None if they are
+    not, 0.0 if no number moved."""
+    if _NUMBER.sub(b"#", a) != _NUMBER.sub(b"#", b):
+        return None
+    moves = [abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+             for x, y in zip(map(float, _NUMBER.findall(a)), map(float, _NUMBER.findall(b)))
+             if x != y]
+    return max(moves, default=0.0)
+
+
 def compare(base, tree):
     """The differences between two results, one line each; [] if none.
 
     ``base`` and ``tree`` map a name to bytes.  A name on one side only is a
     difference, and so is a name whose bytes differ; its line shows both
-    sides from the first byte that differs.
+    sides from the first byte that differs, and, where only numbers differ,
+    the largest relative move of one (:func:`number_move`).
     """
     lines = []
     for name in sorted(set(base) | set(tree)):
@@ -57,8 +77,11 @@ def compare(base, tree):
         elif a != b:
             i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
                      min(len(a), len(b)))
+            move = number_move(a, b)
             lines.append(f"{name}: differs from byte {i}: base {a[i:i + 60]!r}, "
-                         f"tree {b[i:i + 60]!r}")
+                         f"tree {b[i:i + 60]!r}"
+                         + ("" if move is None else
+                            f"; numbers only, largest relative move {move:.3g}"))
     return lines
 
 
@@ -154,8 +177,12 @@ def main(argv=None):
     lines = compare(base, tree)
     for line in lines:
         print(line)
+    moves = [m for name in set(base) & set(tree) if base[name] != tree[name]
+             for m in [number_move(base[name], tree[name])] if m is not None]
     print(f"same_outputs: {len(set(base) | set(tree))} outputs of {args.rev} and "
-          f"the working tree compared, {len(lines)} differ")
+          f"the working tree compared, {len(lines)} differ"
+          + (f", {len(moves)} only in numbers, by at most {max(moves):.3g} relative"
+             if moves else ""))
     return 1 if lines else 0
 
 
