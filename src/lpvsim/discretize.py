@@ -17,7 +17,8 @@ engine step at the same p start from bit-identical matrices:
   A(p) or for a stack of them (one per run of equal points of a trajectory).
 * :func:`singular_rows` -- the one singularity predicate on
   det(I - A(p) Ts/2), shared by :func:`phi`, both simulation engines and
-  :func:`wellposedness_check`.
+  :func:`wellposedness_check`.  One bound from a stack's largest |A| entry
+  clears all its rows at once; else they are judged row by row.
 * :func:`dt_step_matrices`, :func:`sigma_step` and :func:`tustin_frozen`
   -- the three builders of the one result type, :class:`StepMatrices`:
   the loop-free update obtained by solving the instantaneous feedback
@@ -122,11 +123,16 @@ def det_scale(A, ts: float):
 def singular_rows(det, A, ts: float):
     """True where ``|det(I - A Ts/2)| < SINGULAR_RTOL * det_scale(A, Ts)``.
 
-    ``det`` is the determinant of I - A Ts/2 (or of any matrix with the same
-    determinant) for one matrix A or for each matrix of a stack; the result
-    has the shape of ``det``.
+    ``det`` is the determinant of I - A Ts/2 for one matrix A or for each
+    matrix of a stack; the result has the shape of ``det``.  The stack's
+    largest |A| entry bounds every matrix's :func:`det_scale`: if every |det|
+    clears that bound, no row is singular; a NaN or a row under it takes the
+    per-row rule, so the verdicts are the same bit for bit.
     """
-    return np.abs(det) < SINGULAR_RTOL * det_scale(A, ts)
+    absdet = np.abs(det)
+    peak = np.maximum(A.max(), -A.min()) if A.size else 0.0
+    clear = absdet >= SINGULAR_RTOL * np.maximum(1.0, peak * (ts / 2.0))
+    return ~clear if clear.all() else absdet < SINGULAR_RTOL * det_scale(A, ts)
 
 
 def _resolvent_det(A, ts: float):

@@ -10,9 +10,9 @@ Python loop left is over the scan's log2(N) levels.
 The loop oracle re-solves the implicit feedback loop around the trapezoidal
 integrator block at every step, written in xi itself: each step solves for x
 and the increment of xi and adds that increment.  Its A(p(k)) and loop
-matrices exist one fixed window of steps at a time, for the window's
-determinants and solves; one check of all the determinants follows the last
-step.  Both
+matrices exist one fixed window of steps at a time; each window's
+det(I - A Ts/2) is judged by the one singularity test, and a singular window
+is refused before it is solved.  Both
 realize the identical map, so their outputs agree to machine precision; keeping both is the point, since each checks the other.  A
 fixed-step RK4 integrator provides the continuous-time reference.  The model
 is linear in x, so each RK4 substep is an increment map x+ = x + G_i [x; 1]
@@ -40,7 +40,8 @@ from dataclasses import field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .discretize import DiscretizationConfig, _check_stack, _step_blocks, singular_rows
+from .discretize import (DiscretizationConfig, _check_stack, _resolvent_det, _step_blocks,
+                         singular_rows)
 from .errors import (
     ConfigError,
     DataError,
@@ -453,10 +454,9 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     return _result("simulate_dt", model, cfg, traj, x, xis[:-1], runs)
 
 
-#: the LAPACK gufuncs behind ``np.linalg.solve`` (one matrix, one right-hand
-#: side) and ``np.linalg.slogdet``; bound once, so the oracle calls them directly
+#: the LAPACK gufunc behind ``np.linalg.solve`` (one matrix, one right-hand
+#: side); bound once, so the oracle calls it directly
 _solve1 = _umath_linalg.solve1
-_slogdet = _umath_linalg.slogdet
 
 #: steps per window of the loop oracle's loop matrices; measured against run
 #: time and allocation peak at n_x 4 and 16 (figures in CHANGES.md)
@@ -473,11 +473,10 @@ def _solve_loop_steps(loops, rhs, sol):
     same ``dd->d`` signature, so its bits are those of ``np.linalg.solve``;
     the public wrapper was measured to cost more than the solve itself.
     The caller enters one errstate for the whole run instead, with every
-    floating-point warning off: a singular loop matrix, which gives NaN
-    rows, is reported by the caller's determinant check once every step is
-    solved, and a diverging run, which overflows to inf and then NaN, by
-    the caller's finiteness check on the logs, never by a warning or a
-    raise midway.
+    floating-point warning off.  A singular window never gets here: the
+    caller refuses it before it is solved.  A diverging run, which
+    overflows to inf and then NaN, is reported by the caller's finiteness
+    check on the logs, never by a warning or a raise midway.
     """
     n = loops.shape[1] // 2
     solve, add = _solve1, np.add
@@ -503,12 +502,11 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     top half.  B u is evaluated batched at every step, C and D once per run
     of equal points by the result step.  The loop matrices live in one
     buffer of ``_ORACLE_WINDOW`` steps whose constant blocks are written
-    once; per window, A(p(k)) is evaluated and -A written, the
-    determinants, det = Ts^-n det(I - A Ts/2) by block elimination, are
-    logged and the steps solved.  One singularity test of the least |det|
-    against the run's largest |A| entry then clears every step at once; only
-    a run it does not clear has each window's A evaluated again and its
-    steps judged, which names the first singular step.  Each solve calls LAPACK's gesv
+    once; per window, A(p(k)) is evaluated once and det(I - A Ts/2), Ts^n
+    times the loop matrix's by block elimination, is judged by the one
+    singularity test, which refuses a singular window before it is solved
+    and names its first singular step; then -A is written and the steps
+    solved.  Each solve calls LAPACK's gesv
     gufunc directly, the one ``np.linalg.solve`` wraps, with the same bits:
     the wrapper's per-call checks and errstate cost about twice the solve
     itself (see :func:`_solve_loop_steps`).  No per-point matrices (Phi or
@@ -525,35 +523,22 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     eye = np.eye(n)
     loops = np.empty((min(_ORACLE_WINDOW, n_steps), 2 * n, 2 * n))
     loops[:] = np.block([[(2.0 / ts) * eye, -0.5 * eye], [0.0 * eye, 0.5 * eye]])
-    sign, logdet, sol = np.empty(n_steps), np.empty(n_steps), np.empty((n_steps, 2 * n))
-    peak = 0.0  # the largest |A(p(k))| entry of the run
+    sol = np.empty((n_steps, 2 * n))
     with np.errstate(all="ignore"):  # see _solve_loop_steps
         for k0 in range(0, n_steps, len(loops)):
             k1 = min(k0 + len(loops), n_steps)
             window, A = loops[:k1 - k0], eval_pmatrix_many(model.A, traj.p[k0:k1])
+            bad = singular_rows(_resolvent_det(A, ts)[1], A, ts)
+            if bad.any():
+                k = k0 + int(np.argmax(bad))
+                raise WellposednessError(
+                    f"integrator feedback loop is singular at step {k}",
+                    A_p=A[k - k0], ts=ts, step_index=k, p=traj.p[k],
+                )
             if k0 == 0:
                 rhs[0, :n] = _seed_xi(A[0], rhs[0, n:], x0, ts)
             np.negative(A, out=window[:, n:, :n])
-            peak = max(peak, A.max(), -A.min())
-            _slogdet(window, out=(sign[k0:k1], logdet[k0:k1]), signature="d->dd")
             _solve_loop_steps(window, rhs[k0:k1 + 1], sol[k0:k1])
-        # taken through logarithms, since Ts^-n alone overflows for large n;
-        # an overflow to inf is far from singular
-        det = sign * np.exp(logdet + n * math.log(ts))
-    # the run's largest entry as one 1 x 1 matrix has a scale that bounds
-    # every step's, so if the least |det| passes, every step passes (fmin
-    # skips a NaN, which the test never calls singular); else each window's
-    # A is evaluated again and its steps judged one by one
-    if singular_rows(np.fmin.reduce(np.abs(det)), np.array([[peak]]), ts):
-        for k0 in range(0, n_steps, len(loops)):
-            A = eval_pmatrix_many(model.A, traj.p[k0:k0 + len(loops)])
-            bad = singular_rows(det[k0:k0 + len(A)], A, ts)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise WellposednessError(
-                    f"integrator feedback loop is singular at step {k0 + k}",
-                    A_p=A[k], ts=ts, step_index=k0 + k, p=traj.p[k0 + k],
-                )
     return _result("simulate_dt_loop_oracle", model, cfg, traj, sol[:, :n], rhs[:-1, :n])
 
 

@@ -3,7 +3,9 @@ and summarises every end-to-end metric."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -48,11 +50,34 @@ def test_a_time_row_reads_its_change_against_the_median_self_ms_change():
     assert ab_pairs.against_drift(rows[3:]) == [None, None, None]
 
 
-def test_one_pair_of_head_against_itself_reports_every_metric():
+def _copy_tool_tree(dest):
+    """The files the tool and its runs read, copied from this checkout."""
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    (dest / "tools").mkdir()
+    for name in ("BENCHMARK.json", "tools/ab_pairs.py"):
+        shutil.copyfile(ROOT / name, dest / name)
+    return dest
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@localhost",
+                    "-c", "commit.gpgsign=false", *args],
+                   cwd=repo, check=True, capture_output=True)
+
+
+def test_one_pair_of_head_against_itself_reports_every_metric(tmp_path):
+    # the tool exports git revisions, so it runs in a throwaway repository
+    # of one commit; this checkout need not be a git work tree
+    repo = _copy_tool_tree(tmp_path / "repo")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "tool tree")
     done = subprocess.run(
         [sys.executable, "tools/ab_pairs.py", "HEAD", "HEAD", "--workload", "converge",
          "--pairs", "1", "--seconds", "0.05", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        cwd=repo, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -74,3 +99,17 @@ def test_one_pair_of_head_against_itself_reports_every_metric():
         ran = units[cells[0]] in ("ms", "us") and float(cells[-5]) > 0 and float(cells[-4]) > 0
         assert (cells[-2][0] in "+-" and cells[-2].endswith("%")) if ran else cells[-2] == "-"
     assert any(line.split()[-2] != "-" for line in per_layer)
+
+
+def test_outside_a_git_work_tree_the_tool_ends_in_one_line(tmp_path):
+    tree = _copy_tool_tree(tmp_path / "tree")
+    done = subprocess.run(
+        [sys.executable, "tools/ab_pairs.py", "HEAD", "HEAD", "--workload", "converge",
+         "--pairs", "1"],
+        cwd=tree, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "GIT_CEILING_DIRECTORIES": str(tmp_path), "LC_ALL": "C"},
+    )
+    assert done.returncode == 1
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"ab_pairs: git archive HEAD in {tree.resolve()}: ")
+    assert "not a git repository" in line

@@ -20,8 +20,10 @@ from conftest import (
     scalar_gain_model,
 )
 from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain
+from lpvsim import discretize
 from lpvsim.cli import _json_text
 from lpvsim.discretize import (
+    SINGULAR_RTOL,
     DiscretizationConfig,
     det_scale,
     dt_step_matrices,
@@ -135,6 +137,81 @@ def test_det_scale_is_max_abs_bit_for_bit():
             got = det_scale(A, ts)
             assert np.shape(got) == np.shape(want(A, ts))
             assert np.asarray(got).tobytes() == np.asarray(want(A, ts)).tobytes()
+
+
+#: entries of A: ordinary, signed zeros, large, and the non-finite values
+_A_ENTRIES = st.one_of(
+    st.floats(-100.0, 100.0),
+    st.sampled_from([0.0, -0.0, 1e6, -3e8, np.nan, np.inf, -np.inf]),
+)
+
+
+def _det_near(refs, kinds):
+    """One determinant per row from its reference threshold (its own or the
+    stack's) and its kind: the threshold itself, one ulp either side, the
+    negated threshold and its neighbour, ten times it, zero or non-finite."""
+    return np.array([
+        [ref, np.nextafter(ref, np.inf), np.nextafter(ref, -np.inf), -ref,
+         -np.nextafter(ref, -np.inf), 10.0 * ref, 0.0, np.nan, np.inf, -np.inf][kind]
+        for ref, kind in zip(refs, kinds)
+    ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_singular_rows_is_the_per_row_rule_bit_for_bit(data):
+    # the stack bound only decides when it clears every row, so the verdict
+    # is always |det| < SINGULAR_RTOL * det_scale(A, Ts), row by row
+    n = data.draw(st.integers(1, 3), label="n")
+    m = data.draw(st.one_of(st.none(), st.integers(0, 6)), label="m (None: one matrix)")
+    ts = data.draw(st.sampled_from([1e-3, 0.1, 0.7, 4.0]), label="ts")
+    rows = 1 if m is None else m
+    A = np.array(data.draw(st.lists(_A_ENTRIES, min_size=rows * n * n,
+                                    max_size=rows * n * n), label="A"))
+    A = A.reshape((n, n) if m is None else (m, n, n))
+    if m and data.draw(st.booleans(), label="one row dominates"):
+        A[data.draw(st.integers(0, m - 1), label="dominant row")] *= 1e9
+    own = np.broadcast_to(SINGULAR_RTOL * det_scale(A, ts), rows)
+    peak = np.max(np.abs(A), initial=0.0)
+    stack = SINGULAR_RTOL * np.maximum(1.0, peak * (ts / 2.0))
+    # each row's reference: its own threshold or the stack's
+    refs = [(t, stack)[data.draw(st.booleans(), label="stack's")] for t in own]
+    kinds = data.draw(st.lists(st.integers(0, 9), min_size=rows, max_size=rows),
+                      label="det kinds")
+    det = _det_near(refs, kinds)
+    if m is None:
+        det = det[0]
+    want = np.abs(det) < SINGULAR_RTOL * det_scale(A, ts)
+    got = singular_rows(det, A, ts)
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_singular_rows_takes_the_per_row_rule_only_under_the_stack_bound(monkeypatch):
+    calls = []
+
+    def spy(A, ts):
+        calls.append(A.shape)
+        return det_scale(A, ts)
+
+    monkeypatch.setattr(discretize, "det_scale", spy)
+    ts = 0.1
+    A = np.array([[[1e6]], [[1.0]], [[-2.0]]])
+    # the stack bound is 1e-12 * 5e4 = 5e-8: every row clears it
+    assert not singular_rows(np.array([1.0, 1e-7, -1e-3]), A, ts).any()
+    assert calls == []
+    # row 1 clears its own threshold, 1e-12, but not the stack's, so the
+    # rows are judged one by one
+    assert list(singular_rows(np.array([1.0, 1e-10, 5e-13]), A, ts)) == [False, False, True]
+    assert calls == [(3, 1, 1)]
+    # a NaN determinant, or a NaN in A, takes the per-row rule too; with A's
+    # NaN the stack has no bound, and row 1's |det| is under its own
+    # threshold, 1e-12 * 50
+    assert not singular_rows(np.array([1.0, np.nan, 1.0]), A, ts).any()
+    A = np.array([[[np.nan]], [[1e3]]])
+    assert list(singular_rows(np.array([np.inf, 1e-11]), A, ts)) == [False, True]
+    assert calls == [(3, 1, 1), (3, 1, 1), (2, 1, 1)]
 
 
 def test_sigma_step_integrator():

@@ -662,6 +662,44 @@ def test_loop_oracle_judges_each_step_when_the_whole_run_is_in_doubt():
     assert exc.value.step_index == 3
 
 
+@pytest.mark.parametrize("window", [3, 64])
+def test_loop_oracle_evaluates_each_step_of_A_once(monkeypatch, window):
+    # each window's A is evaluated once and judged before it is solved: no
+    # second pass over the run, whether it is finite or raises
+    monkeypatch.setattr(simulate, "_ORACLE_WINDOW", window)
+    rows = []
+
+    def spy(pm, p):
+        if pm is model.A:
+            rows.append(len(p))
+        return eval_pmatrix_many(pm, p)
+
+    monkeypatch.setattr(simulate, "eval_pmatrix_many", spy)
+    cfg = DiscretizationConfig(0.1)
+    # the last of 10 steps is singular
+    model = scalar_gain_model(+1.0, hi=40.0)
+    p = np.linspace(1.0, 10.0, 10)[:, None]
+    p[9] = 20.0
+    with pytest.raises(WellposednessError) as exc:
+        simulate_dt_loop_oracle(model, cfg, Trajectory(ts=0.1, p=p, u=np.ones((10, 1))), [0.0])
+    assert exc.value.step_index == 9
+    assert sum(rows) == 10
+    # the case of test_loop_oracle_judges_each_step_when_the_whole_run_is_in_doubt
+    model = scalar_gain_model(+1.0, hi=2e6)
+    p = np.ones((8, 1))
+    p[3], p[5] = 20.0 - 2e-10, 1e6
+    traj = Trajectory(ts=0.1, p=p, u=np.ones((8, 1)))
+    rows.clear()
+    assert np.isfinite(simulate_dt_loop_oracle(model, cfg, traj, [0.0]).y).all()
+    assert sum(rows) == 8
+    p[3] = 20.0
+    rows.clear()
+    with pytest.raises(WellposednessError) as exc:
+        simulate_dt_loop_oracle(model, cfg, traj, [0.0])
+    assert exc.value.step_index == 3
+    assert sum(rows) == min(window * 2, 8)
+
+
 def test_engines_reject_non_finite_inputs():
     model = msd_model()
     cfg = DiscretizationConfig(0.1)
@@ -927,9 +965,9 @@ def test_loop_oracle_satisfies_the_trapezoidal_loop(n_x, engine):
 def test_engines_name_the_same_first_near_singular_step(n_x, ts):
     # A(p) = diag(p, -1, -2, ...): I - A Ts/2 is singular at p = 2/Ts.  Step
     # 3 sits 1e-11 off it, with |det(I - A Ts/2)| near 2e-13, under the
-    # 1e-12 threshold, where the oracle's (2n, 2n) loop matrix has a
-    # determinant Ts^-n times larger (8000, and past the float range at
-    # n_x = 120); step 6 is singular too
+    # 1e-12 threshold; both engines judge that determinant, not the
+    # oracle's (2n, 2n) loop matrix's, which is Ts^-n times larger (8000,
+    # and past the float range at n_x = 120); step 6 is singular too
     model = LpvStateSpace(
         n_x=n_x, n_u=1, n_y=1, n_p=1,
         A=PMatrixFunction(n_x, n_x, (((0,), -np.diag(np.arange(n_x, dtype=float))),
@@ -1930,19 +1968,13 @@ def test_gathered_b_c_and_d_give_the_bits_of_every_step(monkeypatch, engine):
 
 
 def test_the_private_lapack_bindings_keep_their_gufunc_signatures():
-    # the oracle calls these two gufuncs of numpy.linalg._umath_linalg with
-    # out= and signature= in place of np.linalg.solve and np.linalg.slogdet
+    # the oracle calls this gufunc of numpy.linalg._umath_linalg with out=
+    # and signature= in place of np.linalg.solve
     assert simulate._solve1.signature == "(m,m),(m)->(m)"
     assert "dd->d" in simulate._solve1.types
-    assert simulate._slogdet.signature == "(m,m)->(),()"
-    assert "d->dd" in simulate._slogdet.types
     rng = np.random.default_rng(5)
     M = rng.uniform(-1, 1, (6, 3, 3)) + 2.0 * np.eye(3)
     b = rng.uniform(-1, 1, (6, 3))
     x = np.empty_like(b)
     simulate._solve1(M, b, out=x, signature="dd->d")
     assert np.array_equal(x, [np.linalg.solve(M_k, b_k) for M_k, b_k in zip(M, b)])
-    sign, logdet = np.empty(6), np.empty(6)
-    simulate._slogdet(M, out=(sign, logdet), signature="d->dd")
-    want = np.linalg.slogdet(M)
-    assert np.array_equal(sign, want.sign) and np.array_equal(logdet, want.logabsdet)

@@ -1,4 +1,5 @@
-"""``tools/src_lines.py`` puts each line of a module in exactly one class."""
+"""``tools/src_lines.py`` puts each line of a module in exactly one class, and
+``src/lpvsim`` holds no more lines than its checked-in ceiling."""
 
 import importlib.util
 import pathlib
@@ -8,6 +9,18 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
 src_lines = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(src_lines)
+
+#: the most lines ``src/lpvsim`` may hold, as ``tools/src_lines.py`` totals
+#: them.  A change that removes lines lowers it to the new count; one that
+#: must add lines raises it only with the count and the reason in CHANGES.md
+SRC_LINE_CEILING = 3010
+
+
+def test_src_holds_no_more_lines_than_its_ceiling():
+    total = sum(sum(src_lines.count(path.read_text(encoding="utf-8")).values())
+                for path in (ROOT / "src" / "lpvsim").glob("*.py"))
+    assert total <= SRC_LINE_CEILING, (
+        f"src/lpvsim has {total} lines, over its ceiling of {SRC_LINE_CEILING}")
 
 
 def test_the_four_counts_of_each_module_sum_to_its_lines():

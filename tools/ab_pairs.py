@@ -21,7 +21,8 @@ the change won (strictly better in the metric's direction).  With
 ``--trace``, one row per per-layer metric of ``BENCHMARK.json`` follows: the
 two medians over the traced runs, their change, the change of a time metric
 against the host's drift (see :func:`against_drift`) and the traced pairs
-won.  Exits 1 if a run reports a failed job.
+won.  Exits 1 if a run reports a failed job, or with one line if a revision
+cannot be exported, as when the checkout is not a git work tree.
 """
 
 import argparse
@@ -41,10 +42,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def export(rev, dest):
-    """Write the whole tree of git revision ``rev`` under ``dest``."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
+    """Write the whole tree of git revision ``rev`` under ``dest``; where git
+    cannot, as outside a git work tree, exit with one line giving its reason."""
+    done = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                          capture_output=True)
+    if done.returncode:
+        reason = " ".join(done.stderr.decode(errors="replace").split())
+        sys.exit(f"ab_pairs: git archive {rev} in {ROOT}: {reason}")
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as fh:
         fh.extractall(dest)
     return dest
 
