@@ -57,8 +57,9 @@ from .model import parse_model
 from .simulate import (
     Scenario,
     SignalSpec,
+    _csv_rows,
+    _non_blank,
     _sized,
-    _table_rows,
     read_trajectory_csv,
     sample_scenario,
     simulate_dt,
@@ -102,15 +103,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(obj):
-    """JSON-safe copy: numpy to native, non-finite floats to strings."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and np.isfinite(obj).all():
-            return obj.tolist()  # no nan or inf to spell out as a string
-        return _jsonable(obj.tolist())
+    """A JSON-safe scalar: numpy to native, non-finite floats to strings."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -126,9 +119,9 @@ def _jsonable(obj):
 
 
 def _json_text(payload) -> str:
-    """``json.dumps(_jsonable(payload), indent=1) + "\\n"``, byte for byte,
-    with one call of the C encoder, which ``indent`` bypasses, for all
-    scalars, NUL-separated: no JSON text holds a raw NUL."""
+    """``json.dumps(payload, indent=1) + "\\n"``, scalars as :func:`_jsonable`
+    makes them, byte for byte, with one C encoder call, which ``indent``
+    bypasses, for all scalars, NUL-separated: no JSON text holds a raw NUL."""
     scalars = []
     parts = _layout(payload, "\n", scalars).split("\0")
     texts = json.dumps(scalars, separators=("\0", ""))[1:-1].split("\0")
@@ -140,10 +133,10 @@ _AS_IS = frozenset((str, int, bool, type(None)))
 
 
 def _layout(obj, nl, scalars):
-    """``json.dumps(_jsonable(obj), indent=1)`` of str-keyed dicts, with each
-    line break written as ``nl`` (the break and pad of ``obj``'s depth) and a
-    NUL in place of each scalar, which is appended to ``scalars`` in text
-    order.  Values are converted in the same walk: an array by one
+    """``json.dumps(obj, indent=1)`` of str-keyed dicts with converted scalars,
+    each line break written as ``nl`` (the break and pad of ``obj``'s depth)
+    and a NUL in place of each scalar, which is appended to ``scalars`` in
+    text order.  Values are converted in the same walk: an array by one
     ``tolist``, a row of finite floats or of scalars that :func:`_jsonable`
     keeps as they are, whole, and any other scalar by :func:`_jsonable`."""
     if type(obj) in _AS_IS or type(obj) is float and math.isfinite(obj):
@@ -255,8 +248,7 @@ def _default_p(model):
 
 def _load_signal_table(path, col):
     """Column 0 and ``col`` of a signal table file, as SignalSpec's texts."""
-    blocks = _table_rows(_read_file(path, "signal table"), f"signal table {path!r}")
-    rows = [row for block in blocks for row in block]
+    rows = _non_blank(_csv_rows(_read_file(path, "signal table"), f"signal table {path!r}"))
     if rows:
         try:
             float(rows[0][0])
@@ -387,7 +379,7 @@ def cmd_check(args, model, cfg):
         model, cfg, grid_per_dim=args.grid, random_samples=args.samples,
         seed=args.seed,
     )
-    _report("check", args.out, **dataclasses.asdict(report))
+    _report("check", args.out, **vars(report))
     if not report.passed:
         first = list(report.singular_points[0])
         if report.refuted_by == "sample":
@@ -465,8 +457,7 @@ def cmd_compare(args, model, cfg):
     b = simulate_dt_loop_oracle(model, cfg, traj, x0)
     metrics = compare_traj(a, b, "y")
     passed = metrics.max_abs_error <= args.tol * metrics.relative_to
-    _report("compare", args.out, tol=args.tol, **dataclasses.asdict(metrics),
-            passed=passed)
+    _report("compare", args.out, tol=args.tol, **vars(metrics), passed=passed)
     if not passed:
         print(
             f"E_THRESHOLD: max_abs_error {metrics.max_abs_error!r} exceeds "

@@ -331,6 +331,8 @@ def _run_bytes(model):
 def _check_run_inputs(model, cfg, traj, x0):
     """The one up-front guard of all three engines, on the sampled p and u,
     ``ts``, x0 and the run's memory; returns x0 as an (n_x,) array."""
+    if traj.n_steps == 0:
+        raise DataError("trajectory has no samples")
     if traj.p.shape[1] != model.n_p:
         raise DimensionError(
             f"scheduling width {traj.p.shape[1]} != n_p {model.n_p}"
@@ -422,9 +424,10 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     DimensionError, DomainError, DataError, ConfigError
         From the input guard that all three engines share, before any work:
         a p or u narrower or wider than the model's or an x0 of another
-        length; a p(k) outside the scheduling box or not finite, or a u(k)
-        not finite, naming the first such step; an x0 not finite, a
-        ``traj.ts`` other than ``cfg.ts`` or a run over the 1 GiB cap.
+        length; a trajectory with no samples; a p(k) outside the scheduling
+        box or not finite, or a u(k) not finite, naming the first such step;
+        an x0 not finite, a ``traj.ts`` other than ``cfg.ts`` or a run over
+        the 1 GiB cap.
     WellposednessError
         If I - A(p(k)) Ts/2 is numerically singular; carries the index of
         the first such step.
@@ -774,7 +777,7 @@ def _split_is_csv(text):
     ))
 
 
-def _line_blocks(text, start=0):
+def _line_blocks(text, start):
     """``text`` from ``start`` in blocks of about ``_READ_BLOCK`` characters,
     each cut at a line end, which it drops."""
     while start < len(text):
@@ -787,21 +790,6 @@ def _line_blocks(text, start=0):
 def _split_rows(block):
     """The non-blank rows of a block of split text."""
     return _non_blank([line.split(",") for line in block.split("\n")])
-
-
-def _table_rows(text, what):
-    """The rows of a CSV table as ``csv.reader`` reads them, blank rows left
-    out, yielded as one list per block: a row is blank when all its cells
-    are whitespace.
-
-    Text that :func:`_split_is_csv` passes is split at line ends and commas,
-    in the blocks of :func:`_line_blocks`.  Any other text goes through
-    :func:`_csv_rows`, as one block.
-    """
-    if _split_is_csv(text):
-        yield from map(_split_rows, _line_blocks(text))
-    else:
-        yield _non_blank(_csv_rows(text, what))
 
 
 def _non_blank(rows):

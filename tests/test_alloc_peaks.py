@@ -90,7 +90,7 @@ def test_a_peak_reached_inside_a_generator_is_named_after_it(perfbench, monkeypa
 
     def blocks():
         # the peak: a buffer made and freed while the generator runs, as
-        # _table_rows splits a block, and not when the generator is made
+        # _line_blocks cuts a block, and not when the generator is made
         for size in (2**20, 16):
             yield len(bytearray(size))
 

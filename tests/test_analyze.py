@@ -108,6 +108,9 @@ def test_frequency_response_container_validation():
         FrequencyResponse(omegas=[0.0, 1.0], values=np.zeros((2, 1, 1)))
     with pytest.raises(DimensionError):
         FrequencyResponse(omegas=[1.0], values=np.zeros((2, 1, 1)))
+    with pytest.raises(DimensionError) as exc:
+        FrequencyResponse(omegas=[1.0, 2.0], values=np.zeros(2))
+    assert str(exc.value) == "omegas must be 1-D and values (m, n_y, n_u)"
 
 
 def test_frequency_responses_leave_the_callers_arrays_writeable():

@@ -30,6 +30,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_a_command_out_of_memory_ends_in_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("a stack of 9 GiB")
+
+    monkeypatch.setattr(cli, "wellposedness_check", exhausted)
+    code, out, err = run(capsys, "check", "--model", "msd", "--ts", "0.1")
+    assert (code, out, err) == (1, "", "E_PARSE: out of memory: a stack of 9 GiB\n")
+
+
 # --- signal grammar ----------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpvsim import LpvStateSpace, ParseError, PMatrixFunction, PTerm, SchedulingDomain
-from lpvsim.cli import _json_text, _jsonable
+from lpvsim.cli import _json_text
 from lpvsim.errors import DimensionError, DomainError
 from lpvsim.model import _BOUND_MARGIN, _bounds_fit, _json_numbers
 
@@ -334,4 +334,4 @@ _PAYLOADS = st.recursive(
 @example([[1, "x"], [2.5], [None, True, False]])
 @example({"k, [": {"": ["nan", "inf", "-inf", "\0"]}})
 def test_json_text_bytes_are_those_of_the_indenting_encoder(payload):
-    assert _json_text(payload) == json.dumps(_jsonable(payload), indent=1) + "\n"
+    assert _json_text(payload) == json.dumps(_jsonable_by_recursion(payload), indent=1) + "\n"

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import msd_model
 from lpvsim import (
+    DataError,
     DimensionError,
     DomainError,
     LpvStateSpace,
@@ -19,6 +20,7 @@ from lpvsim import (
     SchedulingDomain,
     eval_pmatrix,
     eval_pmatrix_many,
+    load_fixture,
     parse_model,
     serialize_model,
 )
@@ -343,6 +345,39 @@ def test_state_space_shape_validation():
     assert m.is_constant
     with pytest.raises(DimensionError):
         LpvStateSpace(2, 1, 1, 1, A, B, C, B, dom)  # D has B's shape
+
+
+_DOMAIN = SchedulingDomain([0.0], [1.0])
+_BLOCKS = [PMatrixFunction.constant(np.zeros(shape), 1)
+           for shape in ((2, 2), (2, 1), (1, 2), (1, 1))]
+
+
+# (the call that must raise, its error, its message)
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: PTerm((0,), [1.0]), DimensionError, "term coefficient must be a 2-D matrix"),
+    (lambda: PMatrixFunction(0, 1), DimensionError, "matrix shape must be positive"),
+    (lambda: PMatrixFunction(1, 2, (((0,), [[1.0]]),)), DimensionError,
+     "term coefficient shape (1, 1) != (1, 2)"),
+    (lambda: PMatrixFunction(1, 1, (((0,), [[1.0]]), ((0, 1), [[2.0]]))), DimensionError,
+     "terms mix exponent vectors of different lengths"),
+    (lambda: eval_pmatrix(_BLOCKS[0], [[0.5]]), DimensionError,
+     "scheduling point must be a vector, got shape (1, 1)"),
+    (lambda: eval_pmatrix_many(_BLOCKS[0], [0.5]), DimensionError,
+     "points must be a 2-D stack of scheduling vectors"),
+    (lambda: LpvStateSpace(0, 1, 1, 1, *_BLOCKS, _DOMAIN), DimensionError,
+     "n_x must be >= 1, got 0"),
+    (lambda: LpvStateSpace(2, 1, 1, 1, *_BLOCKS, SchedulingDomain([0.0, 0.0], [1.0, 1.0])),
+     DimensionError, "domain dimension 2 != n_p 1"),
+    (lambda: LpvStateSpace(2, 1, 1, 1, PMatrixFunction.constant(np.zeros((2, 2)), 2),
+                           *_BLOCKS[1:], _DOMAIN),
+     DimensionError, "A terms use exponent vectors of length 2, expected n_p=1"),
+    (lambda: load_fixture("nope"), DataError,
+     "no bundled model 'nope'; choose from integrator, lag1, msd, scalar_p, scalar_neg_p"),
+])
+def test_each_model_guard_raises_its_message(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 _BAD_TERM = '"A" term 0 needs 1 non-negative integer exponents'

@@ -41,11 +41,11 @@ from lpvsim.model import eval_pmatrix_many
 from lpvsim.simulate import (
     _RK4_BUDGET,
     _csv_rows,
+    _non_blank,
     _render_csv,
     _rk4_window,
     _run_bytes,
     _scan,
-    _table_rows,
     Scenario,
     SignalSpec,
     Trajectory,
@@ -249,6 +249,19 @@ def test_the_sample_grid_counts_its_times_p_and_u(monkeypatch):
 def test_trajectory_rejects_mismatched_channel_lengths():
     with pytest.raises(DataError):
         Trajectory(ts=0.1, p=np.zeros((4, 1)), u=np.zeros((3, 1)))
+
+
+def test_trajectory_rejects_a_channel_that_is_not_2d():
+    with pytest.raises(DataError) as exc:
+        Trajectory(ts=0.1, p=np.zeros(3), u=np.zeros((3, 1)))
+    assert str(exc.value) == "channel p must be 2-D (N, width)"
+
+
+def test_write_trajectory_csv_needs_the_outputs():
+    traj = Trajectory(ts=0.1, p=np.zeros((3, 1)), u=np.zeros((3, 1)))
+    with pytest.raises(DataError) as exc:
+        write_trajectory_csv(traj)
+    assert str(exc.value) == "trajectory has no outputs to write"
 
 
 def test_trajectory_channel_lookup():
@@ -718,6 +731,14 @@ def test_engines_reject_non_finite_inputs():
         assert "step 1" in str(exc.value)
         with pytest.raises(ConfigError):
             engine(model, cfg, Trajectory(ts=0.1, p=p, u=u), [np.nan, 0.0])
+
+
+@pytest.mark.parametrize("engine", [simulate_dt, simulate_dt_loop_oracle])
+def test_engines_refuse_a_trajectory_with_no_samples(engine):
+    traj = Trajectory(ts=0.1, p=np.zeros((0, 1)), u=np.zeros((0, 1)))
+    with pytest.raises(DataError) as exc:
+        engine(msd_model(), DiscretizationConfig(0.1), traj, [0.0, 0.0])
+    assert str(exc.value) == "trajectory has no samples"
 
 
 def test_engines_reject_trajectory_sampled_at_other_ts():
@@ -1606,10 +1627,9 @@ def test_read_trajectory_csv_skips_only_blank_rows():
 
 @pytest.mark.parametrize("quote", ["", '"'])
 def test_table_rows_keep_a_row_with_one_non_blank_cell(quote):
-    # a quote sends the text through csv.reader, which reads a blank line
-    # as [], where the split reads it as [""]
+    # csv.reader reads a blank line as [] and a line of commas as ["", ...]
     text = f"{quote} {quote},1\n , \n\n,,\n"
-    assert [r for block in _table_rows(text, "table") for r in block] == [[" ", "1"]]
+    assert _non_blank(_csv_rows(text, "table")) == [[" ", "1"]]
 
 
 def test_read_write_pair_is_consistent():
@@ -1767,10 +1787,10 @@ def assert_reads_as_the_reference(text, ts, read_block):
             want_rows = [r for r in csv.reader(io.StringIO(text)) if "".join(r).strip()]
         except csv.Error as exc:
             with pytest.raises(DataError) as got:
-                list(_table_rows(text, "table"))
+                _non_blank(_csv_rows(text, "table"))
             assert str(got.value) == f"table: {exc}"
         else:
-            assert [r for block in _table_rows(text, "table") for r in block] == want_rows
+            assert _non_blank(_csv_rows(text, "table")) == want_rows
         got = _read_outcome(_read_trajectory, text, ts)
         assert got == _read_outcome(read_trajectory_reference, text, ts)
 

@@ -41,14 +41,16 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def export(rev, dest):
-    """Write the whole tree of git revision ``rev`` under ``dest``; where git
-    cannot, as outside a git work tree, exit with one line giving its reason."""
-    done = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+def export(rev, dest, *paths):
+    """Write ``paths`` of git revision ``rev`` (its whole tree if none) under
+    ``dest``; where git cannot, as outside a git work tree, exit with one
+    line, named after the running tool, giving its reason."""
+    done = subprocess.run(["git", "archive", "--format=tar", rev, *paths], cwd=ROOT,
                           capture_output=True)
     if done.returncode:
         reason = " ".join(done.stderr.decode(errors="replace").split())
-        sys.exit(f"ab_pairs: git archive {rev} in {ROOT}: {reason}")
+        tool = pathlib.Path(sys.argv[0]).stem
+        sys.exit(f"{tool}: git archive {rev} in {ROOT}: {reason}")
     with tarfile.open(fileobj=io.BytesIO(done.stdout)) as fh:
         fh.extractall(dest)
     return dest

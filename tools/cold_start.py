@@ -22,7 +22,6 @@ row per tree and mode with the median of each over the K processes, in ms.
 """
 
 import argparse
-import io
 import json
 import os
 import pathlib
@@ -30,9 +29,10 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
+
+from ab_pairs import export
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -57,11 +57,7 @@ def source_tree(rev, dest):
     if rev == ".":
         shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
         return dest
-    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
-        fh.extractall(dest.parent / "export")
-    shutil.move(dest.parent / "export" / "src", dest)
+    shutil.move(export(rev, dest.parent / "export", "src") / "src", dest)
     return dest
 
 

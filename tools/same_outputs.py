@@ -38,7 +38,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -157,22 +156,15 @@ def side_result(root, work):
         return pickle.load(fh)
 
 
-def export(rev, dest):
-    """Write ``src/`` and ``demos/`` of git revision ``rev`` under ``dest``."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src", "demos"],
-                         cwd=ROOT, capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
-        fh.extractall(dest)
-    return dest
-
-
 def main(argv=None):
+    from ab_pairs import export  # tools/, the script's directory
+
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="git revision to compare the working tree with")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         work = pathlib.Path(tmp)
-        base = side_result(export(args.rev, work / "rev"), work)
+        base = side_result(export(args.rev, work / "rev", "src", "demos"), work)
         tree = side_result(ROOT, work)
     lines = compare(base, tree)
     for line in lines:
