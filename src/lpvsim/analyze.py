@@ -279,6 +279,8 @@ def convergence_order(
             )
     for ts in ts_list:
         ratio = scenario.t_end / ts
+        if not math.isfinite(ratio):
+            raise ConfigError(f"t_end / Ts = {scenario.t_end} / {ts} overflows")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError(
                 f"Ts = {ts} does not divide t_end = {scenario.t_end}"

@@ -17,8 +17,6 @@ check or threshold fails.
 
 import argparse
 import dataclasses
-import itertools
-import json
 import math
 import os
 import pathlib
@@ -102,65 +100,54 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _jsonable(obj):
-    """A JSON-safe scalar: numpy to native, non-finite floats to strings."""
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=1) + "\\n"`` with scalars written as
+    :func:`_scalar_text` writes them, byte for byte."""
+    return _layout(payload, "\n") + "\n"
+
+
+def _scalar_text(obj):
+    """The JSON text of one scalar, as ``json.dumps`` writes it, with numpy
+    numbers as the Python numbers they equal and a non-finite float as the
+    string ``"nan"``, ``"inf"`` or ``"-inf"``; any other type raises
+    ``json.dumps``'s TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
         if math.isfinite(f):
-            return f
-        if math.isnan(f):
-            return "nan"
-        return "inf" if f > 0 else "-inf"
-    return obj
+            return float.__repr__(f)
+        return '"nan"' if math.isnan(f) else '"inf"' if f > 0 else '"-inf"'
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=1) + "\\n"``, scalars as :func:`_jsonable`
-    makes them, byte for byte, with one C encoder call, which ``indent``
-    bypasses, for all scalars, NUL-separated: no JSON text holds a raw NUL."""
-    scalars = []
-    parts = _layout(payload, "\n", scalars).split("\0")
-    texts = json.dumps(scalars, separators=("\0", ""))[1:-1].split("\0")
-    return parts[0] + "".join(itertools.chain.from_iterable(zip(texts, parts[1:]))) + "\n"
-
-
-#: scalar types that :func:`_jsonable` returns as they are
-_AS_IS = frozenset((str, int, bool, type(None)))
-
-
-def _layout(obj, nl, scalars):
-    """``json.dumps(obj, indent=1)`` of str-keyed dicts with converted scalars,
-    each line break written as ``nl`` (the break and pad of ``obj``'s depth)
-    and a NUL in place of each scalar, which is appended to ``scalars`` in
-    text order.  Values are converted in the same walk: an array by one
-    ``tolist``, a row of finite floats or of scalars that :func:`_jsonable`
-    keeps as they are, whole, and any other scalar by :func:`_jsonable`."""
-    if type(obj) in _AS_IS or type(obj) is float and math.isfinite(obj):
-        scalars.append(obj)
-        return "\0"
+def _layout(obj, nl):
+    """``json.dumps(obj, indent=1)`` of str-keyed dicts, each line break
+    written as ``nl`` (the break and pad of ``obj``'s depth) and each scalar
+    by :func:`_scalar_text`.  An array is read by one ``tolist``, and a row
+    of finite floats is written whole by ``float.__repr__``."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if not isinstance(obj, (dict, list, tuple)):
-        scalars.append(_jsonable(obj))
-        return "\0"
+        return _scalar_text(obj)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     inner = nl + " "
     if isinstance(obj, dict):  # each key as the indenting encoder writes it
-        items = [encode_basestring_ascii(k) + ": " + _layout(v, inner, scalars)
+        items = [encode_basestring_ascii(k) + ": " + _layout(v, inner)
                  for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    kinds = set(map(type, obj))
     # a non-finite float makes the sum non-finite
-    if kinds == {float} and math.isfinite(sum(obj)) or kinds <= _AS_IS:
-        scalars.extend(obj)
-        items = "\0" * len(obj)
+    if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+        items = map(float.__repr__, obj)
     else:
-        items = [_layout(v, inner, scalars) for v in obj]
+        items = [_layout(v, inner) for v in obj]
     return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 

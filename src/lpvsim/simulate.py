@@ -787,11 +787,6 @@ def _line_blocks(text, start):
         start = end + 1
 
 
-def _split_rows(block):
-    """The non-blank rows of a block of split text."""
-    return _non_blank([line.split(",") for line in block.split("\n")])
-
-
 def _non_blank(rows):
     # the first cell decides most rows; [] (csv.reader's blank line) is blank
     return [r for r in rows if r and (r[0].strip() or "".join(r).strip())]
@@ -837,7 +832,7 @@ def _block_values(block, width, ts, first):
             # a NaN t fails the <=
             if (k == steps).all() and (np.abs(data[:, 0] - steps * ts) <= 1e-9).all():
                 return data
-    return _row_values(_split_rows(block), width, ts, first)
+    return _row_values(_non_blank(_csv_rows(block, "trajectory table")), width, ts, first)
 
 
 def _row_values(rows, width, ts, first):

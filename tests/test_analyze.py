@@ -410,6 +410,8 @@ def test_convergence_validations():
         convergence_order(lag_model(), scen, [0.2, 0.1, 0.04])
     with pytest.raises(ConfigError):
         convergence_order(lag_model(), scen, [0.3, 0.15, 0.075])  # 0.075 vs 4.0
+    with pytest.raises(ConfigError, match=r"t_end / Ts = 4.0 / 1e-320 overflows"):
+        convergence_order(lag_model(), scen, [1e-320, 5e-321, 2.5e-321])
     for oversample in (0, 2.9, 7.9, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="oversample must be an integer >= 1"):
             convergence_order(lag_model(), scen, [0.2, 0.1, 0.05], oversample=oversample)

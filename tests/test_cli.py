@@ -1056,6 +1056,8 @@ def test_converge_rejects_non_halving_list(capsys):
      "--ts-list", "0.2,0.1,nan"),
     ("converge", "--model", "lag1", "--u", "step:amp=1", "--t-end", "4",
      "--ts-list", "0.2,0.1,0"),
+    ("converge", "--model", "msd", "--p", "1", "--u", "sine:f=1", "--t-end", "1",
+     "--ts-list", "1e-320,5e-321,2.5e-321"),
     ("compare", "--model", "lag1", "--ts", "0.1", "--u", "const:1", "--t-end", "1",
      "--tol", "nan"),
     ("compare", "--model", "lag1", "--ts", "0.1", "--u", "const:1", "--t-end", "1",

@@ -1,6 +1,7 @@
-"""Loading a model and writing a report take bulk passes with a per-item
-fallback; each must give the verdict, message and bytes of the per-item
-rules it stands in for, which are kept here as reference copies."""
+"""Loading a model takes bulk passes with a per-item fallback, and writing a
+report lays out its text in one walk with float rows written whole; each
+must give the verdict, message and bytes of the per-item rules it stands in
+for, which are kept here as reference copies."""
 
 import json
 import math
@@ -301,10 +302,16 @@ def test_a_box_is_judged_as_by_the_per_check_rules(lower, upper):
     {"a": np.arange(6).reshape(2, 3), "b": np.array([True, False]),
      "c": np.array([[np.int32(7)]], dtype=np.int32)},
     {"rows": [np.array([1.0, math.nan]), (np.array([3.0]), np.bool_(True))]},
+    {"p": [np.float64(-0.0), np.float64(math.nan), np.float64(math.inf)]},
 ])
 def test_json_text_bytes_are_those_of_the_recursion(payload):
     expected = json.dumps(_jsonable_by_recursion(payload), indent=1) + "\n"
     assert _json_text(payload) == expected
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        _json_text({"a": object()})
 
 
 #: texts that look like the separators, brackets and numbers of the report
