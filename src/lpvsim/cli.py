@@ -355,8 +355,9 @@ def _input_trajectory(model, args, cfg):
     """Trajectory plus x0 from either --traj or inline signal specs."""
     x0 = _parse_x0(model, args)
     if args.traj:
-        if args.p or args.u:
-            raise ConfigError("--traj replaces --p/--u signals; give one or the other")
+        if args.p or args.u or args.t_end is not None or args.steps is not None:
+            raise ConfigError("--traj replaces --p/--u signals and --t-end/--steps; "
+                              "give one or the other")
         return read_trajectory_csv(_read_file(args.traj, "trajectory table"), cfg.ts), x0
     return sample_scenario(_scenario_from_args(model, args, cfg.ts, x0), cfg), x0
 
@@ -476,10 +477,12 @@ def _add_model_ts(sp, ts=True):
 def _add_scenario(sp, traj=True):
     sp.add_argument("--p", action="append", metavar="SPEC",
                     help="scheduling signal, one per dimension; " + _SIGNAL_HELP)
-    sp.add_argument("--u", action="append", metavar="SPEC",
+    # with no --traj or --steps to stand in for them, argparse requires --u, --t-end
+    sp.add_argument("--u", action="append", metavar="SPEC", required=not traj,
                     help="input signal, one per channel")
     sp.add_argument("--x0", help="initial state, comma-separated (default zeros)")
-    sp.add_argument("--t-end", type=float, help="final time in seconds")
+    sp.add_argument("--t-end", type=float, required=not traj,
+                    help="final time in seconds")
     if traj:
         sp.add_argument("--steps", type=int,
                         help="number of samples instead of --t-end")

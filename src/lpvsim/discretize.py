@@ -16,9 +16,10 @@ engine step at the same p start from bit-identical matrices:
 * :func:`phi` -- the resolvent itself, via an LU inverse, for one frozen
   A(p) or for a stack of them (one per run of equal points of a trajectory).
 * :func:`singular_rows` -- the one singularity predicate on
-  det(I - A(p) Ts/2), shared by :func:`phi`, both simulation engines and
-  :func:`wellposedness_check`.  One bound from a stack's largest |A| entry
-  clears all its rows at once; else they are judged row by row.
+  det(I - A(p) Ts/2), asked only by the one judge of I - A Ts/2 that
+  :func:`phi`, both simulation engines and :func:`wellposedness_check` call;
+  both engines raise its one refusal.  One bound from a stack's largest |A|
+  entry clears all its rows at once; else they are judged row by row.
 * :func:`dt_step_matrices`, :func:`sigma_step` and :func:`tustin_frozen`
   -- the three builders of the one result type, :class:`StepMatrices`:
   the loop-free update obtained by solving the instantaneous feedback
@@ -135,14 +136,25 @@ def singular_rows(det, A, ts: float):
     return ~clear if clear.all() else absdet < SINGULAR_RTOL * det_scale(A, ts)
 
 
-def _resolvent_det(A, ts: float):
-    """``M = I - A Ts/2`` and ``det(M)``, for one matrix A or a stack.  At a
-    huge Ts det overflows to inf, which is far from singular: no warning."""
+def _judge(A, ts: float):
+    """``M = I - A Ts/2``, ``det(M)`` and :func:`singular_rows`' verdict, for
+    one matrix A or a stack.  At a huge Ts det overflows to inf, which is far
+    from singular: no warning."""
     # formed in place: one (N, n, n) stack, no temporary A Ts/2 beside it
     M = A * (ts / 2.0)
     np.subtract(np.eye(A.shape[-1]), M, out=M)
     with np.errstate(over="ignore"):
-        return M, np.linalg.det(M)
+        det = np.linalg.det(M)
+    return M, det, singular_rows(det, A, ts)
+
+
+def _singular_step_error(A, det, ts, step, p):
+    """The refusal of a singular I - A Ts/2 of determinant ``det``, naming
+    ``step`` and ``p`` when ``p`` is given."""
+    where = "" if p is None else f"step k={step}, p={list(map(float, p))}: "
+    return WellposednessError(
+        f"{where}|det(I - A(p)*Ts/2)| = {abs(float(det)):.3e} is numerically "
+        f"zero (Ts = {ts})", A_p=A, ts=ts, step_index=step, p=p)
 
 
 def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None) -> np.ndarray:
@@ -175,22 +187,13 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None) -> np
         as the error's ``step_index`` and, with ``points``, its ``p``.
     """
     A_p = np.asarray(A_p, dtype=float)
-    M, d = _resolvent_det(A_p, cfg.ts)
-    bad = singular_rows(d, A_p, cfg.ts)
+    M, d, bad = _judge(A_p, cfg.ts)
     if np.any(bad):
         k = int(np.argmax(bad)) if A_p.ndim == 3 else None
         A_bad, d_bad = (A_p, d) if k is None else (A_p[k], d[k])
         step = k if run is None else int(np.searchsorted(run, k))
-        p_bad = None if points is None else points[step]
-        where = "" if p_bad is None else f"step k={step}, p={list(map(float, p_bad))}: "
-        raise WellposednessError(
-            f"{where}|det(I - A(p)*Ts/2)| = {abs(float(d_bad)):.3e} is numerically "
-            f"zero (Ts = {cfg.ts})",
-            A_p=A_bad,
-            ts=cfg.ts,
-            step_index=step,
-            p=p_bad,
-        )
+        raise _singular_step_error(A_bad, d_bad, cfg.ts, step,
+                                   None if points is None else points[step])
     return np.linalg.inv(M)
 
 
@@ -332,11 +335,11 @@ def wellposedness_check(
     points = np.vstack(blocks)
 
     A = eval_pmatrix_many(model.A, points)
-    M, det = _resolvent_det(A, cfg.ts)
+    M, det, bad = _judge(A, cfg.ts)
     absdet = np.abs(det)
     cond = np.linalg.cond(M)
     k = int(np.argmin(absdet))
-    singular = [tuple(map(float, q)) for q in points[singular_rows(det, A, cfg.ts)]]
+    singular = [tuple(map(float, q)) for q in points[bad]]
     refuted_by = "sample" if singular else None
     if not singular and det.min() < 0.0 < det.max():
         zero = _bisect_sign_change(
@@ -373,8 +376,8 @@ def _bisect_sign_change(model, ts, neg, pos):
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (neg + pos)
         A = eval_pmatrix(model.A, mid)
-        _, d = _resolvent_det(A, ts)
-        if singular_rows(d, A, ts):
+        _, d, bad = _judge(A, ts)
+        if bad:
             break
         if d < 0.0:
             neg = mid

@@ -40,15 +40,9 @@ from dataclasses import field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .discretize import (DiscretizationConfig, _check_stack, _resolvent_det, _step_blocks,
-                         singular_rows)
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionError,
-    NonFiniteError,
-    WellposednessError,
-)
+from .discretize import (DiscretizationConfig, _check_stack, _judge, _singular_step_error,
+                         _step_blocks)
+from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .model import _frozen_array, _record, check_in_box, eval_pmatrix_many
 
 __all__ = [
@@ -131,7 +125,7 @@ class SignalSpec:
                 t = float(tab[np.argmax(bad), 0])
                 raise DataError(f"signal table {self.path!r} has a non-finite value "
                                 f"in column {self.column} at t = {t}")
-            object.__setattr__(self, "table", tab)
+            object.__setattr__(self, "table", _frozen_array(tab))
 
     @classmethod
     def constant(cls, value):
@@ -508,15 +502,15 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     once; per window, A(p(k)) is evaluated once and det(I - A Ts/2), Ts^n
     times the loop matrix's by block elimination, is judged by the one
     singularity test, which refuses a singular window before it is solved
-    and names its first singular step; then -A is written and the steps
-    solved.  Each solve calls LAPACK's gesv
+    with :func:`simulate_dt`'s error for its first singular step; then -A is
+    written and the steps solved.  Each solve calls LAPACK's gesv
     gufunc directly, the one ``np.linalg.solve`` wraps, with the same bits:
     the wrapper's per-call checks and errstate cost about twice the solve
     itself (see :func:`_solve_loop_steps`).  No per-point matrices (Phi or
     the step blocks) are shared with :func:`simulate_dt`; the two paths
     share only the model, the input and result guards, the xi(0) seed and
-    the singularity threshold.  It raises as :func:`simulate_dt` does, from
-    the same input guard.
+    the singularity judge and refusal.  It raises as :func:`simulate_dt`
+    does, from the same input guard.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
     ts, n, n_steps = cfg.ts, model.n_x, traj.n_steps
@@ -531,13 +525,10 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
         for k0 in range(0, n_steps, len(loops)):
             k1 = min(k0 + len(loops), n_steps)
             window, A = loops[:k1 - k0], eval_pmatrix_many(model.A, traj.p[k0:k1])
-            bad = singular_rows(_resolvent_det(A, ts)[1], A, ts)
+            _, det, bad = _judge(A, ts)
             if bad.any():
-                k = k0 + int(np.argmax(bad))
-                raise WellposednessError(
-                    f"integrator feedback loop is singular at step {k}",
-                    A_p=A[k - k0], ts=ts, step_index=k, p=traj.p[k],
-                )
+                j = int(np.argmax(bad))
+                raise _singular_step_error(A[j], det[j], ts, k0 + j, traj.p[k0 + j])
             if k0 == 0:
                 rhs[0, :n] = _seed_xi(A[0], rhs[0, n:], x0, ts)
             np.negative(A, out=window[:, n:, :n])

@@ -770,14 +770,47 @@ def test_simulate_conflicting_inputs_rejected(capsys, tmp_path):
     assert err.startswith("E_PARSE:")
 
 
-def test_simulate_wellposedness_exit_2(capsys):
-    code, _, err = run(
-        capsys, "simulate", "--model", "scalar_p", "--ts", "0.1",
+@pytest.mark.parametrize("command", ["simulate", "loop-simulate", "compare"])
+def test_simulate_wellposedness_exit_2(capsys, command):
+    # both engines refuse a singular step with the one line of the same judge
+    code, out, err = run(
+        capsys, command, "--model", "scalar_p", "--ts", "0.1",
         "--p", "const:20", "--u", "const:1", "--steps", "3",
     )
-    assert code == 2
-    assert err.startswith("E_WELLPOSED:")
-    assert "k=0" in err
+    assert (code, out) == (2, "")
+    assert err == ("E_WELLPOSED: step k=0, p=[20.0]: |det(I - A(p)*Ts/2)| = "
+                   "0.000e+00 is numerically zero (Ts = 0.1)\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "loop-simulate", "compare"])
+@pytest.mark.parametrize("timing", [("--steps", "1"), ("--t-end", "99", "--steps", "2"),
+                                    ("--t-end", "1")])
+def test_a_trajectory_table_refuses_signal_timing(capsys, tmp_path, command, timing):
+    # --t-end and --steps size a signal run; a table sets its own length
+    table = tmp_path / "T.csv"
+    table.write_text("k,t,p1,u1\n0,0.0,2.0,0.0\n1,0.05,2.0,0.5\n2,0.1,2.0,1.0\n")
+    out_file = tmp_path / "out"
+    code, out, err = run(
+        capsys, command, "--model", "msd", "--ts", "0.05", "--traj", str(table),
+        *timing, "--out", str(out_file),
+    )
+    assert (code, out) == (1, "")
+    assert err == ("E_PARSE: --traj replaces --p/--u signals and --t-end/--steps; "
+                   "give one or the other\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (("--p", "2", "--u", "1"), "--t-end"),
+    (("--p", "2", "--t-end", "1"), "--u"),
+    (("--p", "2"), "--u, --t-end"),
+])
+def test_converge_names_only_its_own_missing_options(capsys, argv, missing):
+    # converge takes neither --steps nor --traj, so its line names neither
+    code, out, err = run(capsys, "converge", "--model", "msd", *argv,
+                         "--ts-list", "0.2,0.1,0.05")
+    assert (code, out) == (1, "")
+    assert err == f"E_PARSE: the following arguments are required: {missing}\n"
 
 
 def _constant_model_json(A, B, C):
