@@ -56,7 +56,6 @@ from .simulate import (
     Scenario,
     SignalSpec,
     _csv_rows,
-    _non_blank,
     _sized,
     read_trajectory_csv,
     sample_scenario,
@@ -235,7 +234,7 @@ def _default_p(model):
 
 def _load_signal_table(path, col):
     """Column 0 and ``col`` of a signal table file, as SignalSpec's texts."""
-    rows = _non_blank(_csv_rows(_read_file(path, "signal table"), f"signal table {path!r}"))
+    rows = _csv_rows(_read_file(path, "signal table"), f"signal table {path!r}")
     if rows:
         try:
             float(rows[0][0])

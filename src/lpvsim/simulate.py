@@ -739,10 +739,12 @@ def _render_csv(header, columns, numbered=False):
 
 
 def _csv_rows(text, what):
-    """``list(csv.reader(io.StringIO(text)))``; a ``csv.Error`` is a
-    DataError after ``what``."""
+    """The rows of ``csv.reader(io.StringIO(text))`` that hold a non-blank
+    cell; a ``csv.Error`` is a DataError after ``what``."""
     try:
-        return list(csv.reader(io.StringIO(text)))
+        # the first cell decides most rows; [] (csv.reader's blank line) is blank
+        return [r for r in csv.reader(io.StringIO(text))
+                if r and (r[0].strip() or "".join(r).strip())]
     except csv.Error as exc:
         raise DataError(f"{what}: {exc}") from None
 
@@ -776,11 +778,6 @@ def _line_blocks(text, start):
         end = len(text) if end < 0 else end
         yield text[start:end]
         start = end + 1
-
-
-def _non_blank(rows):
-    # the first cell decides most rows; [] (csv.reader's blank line) is blank
-    return [r for r in rows if r and (r[0].strip() or "".join(r).strip())]
 
 
 def _header_cells(text):
@@ -823,7 +820,7 @@ def _block_values(block, width, ts, first):
             # a NaN t fails the <=
             if (k == steps).all() and (np.abs(data[:, 0] - steps * ts) <= 1e-9).all():
                 return data
-    return _row_values(_non_blank(_csv_rows(block, "trajectory table")), width, ts, first)
+    return _row_values(_csv_rows(block, "trajectory table"), width, ts, first)
 
 
 def _row_values(rows, width, ts, first):
@@ -855,19 +852,19 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
 
     The k column must count 0,1,2,... and every t must be finite and equal
     k*ts within 1e-9; both guard against feeding a table sampled at a
-    different rate.  Split text (see :func:`_split_is_csv`) is read after
-    its header in the blocks of :func:`_line_blocks`, each by numpy's C
-    reader and checked column by column (:func:`_block_values`); only a
-    block that it refuses or that has a fault is read row by row, which
-    names the table's first bad row.  Other text is read by ``csv.reader``
-    and then row by row.
+    different rate.  One loop reads the rows after the header from their
+    sources: for split text (see :func:`_split_is_csv`), the blocks of
+    :func:`_line_blocks`, each by :func:`_block_values`; for other text, its
+    ``csv.reader`` rows as one source, by :func:`_row_values`.  Either names
+    the table's first bad row.
     """
-    rows = None
     if _split_is_csv(text):
         header, start = _header_cells(text)
+        sources, read = _line_blocks(text, start), _block_values
     else:
-        rows = _non_blank(_csv_rows(text, "trajectory table"))
+        rows = _csv_rows(text, "trajectory table")
         header = rows.pop(0) if rows else None
+        sources, read = [rows], _row_values
     if header is None:
         raise DataError("empty trajectory table")
     header = [h.strip() for h in header]
@@ -883,14 +880,10 @@ def read_trajectory_csv(text: str, ts: float) -> Trajectory:
             "trajectory header must be k,t,p1..pN,u1..uM in order, got "
             + ",".join(header)
         )
-    if rows is None:
-        parts, n = [], 0
-        for block in _line_blocks(text, start):
-            parts.append(_block_values(block, len(header), ts, n))
-            n += len(parts[-1])
-    else:
-        parts = [_row_values(rows, len(header), ts, 0)]
-        n = len(parts[0])
+    parts, n = [], 0
+    for source in sources:
+        parts.append(read(source, len(header), ts, n))
+        n += len(parts[-1])
     if n == 0:
         raise DataError("trajectory table has a header but no rows")
     p = np.concatenate([d[:, 1:1 + n_pc] for d in parts])
