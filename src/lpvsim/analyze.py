@@ -204,7 +204,7 @@ class ComparisonMetrics:
 
 def compare_traj(a, b, channel="y") -> ComparisonMetrics:
     """Max and RMS entrywise difference of one channel of two trajectories."""
-    if abs(a.ts - b.ts) > 1e-12:
+    if abs(a.ts - b.ts) > min(1e-12, 1e-9 * max(abs(a.ts), abs(b.ts))):
         raise ConfigError(f"sampling times differ: {a.ts} vs {b.ts}")
     xa = a.channel(channel)
     xb = b.channel(channel)

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, WellposednessError
+from .errors import ConfigError, NonFiniteError, WellposednessError
 from .model import LpvStateSpace, _frozen_array, _record, eval_pmatrix, eval_pmatrix_many
 
 __all__ = [
@@ -138,8 +138,13 @@ def singular_rows(det, A, ts: float):
 
 def _judge(A, ts: float):
     """``M = I - A Ts/2``, ``det(M)`` and :func:`singular_rows`' verdict, for
-    one matrix A or a stack.  At a huge Ts det overflows to inf, which is far
-    from singular: no warning."""
+    one matrix A or a stack.  M is finite when A's largest |entry| times Ts/2
+    is, and else a NonFiniteError.  At a huge Ts det overflows to inf, which
+    is far from singular: no warning."""
+    # a Python float, so that a product past the float range is inf, unwarned
+    peak = float(np.maximum(A.max(initial=0.0), -A.min(initial=0.0)))
+    if not math.isfinite(peak * (ts / 2.0)):
+        raise NonFiniteError(f"I - A(p)*Ts/2 leaves the float range (Ts = {ts})")
     # formed in place: one (N, n, n) stack, no temporary A Ts/2 beside it
     M = A * (ts / 2.0)
     np.subtract(np.eye(A.shape[-1]), M, out=M)
@@ -185,6 +190,8 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None) -> np
         If ``|det(I - A_p Ts/2)|`` falls below ``1e-12 * max(1, |A_p| Ts/2)``.
         For a stack it reports the first step of the first singular row,
         as the error's ``step_index`` and, with ``points``, its ``p``.
+    NonFiniteError
+        If ``I - A_p Ts/2`` leaves the float range.
     """
     A_p = np.asarray(A_p, dtype=float)
     M, d, bad = _judge(A_p, cfg.ts)
@@ -307,7 +314,7 @@ def wellposedness_check(
     the sampled determinants take both signs, the segment between the most
     negative and the most positive sample is bisected to a singular point,
     which is reported in ``singular_points``.  A failing condition yields
-    ``passed=False``, never an exception.
+    ``passed=False``; an I - A(p) Ts/2 past the float range is a NonFiniteError.
 
     Parameters
     ----------

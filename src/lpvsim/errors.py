@@ -76,7 +76,7 @@ class WellposednessError(LpvError):
 
 
 class NonFiniteError(LpvError):
-    """A run from finite inputs reached a non-finite state or output.
+    """A run's state or output, or I - A(p)*Ts/2, left the float range.
 
     The model diverges, or grows past the float range, over the run;
     ``step_index`` is the first sample whose x, xi or y is not finite.

@@ -333,11 +333,9 @@ def _check_run_inputs(model, cfg, traj, x0):
         )
     if traj.u.shape[1] != model.n_u:
         raise DimensionError(f"input width {traj.u.shape[1]} != n_u {model.n_u}")
-    if abs(traj.ts - cfg.ts) > 1e-12:
-        raise ConfigError(
-            f"trajectory sampled at ts = {traj.ts}, configuration has "
-            f"ts = {cfg.ts}"
-        )
+    if abs(traj.ts - cfg.ts) > min(1e-12, 1e-9 * cfg.ts):
+        raise ConfigError(f"trajectory sampled at ts = {traj.ts}, "
+                          f"configuration has ts = {cfg.ts}")
     _check_stack(traj.n_steps * _run_bytes(model),
                  f"a run of {traj.n_steps} samples at n_x = {model.n_x}")
     check_in_box(model.domain, traj.p, where=lambda k: f"step {k}")
@@ -651,7 +649,7 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     Raises
     ------
     ConfigError
-        If oversample is not an integer >= 1.
+        If oversample is not an integer >= 1, or makes the half-step grid too large.
     DimensionError, DomainError, DataError, ConfigError
         As :func:`simulate_dt`, from the same guard, for the sampled p, u and
         x0; DomainError and DataError also when p(t) leaves the box or u(t)
@@ -669,8 +667,10 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     samp = sample_scenario(scenario, cfg)
     x0 = _check_run_inputs(model, cfg, samp, scenario.x0)
     n_keep = samp.n_steps
-    h = cfg.ts / oversample
     n_fine = (n_keep - 1) * oversample
+    _check_stack(8 * (2 * n_fine + 1) * (1 + len(scenario.p) + len(scenario.u)),
+                 f"an RK4 grid of {n_fine} substeps (oversample = {oversample})")
+    h = cfg.ts / oversample
 
     x_log = np.empty((n_keep, model.n_x))
     x_log[0] = x = x0

@@ -782,6 +782,31 @@ def test_simulate_wellposedness_exit_2(capsys, command):
                    "0.000e+00 is numerically zero (Ts = 0.1)\n")
 
 
+_RUN_3 = ("--p=const:0.5", "--u=const:1", "--u=const:1", "--steps", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", *_RUN_3), ("loop-simulate", *_RUN_3), ("compare", *_RUN_3),
+    ("check",), ("discretize", "--p", "0.5"),
+], ids=lambda argv: argv[0])
+def test_an_i_minus_a_ts_past_the_float_range_is_one_nonfinite_line(capsys, tmp_path, argv):
+    # A = 1e300 [[1, 1], [1, 1]] at Ts = 1e10: A Ts/2 = 5e309 overflows
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "nx": 2, "nu": 2, "ny": 2, "np": 1, "domain": {"lower": [0], "upper": [1]},
+        "A": [{"exponents": [0], "coeff": [[1e300, 1e300], [1e300, 1e300]]}],
+        "B": [{"exponents": [0], "coeff": eye}], "C": [{"exponents": [0], "coeff": eye}],
+    }))
+    out_file = tmp_path / "out"
+    code, out, err = run(capsys, argv[0], "--model", str(path), "--ts", "1e10",
+                         *argv[1:], "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == ("E_NONFINITE: I - A(p)*Ts/2 leaves the float range "
+                   "(Ts = 10000000000.0)\n")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "loop-simulate", "compare"])
 @pytest.mark.parametrize("timing", [("--steps", "1"), ("--t-end", "99", "--steps", "2"),
                                     ("--t-end", "1")])

@@ -33,7 +33,7 @@ from lpvsim.discretize import (
     tustin_frozen,
     wellposedness_check,
 )
-from lpvsim.errors import ConfigError, DomainError, WellposednessError
+from lpvsim.errors import ConfigError, DomainError, NonFiniteError, WellposednessError
 
 # Scalar lag A = [[-1]], Ts = 0.1: all blocks are ratios over 1.05.
 PHI_LAG = 1.0 / 1.05          # 0.9523809523809523
@@ -72,6 +72,20 @@ def test_phi_rejects_singular_resolvent():
     with pytest.raises(WellposednessError) as exc:
         phi(np.array([[20.0]]), cfg)
     assert exc.value.code == "E_WELLPOSED"
+
+
+def test_an_i_minus_a_ts_past_the_float_range_is_refused_not_nan():
+    # A Ts/2 = 5e309 leaves the float range, so M = I - A Ts/2 is not finite
+    A = np.full((2, 2), 1e300)
+    model = constant_model(A, np.eye(2), np.eye(2), np.zeros((2, 2)), box=(0.0, 1.0))
+    cfg = DiscretizationConfig(1e10)
+    for call in (lambda: phi(A, cfg), lambda: phi(np.stack([A, A]), cfg),
+                 lambda: dt_step_matrices(model, [0.5], cfg),
+                 lambda: wellposedness_check(model, cfg, 3, 2, 0)):
+        with pytest.raises(NonFiniteError) as exc:
+            call()
+        assert str(exc.value) == "I - A(p)*Ts/2 leaves the float range (Ts = 10000000000.0)"
+        assert exc.value.code == "E_NONFINITE"
 
 
 def test_phi_residual_tiny_on_random_matrices():

@@ -444,6 +444,22 @@ def test_every_engine_refuses_a_run_over_the_cap_before_any_work(monkeypatch):
     assert str(exc.value) == message
 
 
+def test_the_rk4_reference_refuses_a_fine_grid_over_the_cap_before_any_window(monkeypatch):
+    # 10 samples of 10**12 substeps: the half-step grid's t, p and u take
+    # 8 (2e13 + 1) 3 bytes, though the sample grid takes 264
+    def spy(*args):
+        raise AssertionError("an RK4 window was built")
+
+    monkeypatch.setattr(simulate, "_rk4_affine_maps", spy)
+    scen = Scenario(p=[SignalSpec.constant(2.0)], u=[SignalSpec.sine(f=1.0)],
+                    x0=[0.0, 0.0], t_end=1.0)
+    with pytest.raises(ConfigError) as exc:
+        simulate_ct_reference(msd_model(), DiscretizationConfig(0.1), scen, 10**12)
+    assert str(exc.value) == (
+        "an RK4 grid of 10000000000000 substeps (oversample = 1000000000000) takes "
+        "more than 1073741824 bytes, the most one request may allocate")
+
+
 def _affine_io_model(rng, n_x, n_u, n_y):
     """Affine in one channel in all four matrices, so each evaluation adds
     one term's product, on the box [-1, 1]."""

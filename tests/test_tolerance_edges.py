@@ -30,6 +30,20 @@ def test_a_trajectory_ts_within_1e_12_of_the_config_runs_and_beyond_is_refused(e
     )
 
 
+@pytest.mark.parametrize("engine", [simulate_dt, simulate_dt_loop_oracle])
+def test_a_tiny_ts_is_refused_beside_another_not_relabelled(engine):
+    # within 1e-12 of each other, yet 1e-13 is ten times 1e-14
+    p, u = np.zeros((3, 1)), np.ones((3, 1))
+    with pytest.raises(ConfigError) as exc:
+        engine(integrator_model(), DiscretizationConfig(ts=1e-14),
+               Trajectory(ts=1e-13, p=p, u=u), [0.0])
+    assert str(exc.value) == "trajectory sampled at ts = 1e-13, configuration has ts = 1e-14"
+    for ts_a, ts_b in [(1e-13, 1e-14), (1e-14, 1e-13), (1e-13, 5e-13)]:
+        with pytest.raises(ConfigError) as exc:
+            compare_traj(Trajectory(ts_a, p, u, y=u), Trajectory(ts_b, p, u, y=u))
+        assert str(exc.value) == f"sampling times differ: {ts_a} vs {ts_b}"
+
+
 def test_a_table_time_within_1e_9_of_k_ts_is_read_and_beyond_is_refused():
     head = "k,t,p1,u1\n0,0.0,1.0,2.0\n"
     traj = read_trajectory_csv(head + "1,0.1000000005,1.0,2.0\n", ts=0.1)
