@@ -35,6 +35,7 @@ reconstructed state hit x(0) exactly at k = 0.
 import csv
 import io
 import math
+import re
 from dataclasses import field
 
 import numpy as np
@@ -334,8 +335,10 @@ def _check_run_inputs(model, cfg, traj, x0):
     if traj.u.shape[1] != model.n_u:
         raise DimensionError(f"input width {traj.u.shape[1]} != n_u {model.n_u}")
     if abs(traj.ts - cfg.ts) > min(1e-12, 1e-9 * cfg.ts):
-        raise ConfigError(f"trajectory sampled at ts = {traj.ts}, "
-                          f"configuration has ts = {cfg.ts}")
+        raise ConfigError(
+            f"trajectory sampled at ts = {traj.ts}, configuration has "
+            f"ts = {cfg.ts}"
+        )
     _check_stack(traj.n_steps * _run_bytes(model),
                  f"a run of {traj.n_steps} samples at n_x = {model.n_x}")
     check_in_box(model.domain, traj.p, where=lambda k: f"step {k}")
@@ -783,14 +786,9 @@ def _line_blocks(text, start):
 def _header_cells(text):
     """The cells of the first non-blank line of split text and the index
     where the next line starts; (None, len(text)) if every line is blank."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        line, start = text[start:end], end + 1
-        if line.replace(",", "").strip():
-            return line.split(","), start
-    return None, start
+    # a cell is blank when str.strip() empties it, as \s is str.isspace()
+    line = re.search(r"^.*[^,\s].*$", text, re.M)
+    return (None, len(text)) if line is None else (line[0].split(","), line.end() + 1)
 
 
 def _block_values(block, width, ts, first):
