@@ -204,7 +204,7 @@ class ComparisonMetrics:
 
 def compare_traj(a, b, channel="y") -> ComparisonMetrics:
     """Max and RMS entrywise difference of one channel of two trajectories."""
-    if abs(a.ts - b.ts) > min(1e-12, 1e-9 * max(abs(a.ts), abs(b.ts))):
+    if not abs(a.ts - b.ts) <= min(1e-12, 1e-9 * max(abs(a.ts), abs(b.ts))):  # NaN fails
         raise ConfigError(f"sampling times differ: {a.ts} vs {b.ts}")
     xa = a.channel(channel)
     xb = b.channel(channel)

@@ -334,7 +334,7 @@ def _check_run_inputs(model, cfg, traj, x0):
         )
     if traj.u.shape[1] != model.n_u:
         raise DimensionError(f"input width {traj.u.shape[1]} != n_u {model.n_u}")
-    if abs(traj.ts - cfg.ts) > min(1e-12, 1e-9 * cfg.ts):
+    if not abs(traj.ts - cfg.ts) <= min(1e-12, 1e-9 * cfg.ts):  # NaN fails the <=
         raise ConfigError(
             f"trajectory sampled at ts = {traj.ts}, configuration has "
             f"ts = {cfg.ts}"

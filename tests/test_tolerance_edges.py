@@ -32,13 +32,16 @@ def test_a_trajectory_ts_within_1e_12_of_the_config_runs_and_beyond_is_refused(e
 
 @pytest.mark.parametrize("engine", [simulate_dt, simulate_dt_loop_oracle])
 def test_a_tiny_ts_is_refused_beside_another_not_relabelled(engine):
-    # within 1e-12 of each other, yet 1e-13 is ten times 1e-14
+    # within 1e-12 of each other, yet 1e-13 is ten times 1e-14; a NaN ts
+    # is no sampling time at all
     p, u = np.zeros((3, 1)), np.ones((3, 1))
-    with pytest.raises(ConfigError) as exc:
-        engine(integrator_model(), DiscretizationConfig(ts=1e-14),
-               Trajectory(ts=1e-13, p=p, u=u), [0.0])
-    assert str(exc.value) == "trajectory sampled at ts = 1e-13, configuration has ts = 1e-14"
-    for ts_a, ts_b in [(1e-13, 1e-14), (1e-14, 1e-13), (1e-13, 5e-13)]:
+    for ts, cfg_ts in [(1e-13, 1e-14), (float("nan"), 0.1)]:
+        with pytest.raises(ConfigError) as exc:
+            engine(integrator_model(), DiscretizationConfig(ts=cfg_ts),
+                   Trajectory(ts=ts, p=p, u=u), [0.0])
+        assert str(exc.value) == (
+            f"trajectory sampled at ts = {ts}, configuration has ts = {cfg_ts}")
+    for ts_a, ts_b in [(1e-13, 1e-14), (1e-14, 1e-13), (1e-13, 5e-13), (float("nan"), 0.1)]:
         with pytest.raises(ConfigError) as exc:
             compare_traj(Trajectory(ts_a, p, u, y=u), Trajectory(ts_b, p, u, y=u))
         assert str(exc.value) == f"sampling times differ: {ts_a} vs {ts_b}"
