@@ -138,9 +138,9 @@ def singular_rows(det, A, ts: float):
 
 def _judge(A, ts: float):
     """``M = I - A Ts/2``, ``det(M)`` and :func:`singular_rows`' verdict, for
-    one matrix A or a stack.  M is finite when A's largest |entry| times Ts/2
-    is, and else a NonFiniteError.  At a huge Ts det overflows to inf, which
-    is far from singular: no warning."""
+    one matrix A or a stack.  M is finite exactly when A's largest |entry|
+    times Ts/2 is; else a NonFiniteError.  At a huge Ts det overflows to
+    inf, which is far from singular: no warning."""
     # a Python float, so that a product past the float range is inf, unwarned
     peak = float(np.maximum(A.max(initial=0.0), -A.min(initial=0.0)))
     if not math.isfinite(peak * (ts / 2.0)):
