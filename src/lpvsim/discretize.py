@@ -162,7 +162,8 @@ def _singular_step_error(A, det, ts, step, p):
         f"zero (Ts = {ts})", A_p=A, ts=ts, step_index=step, p=p)
 
 
-def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None) -> np.ndarray:
+def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None,
+        first=0) -> np.ndarray:
     """Resolvent ``Phi = (I - A_p * Ts/2)^-1`` via ``np.linalg.inv``
     (LAPACK's LU solve against the identity).
 
@@ -177,6 +178,8 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None) -> np
     run : ndarray of int, shape (N,), optional
         The step map: the (nondecreasing) row holding each step's A, when a
         row stands for a run of equal steps.  Without it, row k is step k.
+    first : int, optional
+        The index of the stack's step 0 in a longer run; the error counts from it.
 
     Returns
     -------
@@ -195,22 +198,23 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None) -> np
     """
     A_p = np.asarray(A_p, dtype=float)
     M, d, bad = _judge(A_p, cfg.ts)
+    if np.any(bad) and A_p.ndim == 2:
+        raise _singular_step_error(A_p, d, cfg.ts, None, None)
     if np.any(bad):
-        k = int(np.argmax(bad)) if A_p.ndim == 3 else None
-        A_bad, d_bad = (A_p, d) if k is None else (A_p[k], d[k])
+        k = int(np.argmax(bad))
         step = k if run is None else int(np.searchsorted(run, k))
-        raise _singular_step_error(A_bad, d_bad, cfg.ts, step,
+        raise _singular_step_error(A_p[k], d[k], cfg.ts, first + step,
                                    None if points is None else points[step])
     return np.linalg.inv(M)
 
 
-def _step_blocks(A, B, cfg: DiscretizationConfig, points=None, run=None):
+def _step_blocks(A, B, cfg: DiscretizationConfig, points=None, run=None, first=0):
     """Axi - I = Ts Phi A, Bxi = 2 Phi B and Xxi = Ts/2 Phi of one (A, B)
     pair, or of each of an (N, n, n) and (N, n, m) stack, from one
-    :func:`phi` call, to which ``points`` and ``run`` are passed on.  With
+    :func:`phi` call, to which ``points``, ``run`` and ``first`` go.  With
     the step map ``run``, A has a row per run and B per step: Phi and Ts Phi
     A are formed per run, then gathered to the steps."""
-    Phi = phi(A, cfg, points, run)
+    Phi = phi(A, cfg, points, run, first)
     DA = Phi @ A
     DA *= cfg.ts
     if run is not None:

@@ -2,34 +2,28 @@
 
 Two discrete-time engines advance the same internal state xi over a sampled
 scheduling trajectory.  The loop-free engine builds the paper's per-step
-matrices for every sample at once -- A(p(k)) and B(p(k)) once per run of
-equal p(k), B gathered to an (N, n, m) stack, one stacked factorization of
-Phi(p(k)) over the runs -- and runs the xi recurrence as a log-depth scan
-over its increment maps, each stored as one block [D | s], so the only
-Python loop left is over the scan's log2(N) levels.
-The loop oracle re-solves the implicit feedback loop around the trapezoidal
-integrator block at every step, written in xi itself: each step solves for x
-and the increment of xi and adds that increment.  Its A(p(k)) and loop
-matrices exist one fixed window of steps at a time; each window's
-det(I - A Ts/2) is judged by the one singularity test, and a singular window
-is refused before it is solved.  Both
-realize the identical map, so their outputs agree to machine precision; keeping both is the point, since each checks the other.  A
-fixed-step RK4 integrator provides the continuous-time reference.  The model
-is linear in x, so each RK4 substep is an increment map x+ = x + G_i [x; 1]
-with G_i = [D_i | s_i]; the reference builds those blocks batched from
-[A | B u] on a half-step grid, in fixed windows of the fine grid, and composes
-them by the loop-free engine's scan, so its only Python loops are over the
-windows and the scan's levels.  A window holds W >= 1 substeps, as many as
-a fixed byte budget allows, so its memory is about 220 KiB at every size.
+matrices for a window of samples at once, factoring Phi(p(k)) once per run
+of equal p(k), and runs the xi recurrence as a log-depth scan over its
+increment maps, each one block [D | s].  The loop oracle re-solves the
+implicit feedback loop around the trapezoidal integrator block at every
+step, one fixed window of steps at a time, and refuses a window with a
+singular det(I - A Ts/2) before solving it.  Both realize the identical
+map, so their outputs agree to machine precision; keeping both is the
+point, since each checks the other.  A fixed-step RK4 integrator provides
+the continuous-time reference: the model is linear in x, so each substep
+is an increment map x+ = x + G_i [x; 1], G_i = [D_i | s_i], built batched
+from [A | B u] on a half-step grid.  Both scan engines cut their run into
+fixed windows as large as a byte budget allows and compose each window's
+maps by one scan and read-off (:func:`_scan_window`), so their only Python
+loops are over the windows and the scan's levels.
 
 The internal state relates to the physical one by
 
     xi(k) = (2/Ts) x(k) - r x(k),    r x = A(p) x + B(p) u,
 
 and the trapezoidal integrator advances it by xi(k+1) = xi(k) + 2 r x(k).
-A simulation started from a physical x(0) seeds
-xi(0) = (2/Ts) x(0) - A(p(0)) x(0) - B(p(0)) u(0), which makes the
-reconstructed state hit x(0) exactly at k = 0.
+A run from a physical x(0) seeds xi(0) = (2/Ts) x(0) - A(p(0)) x(0) -
+B(p(0)) u(0), so the reconstructed state hits x(0) exactly at k = 0.
 """
 
 import csv
@@ -315,10 +309,11 @@ def _check_finite_u(u, where):
 
 def _run_bytes(model):
     """Bytes per sample that bound what either discrete engine holds at once:
-    3 (2 n_x + 1)^2 floats for simulate_dt's blocks and scan (the oracle's
-    loop matrices are windowed), and 4 r c for each (r, c) B, C or D,
-    twice its stack and one term's product while evaluated.  Both engines
-    peak below half of it (tracemalloc, n_x 1 to 16, n_u and n_y 1 to 40)."""
+    3 (2 n_x + 1)^2 floats, a margin from when simulate_dt held its blocks
+    whole-run (both engines now window their per-step matrices), and 4 r c
+    for each (r, c) B, C or D, twice its stack and one term's product while
+    evaluated for the whole run, as the result step's C and D still are.
+    Both engines peak below half of it (tracemalloc, n_x 1 to 16)."""
     n, m, q = model.n_x, model.n_u, model.n_y
     return 8 * (3 * (2 * n + 1) ** 2 + 4 * (n * m + q * n + q * m))
 
@@ -370,16 +365,15 @@ def _at_steps(f, runs):
     return M if run is None else np.take(M, run, axis=0)
 
 
-def _result(engine, model, cfg, traj, x, xi, runs=None):
-    """The engines' one result step: y = C(p) x + D(p) u from the state
-    log x, C and D once per run of equal points (``runs`` of :func:`_runs`,
-    found here when None), one finiteness guard, the run's :class:`Trajectory`.
+def _result(engine, model, cfg, traj, x, xi):
+    """The engines' one result step: y = C(p) x + D(p) u, C and D once per
+    run of equal points, one finiteness guard, the run's :class:`Trajectory`.
 
     Raises :class:`NonFiniteError` at the first step where a row of x, xi
     (None for the RK4 reference) or y is not finite, which a run from
     finite inputs reaches only by diverging."""
     p, u = traj.p, traj.u
-    runs = _runs(p) if runs is None else runs
+    runs = _runs(p)
     # as in the engines, a diverging run is reported by the guard below
     with np.errstate(over="ignore", invalid="ignore"):
         y = _matvecs(_at_steps(model.C, runs), x)
@@ -396,23 +390,30 @@ def _result(engine, model, cfg, traj, x, xi, runs=None):
     return Trajectory(cfg.ts, p, u, y, x, xi)
 
 
+#: bytes one window of simulate_dt may hold beside the run's logs
+_DT_BUDGET = 2**20
+
+
+def _dt_window(model):
+    """Steps per window of simulate_dt, max(1, budget // bytes per step): a
+    step's run index and, at the window's peak, three (n, n + 1) blocks (A,
+    Phi and Ts Phi A, or G, its scan product and Xxi), or n (n + 2 n_u)
+    floats while B is evaluated.  2148 at n_x = 4, n_u = 2; 10 at n_x = 64."""
+    n = model.n_x
+    return max(1, _DT_BUDGET // (8 * (max(3 * n * (n + 1), n * (n + 2 * model.n_u)) + 1)))
+
+
 def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     """Run the loop-free per-step matrices over a sampled trajectory.
 
-    What depends only on p(k) is computed once per run of equal points, a
-    run starting where p(k) differs bit for bit from p(k - 1): A and B at the
-    run starts, B gathered to every step for B u.  One call of the builder of
-    :func:`~lpvsim.discretize.dt_step_matrices`' blocks factors Phi per run,
-    gathers Phi and D = Ts Phi A to the steps by the run index and forms
-    s = 2 Phi B u and Xxi = Ts/2 Phi, so each step's blocks are bit for bit
-    those of its own p.  The recurrence xi(k+1) = xi(k) +
-    G_k [xi(k); 1], with G_k = [D_k | s_k], is a chain of increment maps,
-    the form of the RK4 reference's substeps, so it runs through the same
-    log-depth scan, :func:`_scan`, after which row k maps xi(0) to xi(k+1)
-    = xi(0) + G_k [xi(0); 1].  Only the scan's loop over levels runs in
-    Python; its rounding differs from stepping sample by sample only in the
-    last digits.  The state is read through the resolvent,
-    x(k) = Xxi (xi(k) + B u(k)), as in x = Xxi xi + Xu u.
+    The run is cut into fixed windows of :func:`_dt_window` steps; only the
+    xi, x and result logs are whole-run.  Per window, A and B are evaluated
+    once per run of bit-equal points, and :func:`~lpvsim.discretize.phi`
+    once per run gives each step's blocks D = Ts Phi A, s = 2 Phi B u and
+    Xxi = Ts/2 Phi, bit for bit those of its own p.  The recurrence xi(k+1)
+    = xi(k) + G_k [xi(k); 1], G_k = [D_k | s_k], is a chain of increment
+    maps, which :func:`_scan_window` runs from the state ending the previous
+    window (rounding in the last digits only); x(k) = Xxi (xi(k) + B u(k)).
 
     Raises
     ------
@@ -431,25 +432,28 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
         carries the index of the first such step.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
-    runs = _runs(traj.p)
-    A = eval_pmatrix_many(model.A, runs[0])
-    Bu = _matvecs(_at_steps(model.B, runs), traj.u)
-    xis = np.empty((traj.n_steps + 1, model.n_x))
-    xis[0] = _seed_xi(A[0], Bu[0], x0, cfg.ts)
-    # a huge drive or a diverging run overflows from here on; the result
-    # step reports it as one error, so numpy's warnings are off
+    n, window = model.n_x, _dt_window(model)
+    xis = np.empty((traj.n_steps + 1, n))
+    # a huge drive or a diverging run overflows, reported by the result step
     with np.errstate(over="ignore", invalid="ignore"):
-        # B u as the (N, n, 1) B of the blocks: their Bxi is then s itself.
-        # Each stack is dropped once used: live (N, n, .) stacks set the peak
-        D, s, Xxi = _step_blocks(A, Bu[:, :, None], cfg, traj.p, runs[1])
-        del A
-        G = np.concatenate((D, s), axis=2)
-        del D, s
-        _scan(G)  # now row k maps xi(0) to xi(k+1)
-        xis[1:] = xis[0] + G @ np.append(xis[0], 1.0)
-        del G
-        x = _matvecs(Xxi, xis[:-1] + Bu)
-    return _result("simulate_dt", model, cfg, traj, x, xis[:-1], runs)
+        for k0 in range(0, traj.n_steps, window):
+            p = traj.p[k0:k0 + window]
+            points, run = _runs(p)
+            A = eval_pmatrix_many(model.A, points)
+            Bu = _matvecs(_at_steps(model.B, (points, run)), traj.u[k0:k0 + window])
+            if k0 == 0:
+                xi = xis[0] = _seed_xi(A[0], Bu[0], x0, cfg.ts)
+            # Bu as the blocks' B makes Bxi s itself; A, D and s go before the scan
+            D, s, Xxi = _step_blocks(A, Bu[:, :, None], cfg, p, run, k0)
+            del A
+            G = np.concatenate((D, s), axis=2)
+            del D, s
+            xi = _scan_window(xi, G, xis, k0, 1)
+            del G
+            if k0 == 0:  # allocated after the scan, whose peak it would raise
+                x = np.empty((traj.n_steps, n))
+            x[k0:k0 + window] = _matvecs(Xxi, xis[k0:k0 + len(p)] + Bu)
+    return _result("simulate_dt", model, cfg, traj, x, xis[:-1])
 
 
 #: the LAPACK gufunc behind ``np.linalg.solve`` (one matrix, one right-hand
@@ -611,9 +615,8 @@ def _scan(G):
     w, row i holds the composition of maps i-2w+1 .. i.  I + D is never
     formed, so like the stagewise form the maps only add small increments.
     """
-    # the product is formed whole before the in-place add, which would
-    # otherwise read rows it has already written; deleting it keeps one
-    # product live at a time
+    # the product is formed whole before the in-place add, which would read
+    # rows it has already written; deleting it keeps one product live
     w = 1
     while w < len(G):
         prod = G[w:, :, :-1] @ G[:-w]
@@ -621,6 +624,19 @@ def _scan(G):
         G[w:] += prod
         del prod
         w *= 2
+
+
+def _scan_window(x, G, log, i0, stride):
+    """Scan the maps G of substeps i0, i0 + 1, ... from the state x, log x
+    after every ``stride``-th substep (row r ends substep i0 + r), and
+    return the state after the last row, which starts the next window."""
+    _scan(G)
+    r0 = -(i0 + 1) % stride
+    k0 = (i0 + r0 + 1) // stride
+    x1 = np.append(x, 1.0)
+    xs = x + G[r0::stride] @ x1
+    log[k0:k0 + len(xs)] = xs
+    return x + G[-1] @ x1
 
 
 def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
@@ -634,20 +650,12 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     For a linear time-varying system one RK4 substep is an affine map
     x+ = x + G_i [x; 1] with G_i = [D_i | s_i], built from [A | B u] at the
     substep's three stage times.  The fine grid is cut into windows of W
-    substeps that start at multiples of W, where W >= 1 is what a 220 KiB
-    budget holds at 8 (5 n_x (n_x + 1) + 2 (1 + n_p + n_u)) bytes per
-    substep (:func:`_rk4_window`): 256 at n_x = 4, n_p = n_u = 2.  Per
-    window, p and u are sampled on its half-step grid, and the blocks are
-    built batched and composed by a log-depth prefix scan in this increment
-    form, never as I + D_i, whose product would round every entry of x
-    afresh.  x is then formed only at the window's rows that end a sample,
-    one strided slice of every oversample-th row, in one batched step
-    x_start + G_pref [x_start; 1], and at its last row, which starts the
-    next window.  So memory is bounded by the budget plus the output log,
-    and the only Python loops are over the windows and the scan's levels.
-    W depends only on the model's dimensions, so the windows are fixed on
-    the fine grid, and runs at (Ts, oversample) and (2 Ts, 2 oversample)
-    agree bit for bit at the samples they share.
+    substeps that start at multiples of W (:func:`_rk4_window`).  Per
+    window, p and u are sampled on its half-step grid, the blocks are built
+    batched, and :func:`_scan_window` composes them in increment form,
+    never as I + D_i, whose product would round every entry of x afresh.
+    W depends only on the model's dimensions, so runs at (Ts, oversample)
+    and (2 Ts, 2 oversample) agree bit for bit at the samples they share.
 
     Raises
     ------
@@ -669,38 +677,24 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     oversample = int(oversample)
     samp = sample_scenario(scenario, cfg)
     x0 = _check_run_inputs(model, cfg, samp, scenario.x0)
-    n_keep = samp.n_steps
-    n_fine = (n_keep - 1) * oversample
+    n_fine = (samp.n_steps - 1) * oversample
     _check_stack(8 * (2 * n_fine + 1) * (1 + len(scenario.p) + len(scenario.u)),
                  f"an RK4 grid of {n_fine} substeps (oversample = {oversample})")
     h = cfg.ts / oversample
 
-    x_log = np.empty((n_keep, model.n_x))
+    x_log = np.empty((samp.n_steps, model.n_x))
     x_log[0] = x = x0
     window = _rk4_window(model)
     # as in simulate_dt, a diverging run is reported by the result step
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_fine, window):
-            i1 = min(i0 + window, n_fine)
             # the window's half-step grid: substep i starts at 2i, ends at 2i+2
-            t = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
+            t = np.arange(2 * i0, 2 * min(i0 + window, n_fine) + 1) * (0.5 * h)
             p = scenario.p_at(t)
             check_in_box(model.domain, p, where=lambda j: f"t = {float(t[j])}")
             u = scenario.u_at(t)
             _check_finite_u(u, where=lambda j: f"t = {float(t[j])}")
-            G = _rk4_affine_maps(model, p, u, h)
-            _scan(G)
-            # row r ends substep i0 + r, so the rows that end a sample are
-            # every oversample-th from r0; sample k0 is the first they reach
-            r0 = -(i0 + 1) % oversample
-            k0 = (i0 + r0 + 1) // oversample
-            x1 = np.append(x, 1.0)
-            xs = x + G[r0::oversample] @ x1
-            x_log[k0:k0 + len(xs)] = xs
-            # the window's last row starts the next window
-            x = x + G[-1] @ x1
-            # the next window's maps are built with these gone
-            del G, x1
+            x = _scan_window(x, _rk4_affine_maps(model, p, u, h), x_log, i0, oversample)
     return _result("simulate_ct_reference", model, cfg, samp, x_log, None)
 
 

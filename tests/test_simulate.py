@@ -41,6 +41,7 @@ from lpvsim.model import eval_pmatrix_many
 from lpvsim.simulate import (
     _RK4_BUDGET,
     _csv_rows,
+    _dt_window,
     _render_csv,
     _rk4_window,
     _run_bytes,
@@ -495,18 +496,21 @@ def test_each_engine_peaks_under_its_run_budget(n_x):
 def test_loop_oracle_memory_is_bounded_by_its_window():
     # the loop matrices exist one window at a time, so at n_x = 16 the peak
     # is A(p) and its evaluation, 4096 bytes per sample; a whole-run
-    # (N, 32, 32) stack of loop matrices would add 8192 more
+    # (N, 32, 32) stack of loop matrices would add 8192 more.  simulate_dt's
+    # blocks are windowed too: whole-run (N, 16, 17) stacks would take
+    # about 6500 bytes per sample
     rng = np.random.default_rng(16)
     model, cfg, n = _affine_io_model(rng, 16, 1, 1), DiscretizationConfig(0.05), 4000
     traj = Trajectory(ts=0.05, p=rng.uniform(-1, 1, (n, 1)), u=rng.uniform(-1, 1, (n, 1)))
-    simulate_dt_loop_oracle(model, cfg, traj, np.zeros(16))  # first-call allocations
-    tracemalloc.start()
-    try:
-        simulate_dt_loop_oracle(model, cfg, traj, np.zeros(16))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5000 * n
+    for engine in (simulate_dt_loop_oracle, simulate_dt):
+        engine(model, cfg, traj, np.zeros(16))  # first-call allocations
+        tracemalloc.start()
+        try:
+            engine(model, cfg, traj, np.zeros(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5000 * n, engine.__name__
 
 
 def test_wellposedness_failure_reports_step():
@@ -664,8 +668,10 @@ def test_a_singular_run_is_reported_at_its_first_step():
 def test_loop_oracle_reports_first_of_several_singular_steps(monkeypatch, singular, window):
     # singular at p = 20: steps 4, 6 and 9 of a longer run, or only its last
     # step.  With windows of 3 steps, step 4 falls in the second window and
-    # step 9 alone in the last; a window of 11 holds the whole run
+    # step 9 alone in the last; a window of 11 holds the whole run.  Both
+    # engines take the window, so each names the run's step, not the window's
     monkeypatch.setattr(simulate, "_ORACLE_WINDOW", window)
+    monkeypatch.setattr(simulate, "_dt_window", lambda model: window)
     model = scalar_gain_model(+1.0, hi=40.0)
     cfg = DiscretizationConfig(0.1)
     p = np.linspace(1.0, 10.0, 10)[:, None]
@@ -918,6 +924,28 @@ def test_scan_matches_step_loop_over_a_long_run():
     rng = np.random.default_rng(44)
     model, traj = scan_run(rng, 4, 10_000)
     assert_matches_loop_reference(model, traj, rng.uniform(-1, 1, 4))
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_a_windowed_run_agrees_with_a_one_window_run(monkeypatch, window):
+    # held levels of 1 to 50 samples cross the window edges, so a run of
+    # equal points is factored once in each window it reaches; only the
+    # scan's rounding may differ from the whole run as one window
+    rng = np.random.default_rng(71)
+    model = random_time_varying_model(rng, 3, 2)
+    lengths = [40, 1, 23, 30, 7, 13, 1, 2, 50]
+    p = piecewise_p(rng.uniform(-0.9, 0.9, (len(lengths), 2)), lengths)
+    traj = Trajectory(ts=0.05, p=p, u=rng.uniform(-1, 1, (len(p), 2)))
+    cfg, x0 = DiscretizationConfig(0.05), rng.uniform(-1, 1, 3)
+    monkeypatch.setattr(simulate, "_DT_BUDGET", 2**40)
+    assert _dt_window(model) > len(p)
+    whole = simulate_dt(model, cfg, traj, x0)
+    monkeypatch.setattr(simulate, "_dt_window", lambda model: window)
+    got = simulate_dt(model, cfg, traj, x0)
+    for name in ("x", "xi", "y"):
+        want = whole.channel(name)
+        gap = np.max(np.abs(got.channel(name) - want) / np.max(np.abs(want), axis=0))
+        assert gap <= 1e-14, (name, gap)
 
 
 def test_engines_accept_one_sample_and_unrecorded_state():
@@ -1466,6 +1494,13 @@ def test_ct_reference_window_is_the_same_for_every_ts_and_oversample(monkeypatch
         assert lengths[:-1] == [window] * (len(lengths) - 1), (ts, oversample)
         assert 0 < lengths[-1] <= window
         assert sum(lengths) == (out.n_steps - 1) * oversample > 2 * window
+    # simulate_dt scans its steps in windows of its own fixed length
+    window, n = _dt_window(model), 2 * _dt_window(model) + 5
+    lengths.clear()
+    simulate_dt(model, DiscretizationConfig(0.1),
+                Trajectory(ts=0.1, p=rng.uniform(-0.9, 0.9, (n, 2)), u=np.ones((n, 1))),
+                np.zeros(4))
+    assert lengths == [window, window, 5]
 
 
 # --- CSV round trip ---------------------------------------------------------
