@@ -179,7 +179,7 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None,
         The step map: the (nondecreasing) row holding each step's A, when a
         row stands for a run of equal steps.  Without it, row k is step k.
     first : int, optional
-        The index of the stack's step 0 in a longer run; the error counts from it.
+        Step 0's index in a longer run, from which the error counts steps.
 
     Returns
     -------

@@ -660,7 +660,8 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     Raises
     ------
     ConfigError
-        If oversample is not an integer >= 1, or makes the half-step grid too large.
+        If oversample is not an integer >= 1, makes Ts/oversample no positive
+        float or makes the half-step grid too large.
     DimensionError, DomainError, DataError, ConfigError
         As :func:`simulate_dt`, from the same guard, for the sampled p, u and
         x0; DomainError and DataError also when p(t) leaves the box or u(t)
@@ -668,12 +669,13 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     NonFiniteError
         If x or y is not finite at some sample, because the run diverges.
     """
-    try:  # int() would truncate 2.9 to 2 and raise its own error on nan
-        counts = int(oversample) == oversample >= 1
+    try:  # int() truncates 2.9 and fails on nan; Ts / 10**400 overflows
+        counts = int(oversample) == oversample >= 1 and cfg.ts / int(oversample) > 0.0
     except (TypeError, ValueError, OverflowError):
         counts = False
     if not counts:
-        raise ConfigError(f"oversample must be an integer >= 1, got {oversample}")
+        raise ConfigError(f"oversample must be an integer >= 1 with Ts/oversample > 0, "
+                          f"got {oversample} at Ts = {cfg.ts}")
     oversample = int(oversample)
     samp = sample_scenario(scenario, cfg)
     x0 = _check_run_inputs(model, cfg, samp, scenario.x0)

@@ -1257,6 +1257,20 @@ def test_ct_reference_rejects_an_oversample_that_is_not_a_count(oversample):
         )
 
 
+def test_ct_reference_refuses_an_oversample_past_the_float_range():
+    # one sample, so no substep is taken and the grid cap passes; Ts / 10**400
+    # has no float, and is refused with one ConfigError, while 10**300 runs
+    cfg = DiscretizationConfig(0.1)
+    scen = Scenario(p=[SignalSpec.constant(2.0)], u=[SignalSpec.constant(1.0)],
+                    x0=[0.0, 0.0], t_end=0.05)
+    with pytest.raises(ConfigError) as exc:
+        simulate_ct_reference(msd_model(), cfg, scen, oversample=10**400)
+    assert str(exc.value) == ("oversample must be an integer >= 1 with Ts/oversample "
+                              f"> 0, got {10**400} at Ts = 0.1")
+    out = simulate_ct_reference(msd_model(), cfg, scen, oversample=10**300)
+    assert out.x.tolist() == [[0.0, 0.0]]
+
+
 @pytest.mark.parametrize("oversample", [2.0, np.int64(2)])
 def test_ct_reference_accepts_an_integral_oversample_of_any_type(oversample):
     cfg, scen = DiscretizationConfig(0.5), unit_scenario()
