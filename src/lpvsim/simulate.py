@@ -452,7 +452,7 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
             del G
             if k0 == 0:  # allocated after the scan, whose peak it would raise
                 x = np.empty((traj.n_steps, n))
-            x[k0:k0 + window] = _matvecs(Xxi, xis[k0:k0 + len(p)] + Bu)
+            x[k0:k0 + len(p)] = _matvecs(Xxi, xis[k0:k0 + len(p)] + Bu)
     return _result("simulate_dt", model, cfg, traj, x, xis[:-1])
 
 
