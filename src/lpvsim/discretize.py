@@ -18,8 +18,8 @@ engine step at the same p start from bit-identical matrices:
 * :func:`singular_rows` -- the one singularity predicate on
   det(I - A(p) Ts/2), asked only by the one judge of I - A Ts/2 that
   :func:`phi`, both simulation engines and :func:`wellposedness_check` call;
-  both engines raise its one refusal.  One bound from a stack's largest |A|
-  entry clears all its rows at once; else they are judged row by row.
+  both engines raise its one refusal.  The judge clears a whole stack with
+  one bound from its largest |A| entry, and asks it only when that fails.
 * :func:`dt_step_matrices`, :func:`sigma_step` and :func:`tustin_frozen`
   -- the three builders of the one result type, :class:`StepMatrices`:
   the loop-free update obtained by solving the instantaneous feedback
@@ -116,41 +116,36 @@ def det_scale(A, ts: float):
     or an (m,) array of ``max(1, max|A| * Ts/2)``.  max|A| is taken as
     ``max(max A, -min A)``, equal bit for bit and without an |A| copy.
     """
-    axes = (-2, -1)
-    peak = np.maximum(np.max(A, axis=axes), -np.min(A, axis=axes))
+    peak = np.maximum(A.max(axis=(-2, -1)), -A.min(axis=(-2, -1)))
     return np.maximum(1.0, peak * (ts / 2.0))
 
 
 def singular_rows(det, A, ts: float):
-    """True where ``|det(I - A Ts/2)| < SINGULAR_RTOL * det_scale(A, Ts)``.
-
-    ``det`` is the determinant of I - A Ts/2 for one matrix A or for each
-    matrix of a stack; the result has the shape of ``det``.  The stack's
-    largest |A| entry bounds every matrix's :func:`det_scale`: if every |det|
-    clears that bound, no row is singular; a NaN or a row under it takes the
-    per-row rule, so the verdicts are the same bit for bit.
-    """
-    absdet = np.abs(det)
-    peak = np.maximum(A.max(), -A.min()) if A.size else 0.0
-    clear = absdet >= SINGULAR_RTOL * np.maximum(1.0, peak * (ts / 2.0))
-    return ~clear if clear.all() else absdet < SINGULAR_RTOL * det_scale(A, ts)
+    """True where ``|det(I - A Ts/2)| < SINGULAR_RTOL * det_scale(A, Ts)``,
+    row by row, for ``det`` of one matrix A or of each of a stack, in the
+    shape of ``det``.  The judge, ``_judge``, first tests a whole stack
+    against one bound, and asks this rule only if that fails."""
+    return np.abs(det) < SINGULAR_RTOL * det_scale(A, ts)
 
 
 def _judge(A, ts: float):
     """``M = I - A Ts/2``, ``det(M)`` and :func:`singular_rows`' verdict, for
     one matrix A or a stack.  M is finite exactly when A's largest |entry|
     times Ts/2 is; else a NonFiniteError.  At a huge Ts det overflows to
-    inf, which is far from singular: no warning."""
+    inf, which is far from singular: no warning.  That entry bounds every
+    row's :func:`det_scale`, so if every |det| clears the stack's threshold
+    no row is singular; else (a NaN det too) each row is judged by its own."""
     # a Python float, so that a product past the float range is inf, unwarned
-    peak = float(np.maximum(A.max(initial=0.0), -A.min(initial=0.0)))
-    if not math.isfinite(peak * (ts / 2.0)):
+    scale = float(np.maximum(A.max(initial=0.0), -A.min(initial=0.0))) * (ts / 2.0)
+    if not math.isfinite(scale):
         raise NonFiniteError(f"I - A(p)*Ts/2 leaves the float range (Ts = {ts})")
     # formed in place: one (N, n, n) stack, no temporary A Ts/2 beside it
     M = A * (ts / 2.0)
     np.subtract(np.eye(A.shape[-1]), M, out=M)
     with np.errstate(over="ignore"):
         det = np.linalg.det(M)
-    return M, det, singular_rows(det, A, ts)
+    clear = np.abs(det) >= SINGULAR_RTOL * max(1.0, scale)
+    return M, det, ~clear if clear.all() else singular_rows(det, A, ts)
 
 
 def _singular_step_error(A, det, ts, step, p):
@@ -198,9 +193,9 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None,
     """
     A_p = np.asarray(A_p, dtype=float)
     M, d, bad = _judge(A_p, cfg.ts)
-    if np.any(bad) and A_p.ndim == 2:
-        raise _singular_step_error(A_p, d, cfg.ts, None, None)
-    if np.any(bad):
+    if bad.any():
+        if A_p.ndim == 2:
+            raise _singular_step_error(A_p, d, cfg.ts, None, None)
         k = int(np.argmax(bad))
         step = k if run is None else int(np.searchsorted(run, k))
         raise _singular_step_error(A_p[k], d[k], cfg.ts, first + step,

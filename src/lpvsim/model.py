@@ -355,6 +355,15 @@ def eval_pmatrix_many(f: PMatrixFunction, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_false(*oks):
+    """The first row holding a False in one of the boolean stacks ``oks``
+    (of equal rows), or None: a row scan only once a whole-stack test fails."""
+    if all(ok.all() for ok in oks):
+        return None
+    rows = [ok.reshape(len(ok), -1).all(axis=1) for ok in oks]
+    return int(np.argmin(np.logical_and.reduce(rows)))
+
+
 def check_in_box(domain: SchedulingDomain, points, where=None) -> None:
     """Raise :class:`DomainError` at the first of ``points`` (one point or an
     (m, n_p) stack) outside the closed box or not finite.
@@ -365,16 +374,13 @@ def check_in_box(domain: SchedulingDomain, points, where=None) -> None:
     points = np.asarray(points, dtype=float)
     rows = points[None, :] if points.ndim == 1 else points
     if rows.ndim != 2 or rows.shape[1] != domain.n_p:
-        raise DimensionError(
-            f"scheduling points of shape {points.shape}, expected width {domain.n_p}"
-        )
-    bad = ~np.all((rows >= domain.lower) & (rows <= domain.upper), axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
+        raise DimensionError(f"scheduling points of shape {points.shape}, "
+                             f"expected width {domain.n_p}")
+    k = _first_false((rows >= domain.lower) & (rows <= domain.upper))
+    if k is not None:
         at = f" at {where(k)}" if where else ""
-        raise DomainError(
-            f"scheduling point {list(map(float, rows[k]))}{at} outside the box"
-        )
+        raise DomainError(f"scheduling point {list(map(float, rows[k]))}{at} "
+                          "outside the box")
 
 
 #: leaves the walk's sums 2**24 of float range, which rounding over n terms,

@@ -38,7 +38,7 @@ from numpy.linalg import _umath_linalg
 from .discretize import (DiscretizationConfig, _check_stack, _judge, _singular_step_error,
                          _step_blocks)
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
-from .model import _frozen_array, _record, check_in_box, eval_pmatrix_many
+from .model import _first_false, _frozen_array, _record, check_in_box, eval_pmatrix_many
 
 __all__ = [
     "SignalSpec",
@@ -115,11 +115,10 @@ class SignalSpec:
             if not np.all(np.isfinite(tab[:, 0])):
                 raise DataError(f"signal table {self.path!r} has a non-finite time")
             tab = tab[np.argsort(tab[:, 0], kind="stable")]
-            bad = ~np.isfinite(tab[:, 1])
-            if bad.any():
-                t = float(tab[np.argmax(bad), 0])
+            k = _first_false(np.isfinite(tab[:, 1]))
+            if k is not None:
                 raise DataError(f"signal table {self.path!r} has a non-finite value "
-                                f"in column {self.column} at t = {t}")
+                                f"in column {self.column} at t = {float(tab[k, 0])}")
             object.__setattr__(self, "table", _frozen_array(tab))
 
     @classmethod
@@ -301,9 +300,8 @@ def _sized(values, n, what):
 def _check_finite_u(u, where):
     """Raise :class:`DataError` at the first non-finite row of ``u``; ``where``
     maps its index to its location, as in :func:`check_in_box`."""
-    bad = ~np.all(np.isfinite(u), axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
+    k = _first_false(np.isfinite(u))
+    if k is not None:
         raise DataError(f"input {list(map(float, u[k]))} at {where(k)} is not finite")
 
 
@@ -365,28 +363,24 @@ def _at_steps(f, runs):
     return M if run is None else np.take(M, run, axis=0)
 
 
-def _result(engine, model, cfg, traj, x, xi):
+def _result(engine, model, cfg, traj, x, xi, runs=None):
     """The engines' one result step: y = C(p) x + D(p) u, C and D once per
-    run of equal points, one finiteness guard, the run's :class:`Trajectory`.
+    run of equal points (``runs``: :func:`_runs` of p, if simulate_dt found
+    it in one window), one finiteness guard, the run's :class:`Trajectory`.
 
     Raises :class:`NonFiniteError` at the first step where a row of x, xi
     (None for the RK4 reference) or y is not finite, which a run from
     finite inputs reaches only by diverging."""
     p, u = traj.p, traj.u
-    runs = _runs(p)
+    runs = _runs(p) if runs is None else runs
     # as in the engines, a diverging run is reported by the guard below
     with np.errstate(over="ignore", invalid="ignore"):
         y = _matvecs(_at_steps(model.C, runs), x)
         y += _matvecs(_at_steps(model.D, runs), u)
-    logs = [a for a in (x, xi, y) if a is not None]
-    finite = np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in logs])
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise NonFiniteError(
-            f"{engine}: state or output is not finite at step k={k} "
-            f"(t = {k * cfg.ts!r}); the run diverges",
-            step_index=k,
-        )
+    k = _first_false(*(np.isfinite(a) for a in (x, xi, y) if a is not None))
+    if k is not None:
+        raise NonFiniteError(f"{engine}: state or output is not finite at step k={k} "
+                             f"(t = {k * cfg.ts!r}); the run diverges", step_index=k)
     return Trajectory(cfg.ts, p, u, y, x, xi)
 
 
@@ -438,9 +432,9 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, traj.n_steps, window):
             p = traj.p[k0:k0 + window]
-            points, run = _runs(p)
+            points, run = runs = _runs(p)
             A = eval_pmatrix_many(model.A, points)
-            Bu = _matvecs(_at_steps(model.B, (points, run)), traj.u[k0:k0 + window])
+            Bu = _matvecs(_at_steps(model.B, runs), traj.u[k0:k0 + window])
             if k0 == 0:
                 xi = xis[0] = _seed_xi(A[0], Bu[0], x0, cfg.ts)
             # Bu as the blocks' B makes Bxi s itself; A, D and s go before the scan
@@ -453,7 +447,7 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
             if k0 == 0:  # allocated after the scan, whose peak it would raise
                 x = np.empty((traj.n_steps, n))
             x[k0:k0 + len(p)] = _matvecs(Xxi, xis[k0:k0 + len(p)] + Bu)
-    return _result("simulate_dt", model, cfg, traj, x, xis[:-1])
+    return _result("simulate_dt", model, cfg, traj, x, xis[:-1], runs if k0 == 0 else None)
 
 
 #: the LAPACK gufunc behind ``np.linalg.solve`` (one matrix, one right-hand
@@ -674,8 +668,13 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     except (TypeError, ValueError, OverflowError):
         counts = False
     if not counts:
+        try:  # str() writes no int of more than 4300 digits
+            got = f"{oversample}"
+        except ValueError:
+            from decimal import Decimal  # counts them without str(), on this path alone
+            got = f"an integer of {Decimal(oversample).adjusted() + 1} digits"
         raise ConfigError(f"oversample must be an integer >= 1 with Ts/oversample > 0, "
-                          f"got {oversample} at Ts = {cfg.ts}")
+                          f"got {got} at Ts = {cfg.ts}")
     oversample = int(oversample)
     samp = sample_scenario(scenario, cfg)
     x0 = _check_run_inputs(model, cfg, samp, scenario.x0)

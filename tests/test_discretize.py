@@ -25,6 +25,7 @@ from lpvsim.cli import _json_text
 from lpvsim.discretize import (
     SINGULAR_RTOL,
     DiscretizationConfig,
+    _judge,
     det_scale,
     dt_step_matrices,
     phi,
@@ -202,30 +203,38 @@ def test_singular_rows_is_the_per_row_rule_bit_for_bit(data):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def test_singular_rows_takes_the_per_row_rule_only_under_the_stack_bound(monkeypatch):
+def test_judge_takes_the_per_row_rule_only_under_the_stack_bound(monkeypatch):
+    # the stack-wide bound lives in the judge; singular_rows is the per-row
+    # rule alone, asked only for a stack the bound does not clear
     calls = []
 
-    def spy(A, ts):
+    def spy(det, A, ts):
         calls.append(A.shape)
-        return det_scale(A, ts)
+        return singular_rows(det, A, ts)
 
-    monkeypatch.setattr(discretize, "det_scale", spy)
+    planted = []
+    monkeypatch.setattr(discretize, "singular_rows", spy)
+    monkeypatch.setattr(np.linalg, "det", lambda M: planted[-1])
     ts = 0.1
     A = np.array([[[1e6]], [[1.0]], [[-2.0]]])
     # the stack bound is 1e-12 * 5e4 = 5e-8: every row clears it
-    assert not singular_rows(np.array([1.0, 1e-7, -1e-3]), A, ts).any()
+    planted.append(np.array([1.0, 1e-7, -1e-3]))
+    assert not _judge(A, ts)[2].any()
     assert calls == []
     # row 1 clears its own threshold, 1e-12, but not the stack's, so the
     # rows are judged one by one
-    assert list(singular_rows(np.array([1.0, 1e-10, 5e-13]), A, ts)) == [False, False, True]
+    planted.append(np.array([1.0, 1e-10, 5e-13]))
+    assert list(_judge(A, ts)[2]) == [False, False, True]
     assert calls == [(3, 1, 1)]
-    # a NaN determinant, or a NaN in A, takes the per-row rule too; with A's
-    # NaN the stack has no bound, and row 1's |det| is under its own
-    # threshold, 1e-12 * 50
-    assert not singular_rows(np.array([1.0, np.nan, 1.0]), A, ts).any()
-    A = np.array([[[np.nan]], [[1e3]]])
-    assert list(singular_rows(np.array([np.inf, 1e-11]), A, ts)) == [False, True]
-    assert calls == [(3, 1, 1), (3, 1, 1), (2, 1, 1)]
+    # a NaN determinant takes the per-row rule too, and is not singular
+    planted.append(np.array([1.0, np.nan, 1.0]))
+    assert not _judge(A, ts)[2].any()
+    # one matrix: a scalar verdict either way, the bound's or the rule's
+    planted.append(np.float64(1e-11))
+    assert _judge(A[1], ts)[2] == np.False_
+    planted.append(np.float64(1e-13))
+    assert _judge(A[1], ts)[2] == np.True_
+    assert calls == [(3, 1, 1), (3, 1, 1), (1, 1)]
 
 
 def test_sigma_step_integrator():

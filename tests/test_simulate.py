@@ -1271,6 +1271,50 @@ def test_ct_reference_refuses_an_oversample_past_the_float_range():
     assert out.x.tolist() == [[0.0, 0.0]]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ct_reference_refuses_an_oversample_too_long_to_write(sign):
+    # str() writes no int of more than 4300 digits, so the refusal states
+    # the digit count of 10**5000, which has 5001
+    cfg = DiscretizationConfig(0.1)
+    scen = Scenario(p=[SignalSpec.constant(2.0)], u=[SignalSpec.constant(1.0)],
+                    x0=[0.0, 0.0], t_end=0.05)
+    with pytest.raises(ConfigError) as exc:
+        simulate_ct_reference(msd_model(), cfg, scen, oversample=sign * 10**5000)
+    assert str(exc.value) == ("oversample must be an integer >= 1 with Ts/oversample "
+                              "> 0, got an integer of 5001 digits at Ts = 0.1")
+    with pytest.raises(ConfigError, match="got an integer of 5000 digits at"):
+        simulate_ct_reference(msd_model(), cfg, scen, oversample=sign * (10**5000 - 1))
+
+
+def test_simulate_dt_finds_the_runs_once_per_window_and_once_for_its_result(monkeypatch):
+    # one window: the result step takes the runs the window found; W
+    # windows: one search each, and one by the result step over the whole p
+    calls = []
+
+    def spy(p):
+        calls.append(len(p))
+        return runs(p)
+
+    runs = simulate._runs
+    monkeypatch.setattr(simulate, "_runs", spy)
+    rng = np.random.default_rng(3)
+    model = random_affine_model(rng)
+    lengths = [5, 1, 9, 3, 5]
+    p = piecewise_p(rng.uniform(-0.9, 0.9, (len(lengths), model.n_p)), lengths)
+    traj = Trajectory(ts=0.05, p=p, u=rng.uniform(-1, 1, (len(p), model.n_u)))
+    cfg, x0 = DiscretizationConfig(0.05), rng.uniform(-1, 1, model.n_x)
+    assert _dt_window(model) > len(p)
+    out = simulate_dt(model, cfg, traj, x0)
+    assert calls == [len(p)]
+    # the runs it passes are those the result step would find itself
+    want = simulate._result("simulate_dt", model, cfg, traj, out.x, out.xi)
+    assert out.y.tobytes() == want.y.tobytes()
+    calls.clear()
+    monkeypatch.setattr(simulate, "_dt_window", lambda model: 6)
+    simulate_dt(model, cfg, traj, x0)
+    assert calls == [6, 6, 6, 5, len(p)]
+
+
 @pytest.mark.parametrize("oversample", [2.0, np.int64(2)])
 def test_ct_reference_accepts_an_integral_oversample_of_any_type(oversample):
     cfg, scen = DiscretizationConfig(0.5), unit_scenario()
