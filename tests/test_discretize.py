@@ -235,6 +235,10 @@ def test_judge_takes_the_per_row_rule_only_under_the_stack_bound(monkeypatch):
     planted.append(np.float64(1e-13))
     assert _judge(A[1], ts)[2] == np.True_
     assert calls == [(3, 1, 1), (3, 1, 1), (1, 1)]
+    # the judge refuses a NaN in A before any verdict; the rule itself
+    # judges such a stack row by row, row 1 under its own threshold 1e-12 * 50
+    A = np.array([[[np.nan]], [[1e3]]])
+    assert list(singular_rows(np.array([np.inf, 1e-11]), A, ts)) == [False, True]
 
 
 def test_sigma_step_integrator():
