@@ -38,6 +38,7 @@ from .analyze import (
 )
 from .discretize import (
     DiscretizationConfig,
+    _count,
     dt_step_matrices,
     tustin_frozen,
     wellposedness_check,
@@ -340,9 +341,7 @@ def _scenario_from_args(model, args, ts, x0):
     if getattr(args, "steps", None) is not None:
         if args.t_end is not None:
             raise ConfigError("give --steps or --t-end, not both")
-        if args.steps < 2:
-            raise ConfigError(f"--steps must be >= 2, got {args.steps}")
-        t_end = (args.steps - 1) * ts
+        t_end = (_count(args.steps, 2, "--steps") - 1) * ts
     elif args.t_end is not None:
         t_end = args.t_end
     else:

@@ -72,6 +72,27 @@ def _check_stack(nbytes, what):
         )
 
 
+def _written(n):
+    """``f"{n}"``, or the digit count of an int too long for ``str()``."""
+    try:  # str() writes no int of more than 4300 digits
+        return f"{n}"
+    except ValueError:
+        from decimal import Decimal  # counts them without str(), on this path alone
+        return f"an integer of {Decimal(n).adjusted() + 1} digits"
+
+
+def _count(value, least, what):
+    """``value`` as an int if it is an integer >= ``least``; else (NaN, inf,
+    text, a non-integer such as 2.9) a :class:`ConfigError` naming ``what``."""
+    try:  # int() truncates 2.9 and fails on nan and inf
+        counts = int(value) == value >= least
+    except (TypeError, ValueError, OverflowError):
+        counts = False
+    if not counts:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {_written(value)}")
+    return int(value)
+
+
 @_record(eq="tuple")
 class DiscretizationConfig:
     """Sampling configuration; ``ts`` is the sampling time in seconds."""
@@ -109,23 +130,14 @@ class StepMatrices:
     Xu: np.ndarray
 
 
-def det_scale(A, ts: float):
-    """Magnitude reference for the singularity threshold of I - A*Ts/2.
-
-    ``A`` is one matrix (n, n) or a stack (m, n, n); the result is a scalar
-    or an (m,) array of ``max(1, max|A| * Ts/2)``.  max|A| is taken as
-    ``max(max A, -min A)``, equal bit for bit and without an |A| copy.
-    """
-    peak = np.maximum(A.max(axis=(-2, -1)), -A.min(axis=(-2, -1)))
-    return np.maximum(1.0, peak * (ts / 2.0))
-
-
 def singular_rows(det, A, ts: float):
-    """True where ``|det(I - A Ts/2)| < SINGULAR_RTOL * det_scale(A, Ts)``,
-    row by row, for ``det`` of one matrix A or of each of a stack, in the
-    shape of ``det``.  The judge, ``_judge``, first tests a whole stack
-    against one bound, and asks this rule only if that fails."""
-    return np.abs(det) < SINGULAR_RTOL * det_scale(A, ts)
+    """True where ``|det(I - A Ts/2)| < SINGULAR_RTOL * max(1, max|A| Ts/2)``,
+    row by row, for ``det`` of one matrix A (n, n) or of each of a stack
+    (m, n, n), in the shape of ``det``.  The judge, ``_judge``, first tests a
+    whole stack against one bound, and asks this rule only if that fails."""
+    # max|A| as max(max A, -min A): equal bit for bit, without an |A| copy
+    peak = np.maximum(A.max(axis=(-2, -1)), -A.min(axis=(-2, -1)))
+    return np.abs(det) < SINGULAR_RTOL * np.maximum(1.0, peak * (ts / 2.0))
 
 
 def _judge(A, ts: float):
@@ -133,8 +145,9 @@ def _judge(A, ts: float):
     one matrix A or a stack.  M is finite exactly when A's largest |entry|
     times Ts/2 is; else a NonFiniteError.  At a huge Ts det overflows to
     inf, which is far from singular: no warning.  That entry bounds every
-    row's :func:`det_scale`, so if every |det| clears the stack's threshold
-    no row is singular; else (a NaN det too) each row is judged by its own."""
+    row's max(1, max|A| Ts/2), so if every |det| clears the stack's
+    threshold no row is singular; else (a NaN det too) each row is judged
+    by its own."""
     # a Python float, so that a product past the float range is inf, unwarned
     scale = float(np.maximum(A.max(initial=0.0), -A.min(initial=0.0))) * (ts / 2.0)
     if not math.isfinite(scale):
@@ -148,9 +161,17 @@ def _judge(A, ts: float):
     return M, det, ~clear if clear.all() else singular_rows(det, A, ts)
 
 
-def _singular_step_error(A, det, ts, step, p):
-    """The refusal of a singular I - A Ts/2 of determinant ``det``, naming
-    ``step`` and ``p`` when ``p`` is given."""
+def _singular_step_error(A, det, bad, ts, points=None, run=None, first=0):
+    """The refusal of a singular I - A Ts/2, from :func:`_judge`'s ``det``
+    and verdict ``bad`` on one matrix A or a stack.  For a stack it names
+    the first step of the first singular row, and with ``points`` its p;
+    ``points``, ``run`` and ``first`` are those of :func:`phi`."""
+    step = p = None
+    if A.ndim == 3:
+        k = int(np.argmax(bad))
+        step = k if run is None else int(np.searchsorted(run, k))
+        A, det, p = A[k], det[k], None if points is None else points[step]
+        step += first
     where = "" if p is None else f"step k={step}, p={list(map(float, p))}: "
     return WellposednessError(
         f"{where}|det(I - A(p)*Ts/2)| = {abs(float(det)):.3e} is numerically "
@@ -194,12 +215,7 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None,
     A_p = np.asarray(A_p, dtype=float)
     M, d, bad = _judge(A_p, cfg.ts)
     if bad.any():
-        if A_p.ndim == 2:
-            raise _singular_step_error(A_p, d, cfg.ts, None, None)
-        k = int(np.argmax(bad))
-        step = k if run is None else int(np.searchsorted(run, k))
-        raise _singular_step_error(A_p[k], d[k], cfg.ts, first + step,
-                                   None if points is None else points[step])
+        raise _singular_step_error(A_p, d, bad, cfg.ts, points, run, first)
     return np.linalg.inv(M)
 
 
@@ -318,22 +334,19 @@ def wellposedness_check(
     Parameters
     ----------
     grid_per_dim : int
-        Endpoint-inclusive uniform grid points per scheduling dimension
-        (>= 2).
+        Endpoint-inclusive uniform grid points per scheduling dimension, an
+        integer >= 2; each count that is not is a ConfigError.
     random_samples : int
-        Extra uniform draws inside the box (>= 0).
+        Extra uniform draws inside the box, an integer >= 0.
     seed : int
-        RNG seed; fixed seed means a bit-identical report.
+        RNG seed, an integer >= 0; fixed seed means a bit-identical report.
     """
-    if grid_per_dim < 2:
-        raise ConfigError(f"grid_per_dim must be >= 2, got {grid_per_dim}")
-    if random_samples < 0:
-        raise ConfigError(f"random_samples must be >= 0, got {random_samples}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    grid_per_dim = _count(grid_per_dim, 2, "grid_per_dim")
+    random_samples = _count(random_samples, 0, "random_samples")
+    seed = _count(seed, 0, "seed")
     dom = model.domain
     count = 2**dom.n_p + grid_per_dim**dom.n_p + random_samples
-    _check_stack(8 * count * model.n_x**2, f"a sweep of {count} points")
+    _check_stack(8 * count * model.n_x**2, f"a sweep of {_written(count)} points")
     blocks = [dom.vertices(), dom.grid(grid_per_dim)]
     if random_samples > 0:
         rng = np.random.default_rng(seed)

@@ -35,8 +35,8 @@ from dataclasses import field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .discretize import (DiscretizationConfig, _check_stack, _judge, _singular_step_error,
-                         _step_blocks)
+from .discretize import (DiscretizationConfig, _check_stack, _count, _judge,
+                         _singular_step_error, _step_blocks, _written)
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .model import _first_false, _frozen_array, _record, check_in_box, eval_pmatrix_many
 
@@ -459,30 +459,6 @@ _solve1 = _umath_linalg.solve1
 _ORACLE_WINDOW = 64
 
 
-def _solve_loop_steps(loops, rhs, sol):
-    """Step the closed loop of the oracle through one window of samples.
-
-    Step k solves ``loops[k] (x, w) = rhs[k]`` into ``sol[k]`` and writes
-    xi(k+1) = xi(k) + w into the top half of ``rhs[k + 1]``.
-
-    Each solve is the gufunc that ``np.linalg.solve`` itself calls, with the
-    same ``dd->d`` signature, so its bits are those of ``np.linalg.solve``;
-    the public wrapper was measured to cost more than the solve itself.
-    The caller enters one errstate for the whole run instead, with every
-    floating-point warning off.  A singular window never gets here: the
-    caller refuses it before it is solved.  A diverging run, which
-    overflows to inf and then NaN, is reported by the caller's finiteness
-    check on the logs, never by a warning or a raise midway.
-    """
-    n = loops.shape[1] // 2
-    solve, add = _solve1, np.add
-    # the rows of each array are views, zipped once, so a step indexes nothing
-    steps = zip(loops, rhs, sol, rhs[:, :n], sol[:, n:], rhs[1:, :n])
-    for loop_k, rhs_k, sol_k, xi_k, w_k, xi_next in steps:
-        solve(loop_k, rhs_k, out=sol_k, signature="dd->d")
-        add(xi_k, w_k, out=xi_next)
-
-
 def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     """Independent engine: re-solve the integrator feedback loop each step.
 
@@ -502,14 +478,15 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     times the loop matrix's by block elimination, is judged by the one
     singularity test, which refuses a singular window before it is solved
     with :func:`simulate_dt`'s error for its first singular step; then -A is
-    written and the steps solved.  Each solve calls LAPACK's gesv
-    gufunc directly, the one ``np.linalg.solve`` wraps, with the same bits:
-    the wrapper's per-call checks and errstate cost about twice the solve
-    itself (see :func:`_solve_loop_steps`).  No per-point matrices (Phi or
-    the step blocks) are shared with :func:`simulate_dt`; the two paths
-    share only the model, the input and result guards, the xi(0) seed and
-    the singularity judge and refusal.  It raises as :func:`simulate_dt`
-    does, from the same input guard.
+    written and the steps solved.  Each solve calls LAPACK's gesv gufunc
+    directly, the one ``np.linalg.solve`` wraps, with its ``dd->d``
+    signature and so its bits: the wrapper's per-call checks and errstate
+    cost about twice the solve itself, so one errstate with every warning
+    off covers the run, whose divergence the result step reports.  No
+    per-point matrices (Phi or the step blocks) are shared with
+    :func:`simulate_dt`; the two paths share only the model, the input and
+    result guards, the xi(0) seed and the singularity judge and refusal.
+    It raises as :func:`simulate_dt` does, from the same input guard.
     """
     x0 = _check_run_inputs(model, cfg, traj, x0)
     ts, n, n_steps = cfg.ts, model.n_x, traj.n_steps
@@ -520,18 +497,23 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
     loops = np.empty((min(_ORACLE_WINDOW, n_steps), 2 * n, 2 * n))
     loops[:] = np.block([[(2.0 / ts) * eye, -0.5 * eye], [0.0 * eye, 0.5 * eye]])
     sol = np.empty((n_steps, 2 * n))
-    with np.errstate(all="ignore"):  # see _solve_loop_steps
+    solve, add = _solve1, np.add
+    with np.errstate(all="ignore"):
         for k0 in range(0, n_steps, len(loops)):
             k1 = min(k0 + len(loops), n_steps)
             window, A = loops[:k1 - k0], eval_pmatrix_many(model.A, traj.p[k0:k1])
             _, det, bad = _judge(A, ts)
             if bad.any():
-                j = int(np.argmax(bad))
-                raise _singular_step_error(A[j], det[j], ts, k0 + j, traj.p[k0 + j])
+                raise _singular_step_error(A, det, bad, ts, traj.p[k0:k1], first=k0)
             if k0 == 0:
                 rhs[0, :n] = _seed_xi(A[0], rhs[0, n:], x0, ts)
             np.negative(A, out=window[:, n:, :n])
-            _solve_loop_steps(window, rhs[k0:k1 + 1], sol[k0:k1])
+            # the rows of each array are views, zipped once, so a step indexes nothing
+            r, z = rhs[k0:k1 + 1], sol[k0:k1]
+            for loop_k, rhs_k, sol_k, xi_k, w_k, xi_next in zip(
+                    window, r, z, r[:, :n], z[:, n:], r[1:, :n]):
+                solve(loop_k, rhs_k, out=sol_k, signature="dd->d")
+                add(xi_k, w_k, out=xi_next)
     return _result("simulate_dt_loop_oracle", model, cfg, traj, sol[:, :n], rhs[:-1, :n])
 
 
@@ -663,19 +645,14 @@ def simulate_ct_reference(model, cfg, scenario, oversample=50) -> Trajectory:
     NonFiniteError
         If x or y is not finite at some sample, because the run diverges.
     """
-    try:  # int() truncates 2.9 and fails on nan; Ts / 10**400 overflows
-        counts = int(oversample) == oversample >= 1 and cfg.ts / int(oversample) > 0.0
-    except (TypeError, ValueError, OverflowError):
-        counts = False
-    if not counts:
-        try:  # str() writes no int of more than 4300 digits
-            got = f"{oversample}"
-        except ValueError:
-            from decimal import Decimal  # counts them without str(), on this path alone
-            got = f"an integer of {Decimal(oversample).adjusted() + 1} digits"
+    oversample = _count(oversample, 1, "oversample")
+    try:  # Ts / 10**400 overflows
+        positive = cfg.ts / oversample > 0.0
+    except OverflowError:
+        positive = False
+    if not positive:
         raise ConfigError(f"oversample must be an integer >= 1 with Ts/oversample > 0, "
-                          f"got {got} at Ts = {cfg.ts}")
-    oversample = int(oversample)
+                          f"got {_written(oversample)} at Ts = {cfg.ts}")
     samp = sample_scenario(scenario, cfg)
     x0 = _check_run_inputs(model, cfg, samp, scenario.x0)
     n_fine = (samp.n_steps - 1) * oversample

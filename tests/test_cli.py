@@ -1131,7 +1131,7 @@ def test_bad_cli_numbers_end_in_one_parse_line(capsys, argv):
 def test_a_negative_seed_is_one_parse_line(capsys, samples):
     code, out, err = run(capsys, "check", "--model", "msd", "--ts", "0.1",
                          "--samples", samples, "--seed=-1")
-    assert (code, out, err) == (1, "", "E_PARSE: seed must be >= 0, got -1\n")
+    assert (code, out, err) == (1, "", "E_PARSE: seed must be an integer >= 0, got -1\n")
 
 
 # --- generic dispatch -----------------------------------------------------------

@@ -26,7 +26,6 @@ from lpvsim.discretize import (
     SINGULAR_RTOL,
     DiscretizationConfig,
     _judge,
-    det_scale,
     dt_step_matrices,
     phi,
     sigma_step,
@@ -131,15 +130,27 @@ def test_singular_rows_threshold_scales_with_A():
     assert bool(singular_rows(3e-12, A[1], ts)) is True
 
 
-def test_det_scale_floor_and_growth():
-    assert det_scale(np.zeros((3, 3)), 0.5) == 1.0
-    assert det_scale(np.array([[-8.0]]), 1.0) == 4.0
+def _row_scale(A, ts):
+    """Each matrix's ``max(1, max|A| Ts/2)``, in the |A| form."""
+    return np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)) * (ts / 2.0))
 
 
-def test_det_scale_is_max_abs_bit_for_bit():
-    def want(A, ts):  # the |A| form
-        return np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)) * (ts / 2.0))
+def _at_threshold(threshold):
+    """Per threshold, a det at it, one ulp above and below it, and half it;
+    the verdicts are False, False, True, True."""
+    t = np.asarray(threshold)[..., None]
+    return np.concatenate((t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf), 0.5 * t),
+                          axis=-1)
 
+
+def test_singular_rows_threshold_floor_and_growth():
+    # max(1, max|A| Ts/2) is 1 at A = 0 and 4 at A = -8, Ts = 1
+    for A, ts, scale in ((np.zeros((3, 3)), 0.5, 1.0), (np.array([[-8.0]]), 1.0, 4.0)):
+        got = [bool(singular_rows(d, A, ts)) for d in _at_threshold(SINGULAR_RTOL * scale)]
+        assert got == [False, False, True, True]
+
+
+def test_singular_rows_scale_is_max_abs_bit_for_bit():
     rng = np.random.default_rng(21)
     one = rng.uniform(-60.0, 40.0, (3, 3))
     stack = rng.uniform(-50.0, 50.0, (40, 3, 3)) * rng.uniform(0.0, 1.0, (40, 1, 1))
@@ -149,9 +160,10 @@ def test_det_scale_is_max_abs_bit_for_bit():
     empty = np.zeros((0, 3, 3))
     for A in (one, stack, empty):
         for ts in (0.01, 0.1, 0.7):
-            got = det_scale(A, ts)
-            assert np.shape(got) == np.shape(want(A, ts))
-            assert np.asarray(got).tobytes() == np.asarray(want(A, ts)).tobytes()
+            det = _at_threshold(SINGULAR_RTOL * _row_scale(A, ts))
+            got = np.stack([singular_rows(d, A, ts) for d in np.moveaxis(det, -1, 0)], -1)
+            assert got.shape == A.shape[:-2] + (4,)
+            assert (got == [False, False, True, True]).all()
 
 
 #: entries of A: ordinary, signed zeros, large, and the non-finite values
@@ -176,7 +188,7 @@ def _det_near(refs, kinds):
 @given(data=st.data())
 def test_singular_rows_is_the_per_row_rule_bit_for_bit(data):
     # the stack bound only decides when it clears every row, so the verdict
-    # is always |det| < SINGULAR_RTOL * det_scale(A, Ts), row by row
+    # is always |det| < SINGULAR_RTOL * max(1, max|A| Ts/2), row by row
     n = data.draw(st.integers(1, 3), label="n")
     m = data.draw(st.one_of(st.none(), st.integers(0, 6)), label="m (None: one matrix)")
     ts = data.draw(st.sampled_from([1e-3, 0.1, 0.7, 4.0]), label="ts")
@@ -186,7 +198,7 @@ def test_singular_rows_is_the_per_row_rule_bit_for_bit(data):
     A = A.reshape((n, n) if m is None else (m, n, n))
     if m and data.draw(st.booleans(), label="one row dominates"):
         A[data.draw(st.integers(0, m - 1), label="dominant row")] *= 1e9
-    own = np.broadcast_to(SINGULAR_RTOL * det_scale(A, ts), rows)
+    own = np.broadcast_to(SINGULAR_RTOL * _row_scale(A, ts), rows)
     peak = np.max(np.abs(A), initial=0.0)
     stack = SINGULAR_RTOL * np.maximum(1.0, peak * (ts / 2.0))
     # each row's reference: its own threshold or the stack's
@@ -196,7 +208,7 @@ def test_singular_rows_is_the_per_row_rule_bit_for_bit(data):
     det = _det_near(refs, kinds)
     if m is None:
         det = det[0]
-    want = np.abs(det) < SINGULAR_RTOL * det_scale(A, ts)
+    want = np.abs(det) < SINGULAR_RTOL * _row_scale(A, ts)
     got = singular_rows(det, A, ts)
     assert type(got) is type(want)
     assert got.dtype == want.dtype and got.shape == want.shape

@@ -1274,15 +1274,18 @@ def test_ct_reference_refuses_an_oversample_past_the_float_range():
 @pytest.mark.parametrize("sign", [1, -1])
 def test_ct_reference_refuses_an_oversample_too_long_to_write(sign):
     # str() writes no int of more than 4300 digits, so the refusal states
-    # the digit count of 10**5000, which has 5001
+    # the digit count of 10**5000, which has 5001: for a negative one the
+    # count guard's, for a positive one that of Ts/oversample > 0
     cfg = DiscretizationConfig(0.1)
     scen = Scenario(p=[SignalSpec.constant(2.0)], u=[SignalSpec.constant(1.0)],
                     x0=[0.0, 0.0], t_end=0.05)
     with pytest.raises(ConfigError) as exc:
         simulate_ct_reference(msd_model(), cfg, scen, oversample=sign * 10**5000)
-    assert str(exc.value) == ("oversample must be an integer >= 1 with Ts/oversample "
-                              "> 0, got an integer of 5001 digits at Ts = 0.1")
-    with pytest.raises(ConfigError, match="got an integer of 5000 digits at"):
+    assert str(exc.value) == {
+        1: "oversample must be an integer >= 1 with Ts/oversample > 0, got an "
+           "integer of 5001 digits at Ts = 0.1",
+        -1: "oversample must be an integer >= 1, got an integer of 5001 digits"}[sign]
+    with pytest.raises(ConfigError, match="got an integer of 5000 digits"):
         simulate_ct_reference(msd_model(), cfg, scen, oversample=sign * (10**5000 - 1))
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import msd_model
 from lpvsim import SchedulingDomain, check_in_box
-from lpvsim.discretize import SINGULAR_RTOL, DiscretizationConfig, _judge, det_scale, singular_rows
+from lpvsim.discretize import SINGULAR_RTOL, DiscretizationConfig, _judge, singular_rows
 from lpvsim.errors import DataError, DomainError, NonFiniteError
 from lpvsim.model import eval_pmatrix_many
 from lpvsim.simulate import Trajectory, _check_finite_u, _result
@@ -22,6 +22,11 @@ from lpvsim.simulate import Trajectory, _check_finite_u, _result
 #: rows of a stack: the small sizes often, the large ones up to a few
 #: thousand, past a benchmark job's 320 samples
 _ROWS = st.one_of(st.integers(0, 4), st.integers(0, 2200))
+
+
+def _row_scale(A, ts):
+    """Each matrix's ``max(1, max|A| Ts/2)``, the per-row rule's scale."""
+    return np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)) * (ts / 2.0))
 
 
 def _outcome(check, *args):
@@ -161,7 +166,7 @@ def test_judge_verdict_is_singular_rows_element_for_element(data, m, seed):
 
     # planted determinants: each row at, just off, or ten times a threshold,
     # its own or the stack's, or zero or NaN; most rows clear the stack's
-    own = np.broadcast_to(SINGULAR_RTOL * det_scale(A, ts), (m,))
+    own = np.broadcast_to(SINGULAR_RTOL * _row_scale(A, ts), (m,))
     peak = np.max(np.abs(A), initial=0.0)
     stack = SINGULAR_RTOL * max(1.0, peak * (ts / 2.0))
     planted = np.full(m, 10.0 * stack)
