@@ -82,11 +82,11 @@ def log_frequency_grid(cfg: DiscretizationConfig, decades=4, points_per_decade=5
     """
     if decades <= 0 or not points_per_decade >= 1:
         raise ConfigError("grid needs decades > 0 and points_per_decade >= 1")
-    if not math.isfinite(decades):
+    if not decades < math.inf:  # NaN fails the <; an int of any size passes
         raise ConfigError(f"grid needs a finite number of decades, got {decades}")
     top = 0.9 * np.pi / cfg.ts
     try:
-        count = decades * points_per_decade
+        count = float(decades * points_per_decade)
     except OverflowError:  # an integer count beyond the float range
         count = math.inf
     _check_stack(8 * count, f"a grid of {count:.6g} frequencies")

@@ -38,7 +38,9 @@ from .analyze import (
 )
 from .discretize import (
     DiscretizationConfig,
+    _check_stack,
     _count,
+    _written,
     dt_step_matrices,
     tustin_frozen,
     wellposedness_check,
@@ -341,7 +343,9 @@ def _scenario_from_args(model, args, ts, x0):
     if getattr(args, "steps", None) is not None:
         if args.t_end is not None:
             raise ConfigError("give --steps or --t-end, not both")
-        t_end = (_count(args.steps, 2, "--steps") - 1) * ts
+        steps = _count(args.steps, 2, "--steps")  # sized before (steps - 1) Ts overflows
+        _check_stack(8 * steps * (1 + model.n_p + model.n_u), f"--steps {_written(steps)}")
+        t_end = (steps - 1) * ts
     elif args.t_end is not None:
         t_end = args.t_end
     else:

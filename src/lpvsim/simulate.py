@@ -279,12 +279,13 @@ def sigma_initial_state(model, cfg, p0, u0, x0) -> np.ndarray:
     """Internal start state that reproduces x0 exactly at the first sample.
 
     xi(0) = (2/Ts) x0 - A(p(0)) x0 - B(p(0)) u(0).  A and B come from the one
-    frozen-point guard, so a p(0) off the box is a :class:`DomainError`; an
-    x0 or u0 of another length is a :class:`DimensionError`.
+    frozen-point guard, so a p(0) off the box is a :class:`DomainError`; a u0
+    or x0 of another length is a :class:`DimensionError`, and one not finite
+    the engines' :class:`DataError` or :class:`ConfigError`.
     """
-    x0 = _sized(x0, model.n_x, "x0")
     u0 = _sized(u0, model.n_u, "u0")
     A0, B0 = model.matrices_at(p0)[:2]
+    x0 = _finite_start(model, u0[None], x0)
     return _seed_xi(A0, B0 @ u0, x0, cfg.ts)
 
 
@@ -335,7 +336,12 @@ def _check_run_inputs(model, cfg, traj, x0):
     _check_stack(traj.n_steps * _run_bytes(model),
                  f"a run of {traj.n_steps} samples at n_x = {model.n_x}")
     check_in_box(model.domain, traj.p, where=lambda k: f"step {k}")
-    _check_finite_u(traj.u, where=lambda k: f"step {k}")
+    return _finite_start(model, traj.u, x0)
+
+
+def _finite_start(model, u, x0):
+    """The engines' last input rules: each u(k) finite, then x0 as n_x finite floats."""
+    _check_finite_u(u, where=lambda k: f"step {k}")
     x0 = _sized(x0, model.n_x, "x0")
     if not np.all(np.isfinite(x0)):
         raise ConfigError(f"initial state {list(map(float, x0))} is not finite")

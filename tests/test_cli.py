@@ -354,16 +354,29 @@ def test_bad_waveforms_and_oversized_requests_are_one_line(capsys, argv, prefix)
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+_STEPS = ("--model", "msd", "--ts", "0.1", "--p", "2", "--u", "1", "--steps")
+
+
 # each request is over the stack cap by its size alone, so it is rejected
-# before anything is allocated; never add one that the cap lets through
+# before anything is allocated; never add one that the cap lets through.
+# argparse reads an int of up to 4300 digits: (10**2200)**2, the grid of a
+# two-parameter sweep, has 4401, and 10**400 steps overflow (steps - 1) Ts
 @pytest.mark.parametrize("argv", [
     ("freqresp", "--model", "lag1", "--ts", "0.1", "--decades", "1",
      "--points-per-decade", "1000000000"),
     ("check", "--model", "msd", "--ts", "0.1", "--grid", "1000000000"),
     ("check", "--model", "msd", "--ts", "0.1", "--samples", "100000000000"),
+    ("check", "--model", "{np2}", "--ts", "0.1", "--grid", "1" + "0" * 2200),
+    *[(command, *_STEPS, "1" + "0" * digits)
+      for command in ("simulate", "loop-simulate", "compare") for digits in (400, 2200)],
 ])
-def test_a_request_over_the_stack_cap_is_one_parse_line(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_a_request_over_the_stack_cap_is_one_parse_line(capsys, tmp_path, argv):
+    path = tmp_path / "np2.json"
+    path.write_text(json.dumps({
+        "nx": 1, "nu": 1, "ny": 1, "np": 2, "domain": {"lower": [0, 0], "upper": [1, 1]},
+        "A": [{"exponents": [1, 0], "coeff": [[-1.0]]}],
+    }))
+    code, out, err = run(capsys, *(a.format(np2=path) for a in argv))
     assert (code, out) == (1, "")
     assert err.startswith("E_PARSE: ") and err.count("\n") == 1
     assert err.endswith(" bytes, the most one request may allocate\n")

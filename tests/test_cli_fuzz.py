@@ -27,7 +27,7 @@ _COMMANDS = ("check", "discretize", "simulate", "loop-simulate", "freqresp", "co
              "converge")
 _LINE = re.compile(r"^E_[A-Z]+: [^\n]*\n\Z")
 _NUMBERS = ["nan", "inf", "-inf", "1e300", "-1", "0", "", "x"]
-_COUNTS = ["-1", "0", "", "x", "2.5", "1e300"]
+_COUNTS = ["-1", "0", "", "x", "2.5", "1e300", "1" + "0" * 400, "1" + "0" * 2200]
 
 
 @pytest.fixture(scope="module")

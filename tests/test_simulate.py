@@ -26,8 +26,9 @@ from conftest import (
     scalar_gain_model,
 )
 from lpvsim import LpvStateSpace, PMatrixFunction, SchedulingDomain, discretize, simulate
-from lpvsim.analyze import convergence_order
-from lpvsim.discretize import DiscretizationConfig, dt_step_matrices, phi, tustin_frozen
+from lpvsim.analyze import convergence_order, log_frequency_grid
+from lpvsim.discretize import (DiscretizationConfig, dt_step_matrices, phi, tustin_frozen,
+                               wellposedness_check)
 from lpvsim.errors import (
     ConfigError,
     DataError,
@@ -762,6 +763,14 @@ def test_engines_reject_non_finite_inputs():
         assert "step 1" in str(exc.value)
         with pytest.raises(ConfigError):
             engine(model, cfg, Trajectory(ts=0.1, p=p, u=u), [np.nan, 0.0])
+    # the start state from p(0), u(0) and x0 is refused by the engines' rules
+    for u0, x0, error in (([np.inf], [0.0, 0.0], DataError),
+                          ([1.0], [np.nan, 0.0], ConfigError)):
+        with pytest.raises(error) as want:
+            simulate_dt(model, cfg, Trajectory(ts=0.1, p=p[:1], u=[u0]), x0)
+        with pytest.raises(error) as exc:
+            sigma_initial_state(model, cfg, [2.0], u0, x0)
+        assert str(exc.value) == str(want.value)
 
 
 @pytest.mark.parametrize("engine", [simulate_dt, simulate_dt_loop_oracle])
@@ -1287,6 +1296,36 @@ def test_ct_reference_refuses_an_oversample_too_long_to_write(sign):
         -1: "oversample must be an integer >= 1, got an integer of 5001 digits"}[sign]
     with pytest.raises(ConfigError, match="got an integer of 5000 digits"):
         simulate_ct_reference(msd_model(), cfg, scen, oversample=sign * (10**5000 - 1))
+
+
+_HUGE = f"an integer of 5001 digits points takes more than {2**30} bytes"
+
+
+@pytest.mark.parametrize("counts, message", [
+    *[({"grid_per_dim": v}, f"grid_per_dim must be an integer >= 2, got {v}")
+      for v in (2.5, math.nan, -1)],
+    *[({"random_samples": v}, f"random_samples must be an integer >= 0, got {v}")
+      for v in (2.5, math.nan, -1)],
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"grid_per_dim": 10**5000}, f"a sweep of {_HUGE}"),
+    ({"random_samples": 10**5000}, f"a sweep of {_HUGE}"),
+    ({"decades": 1, "points_per_decade": 10**5000}, "a grid of inf frequencies"),
+    ({"decades": 10**5000, "points_per_decade": 1}, "a grid of inf frequencies"),
+])
+def test_a_count_that_is_no_integer_or_too_long_to_write_is_one_config_error(
+        counts, message):
+    # the sweep's counts go through the RK4 reference's count guard, and a
+    # count past the float range or str() meets the cap; a frequency grid
+    # rounds a fractional count instead, so only its cap is asked
+    cfg = DiscretizationConfig(0.1)
+    with pytest.raises(ConfigError) as exc:
+        if "decades" in counts:
+            log_frequency_grid(cfg, **counts)
+        else:
+            wellposedness_check(msd_model(), cfg, **{
+                "grid_per_dim": 3, "random_samples": 5, "seed": 0, **counts})
+    assert str(exc.value).startswith(message)
+    assert len(log_frequency_grid(cfg, 2, 2.5)) == 5
 
 
 def test_simulate_dt_finds_the_runs_once_per_window_and_once_for_its_result(monkeypatch):
