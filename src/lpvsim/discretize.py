@@ -161,11 +161,15 @@ def _judge(A, ts: float):
     return M, det, ~clear if clear.all() else singular_rows(det, A, ts)
 
 
-def _singular_step_error(A, det, bad, ts, points=None, run=None, first=0):
-    """The refusal of a singular I - A Ts/2, from :func:`_judge`'s ``det``
-    and verdict ``bad`` on one matrix A or a stack.  For a stack it names
-    the first step of the first singular row, and with ``points`` its p;
-    ``points``, ``run`` and ``first`` are those of :func:`phi`."""
+def _refuse(A, ts, points=None, run=None, first=0):
+    """``M = I - A Ts/2`` from :func:`_judge`, for one matrix A or a stack,
+    or the refusal of a singular one: a :class:`WellposednessError` that,
+    for a stack, names the first step of the first singular row, and with
+    ``points`` its p; ``points``, ``run`` and ``first`` are those of
+    :func:`phi`."""
+    M, det, bad = _judge(A, ts)
+    if not bad.any():
+        return M
     step = p = None
     if A.ndim == 3:
         k = int(np.argmax(bad))
@@ -173,7 +177,7 @@ def _singular_step_error(A, det, bad, ts, points=None, run=None, first=0):
         A, det, p = A[k], det[k], None if points is None else points[step]
         step += first
     where = "" if p is None else f"step k={step}, p={list(map(float, p))}: "
-    return WellposednessError(
+    raise WellposednessError(
         f"{where}|det(I - A(p)*Ts/2)| = {abs(float(det)):.3e} is numerically "
         f"zero (Ts = {ts})", A_p=A, ts=ts, step_index=step, p=p)
 
@@ -212,11 +216,7 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None,
     NonFiniteError
         If ``I - A_p Ts/2`` leaves the float range.
     """
-    A_p = np.asarray(A_p, dtype=float)
-    M, d, bad = _judge(A_p, cfg.ts)
-    if bad.any():
-        raise _singular_step_error(A_p, d, bad, cfg.ts, points, run, first)
-    return np.linalg.inv(M)
+    return np.linalg.inv(_refuse(np.asarray(A_p, dtype=float), cfg.ts, points, run, first))
 
 
 def _step_blocks(A, B, cfg: DiscretizationConfig, points=None, run=None, first=0):
