@@ -115,11 +115,12 @@ class StepMatrices:
     y(k)    = Cxi xi(k) + Dxi u(k)
     x(k)    = Xxi xi(k) + Xu  u(k)
 
-    The one result type of the three frozen-point builders.
-    :func:`dt_step_matrices` stores xi; :func:`sigma_step` is its B = C = I,
-    D = 0 case, driven by ubar = B(p) u with y = x; :func:`tustin_frozen`
-    stores x itself (Xxi = I, Xu = 0).  :func:`~lpvsim.simulate.simulate_dt`
-    steps the first's blocks for all samples at once; the loop oracle, none.
+    The one result type of the three frozen-point builders, which holds
+    each block as a read-only float copy.  :func:`dt_step_matrices` stores
+    xi; :func:`sigma_step` is its B = C = I, D = 0 case, driven by ubar =
+    B(p) u with y = x; :func:`tustin_frozen` stores x itself (Xxi = I,
+    Xu = 0).  :func:`~lpvsim.simulate.simulate_dt` steps the first's blocks
+    for all samples at once; the loop oracle, none.
     """
 
     Axi: np.ndarray
@@ -128,6 +129,10 @@ class StepMatrices:
     Dxi: np.ndarray
     Xxi: np.ndarray
     Xu: np.ndarray
+
+    def __post_init__(self):
+        for name in ("Axi", "Bxi", "Cxi", "Dxi", "Xxi", "Xu"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 def singular_rows(det, A, ts: float):
@@ -237,18 +242,11 @@ def _step_blocks(A, B, cfg: DiscretizationConfig, points=None, run=None, first=0
 
 
 def _pack_step(A_p, B_p, C_p, D_p, cfg: DiscretizationConfig) -> StepMatrices:
-    """Read-only :class:`StepMatrices` of the frozen (A, B, C, D), from one
+    """:class:`StepMatrices` of the frozen (A, B, C, D), from one
     :func:`_step_blocks` call."""
     DA, Bxi, Xxi = _step_blocks(A_p, B_p, cfg)
     Xu = Xxi @ B_p
-    return StepMatrices(  # Axi, Bxi, Cxi, Dxi, Xxi, Xu
-        _frozen_array(np.eye(A_p.shape[0]) + DA),
-        _frozen_array(Bxi),
-        _frozen_array(C_p @ Xxi),
-        _frozen_array(C_p @ Xu + D_p),
-        _frozen_array(Xxi),
-        _frozen_array(Xu),
-    )
+    return StepMatrices(np.eye(A_p.shape[0]) + DA, Bxi, C_p @ Xxi, C_p @ Xu + D_p, Xxi, Xu)
 
 
 def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMatrices:
@@ -276,17 +274,11 @@ def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMat
     Dd = D + C Phi B Ts/2; the stored state is x itself (Xxi = I, Xu = 0).
     """
     A_p, B_p, C_p, D_p = model.matrices_at(p)
-    Phi = phi(A_p, cfg)
-    n = model.n_x
+    Phi, eye = phi(A_p, cfg), np.eye(model.n_x)
     PhiB = Phi @ B_p
     return StepMatrices(  # Axi, Bxi, Cxi, Dxi, Xxi, Xu
-        _frozen_array(Phi @ (np.eye(n) + A_p * (cfg.ts / 2.0))),
-        _frozen_array(PhiB * cfg.ts),
-        _frozen_array(C_p @ Phi),
-        _frozen_array(D_p + (C_p @ PhiB) * (cfg.ts / 2.0)),
-        _frozen_array(np.eye(n)),
-        _frozen_array(np.zeros((n, model.n_u))),
-    )
+        Phi @ (eye + A_p * (cfg.ts / 2.0)), PhiB * cfg.ts, C_p @ Phi,
+        D_p + (C_p @ PhiB) * (cfg.ts / 2.0), eye, np.zeros_like(B_p))
 
 
 @_record(eq="tuple")
