@@ -259,7 +259,7 @@ def convergence_order(
     Parameters
     ----------
     ts_list : decreasing sequence, >= 3 entries, each exactly halving the
-        previous one (checked to 1e-9 relative) and dividing t_end
+        previous one (checked to 1e-9 relative) and dividing t_end at least once
     oversample : RK4 substeps per smallest Ts, an integer >= 1
 
     Returns
@@ -281,7 +281,7 @@ def convergence_order(
         ratio = scenario.t_end / ts
         if not math.isfinite(ratio):
             raise ConfigError(f"t_end / Ts = {scenario.t_end} / {ts} overflows")
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        if not round(ratio) >= 1 or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError(
                 f"Ts = {ts} does not divide t_end = {scenario.t_end}"
             )

@@ -417,6 +417,15 @@ def test_convergence_validations():
             convergence_order(lag_model(), scen, [0.2, 0.1, 0.05], oversample=oversample)
 
 
+def test_convergence_refuses_a_t_end_shorter_than_every_ts():
+    # t_end / Ts is below 1e-9 for each Ts, so the divisibility tolerance
+    # alone would take it as zero whole samples and run a one-sample study
+    scen = Scenario(p=[SignalSpec.constant(2.0)], u=[SignalSpec.constant(1.0)],
+                    x0=[0.0, 0.0], t_end=1e-300)
+    with pytest.raises(ConfigError, match=r"Ts = 0\.2 does not divide t_end = 1e-300"):
+        convergence_order(msd_model(), scen, [0.2, 0.1, 0.05])
+
+
 def test_convergence_second_order_on_frozen_lag():
     study = convergence_order(
         lag_model(), lag_step_scenario(), [0.2, 0.1, 0.05, 0.025], oversample=40

@@ -1117,6 +1117,13 @@ def test_converge_rejects_non_halving_list(capsys):
     assert err.startswith("E_PARSE:")
 
 
+def test_converge_refuses_a_t_end_shorter_than_every_ts(capsys):
+    code, out, err = run(capsys, "converge", "--model", "msd", "--ts-list", "0.2,0.1,0.05",
+                         "--p", "2", "--u", "1", "--t-end", "1e-300")
+    assert (code, out) == (1, "")
+    assert err == "E_PARSE: Ts = 0.2 does not divide t_end = 1e-300\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("freqresp", "--model", "lag1", "--ts", "0.1", "--decades", "nan"),
     ("freqresp", "--model", "lag1", "--ts", "0.1", "--decades", "inf"),
