@@ -306,15 +306,19 @@ def _check_finite_u(u, where):
         raise DataError(f"input {list(map(float, u[k]))} at {where(k)} is not finite")
 
 
-def _run_bytes(model):
-    """Bytes per sample that bound what either discrete engine holds at once:
-    3 (2 n_x + 1)^2 floats, a margin from when simulate_dt held its blocks
-    whole-run (both engines now window their per-step matrices), and 4 r c
-    for each (r, c) B, C or D, twice its stack and one term's product while
-    evaluated for the whole run, as the result step's C and D still are.
-    Both engines peak below half of it (tracemalloc, n_x 1 to 16)."""
+def _run_bytes(model, n_steps):
+    """Bytes that bound what either discrete engine holds at once over a run
+    of ``n_steps`` samples.  Per sample: x, xi, the oracle's (xi, B u) and
+    solution rows, y, a run index, and 2 r c for each (r, c) B, C or D, its
+    whole-run stack and one term's product while evaluated.  Once, the
+    larger window: simulate_dt's min(N, :func:`_dt_window`) steps, or the
+    oracle's ``_ORACLE_WINDOW`` steps of 7 n_x^2 floats (its (2 n_x)^2 loop
+    matrix, then A and one term's product beside the last window's A).  Both
+    engines peak below it from 100 samples on (tracemalloc, n_x 1 to 64)."""
     n, m, q = model.n_x, model.n_u, model.n_y
-    return 8 * (3 * (2 * n + 1) ** 2 + 4 * (n * m + q * n + q * m))
+    windows = max(min(n_steps, _dt_window(model)) * _dt_step_floats(model),
+                  _ORACLE_WINDOW * 7 * n * n)
+    return 8 * (n_steps * (6 * n + q + 1 + 2 * (n * m + q * n + q * m)) + windows)
 
 
 def _check_run_inputs(model, cfg, traj, x0):
@@ -333,7 +337,7 @@ def _check_run_inputs(model, cfg, traj, x0):
             f"trajectory sampled at ts = {traj.ts}, configuration has "
             f"ts = {cfg.ts}"
         )
-    _check_stack(traj.n_steps * _run_bytes(model),
+    _check_stack(_run_bytes(model, traj.n_steps),
                  f"a run of {traj.n_steps} samples at n_x = {model.n_x}")
     check_in_box(model.domain, traj.p, where=lambda k: f"step {k}")
     return _finite_start(model, traj.u, x0)
@@ -394,13 +398,18 @@ def _result(engine, model, cfg, traj, x, xi, runs=None):
 _DT_BUDGET = 2**20
 
 
-def _dt_window(model):
-    """Steps per window of simulate_dt, max(1, budget // bytes per step): a
-    step's run index and, at the window's peak, three (n, n + 1) blocks (A,
-    Phi and Ts Phi A, or G, its scan product and Xxi), or n (n + 2 n_u)
-    floats while B is evaluated.  2148 at n_x = 4, n_u = 2; 10 at n_x = 64."""
+def _dt_step_floats(model):
+    """Floats a step of simulate_dt's window holds: its run index and, at
+    the window's peak, three (n, n + 1) blocks (A, Phi and Ts Phi A, or G,
+    its scan product and Xxi), or n (n + 2 n_u) floats while B is evaluated."""
     n = model.n_x
-    return max(1, _DT_BUDGET // (8 * (max(3 * n * (n + 1), n * (n + 2 * model.n_u)) + 1)))
+    return max(3 * n * (n + 1), n * (n + 2 * model.n_u)) + 1
+
+
+def _dt_window(model):
+    """Steps per window of simulate_dt, max(1, budget // bytes per step):
+    2148 at n_x = 4, n_u = 2; 10 at n_x = 64."""
+    return max(1, _DT_BUDGET // (8 * _dt_step_floats(model)))
 
 
 def simulate_dt(model, cfg, traj, x0) -> Trajectory:

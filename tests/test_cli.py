@@ -320,7 +320,7 @@ def test_a_run_too_long_for_an_array_is_one_parse_line(capsys, argv, message):
 
 @pytest.mark.parametrize("command", ["simulate", "loop-simulate", "compare"])
 def test_a_run_over_the_engines_budget_is_one_parse_line(capsys, monkeypatch, command):
-    # msd at 10 001 samples: 240 kB of sample grid, 7.6 MB by the run budget
+    # msd at 10 001 samples: 240 kB of sample grid, 3.0 MB by the run budget
     monkeypatch.setattr(discretize, "_STACK_LIMIT", 2**20)
     code, out, err = run(capsys, command, "--model", "msd", "--ts", "0.01",
                          "--t-end", "100", "--p", "2", "--u", "1")

@@ -424,14 +424,15 @@ def test_engines_reject_width_mismatch():
 
 
 def test_every_engine_refuses_a_run_over_the_cap_before_any_work(monkeypatch):
-    # msd's run budget is 760 bytes per sample, so 1379 samples fit in 1 MiB
-    # and 10 001 do not, though their sample grid takes only 240 kB
+    # msd's run budget is 192 bytes per sample and 152 per step of
+    # simulate_dt's window, so 3048 samples fit in 1 MiB and 10 001 do not,
+    # though their sample grid takes only 240 kB
     monkeypatch.setattr(discretize, "_STACK_LIMIT", 2**20)
     model, cfg = msd_model(), DiscretizationConfig(0.01)
-    assert _run_bytes(model) == 760
-    fits = Trajectory(ts=0.01, p=np.full((1379, 1), 2.0), u=np.ones((1379, 1)))
+    assert _run_bytes(model, 3048) == 3048 * (192 + 152) < 2**20 < _run_bytes(model, 3049)
+    fits = Trajectory(ts=0.01, p=np.full((3048, 1), 2.0), u=np.ones((3048, 1)))
     for engine in (simulate_dt, simulate_dt_loop_oracle):
-        assert engine(model, cfg, fits, [0.0, 0.0]).n_steps == 1379
+        assert engine(model, cfg, fits, [0.0, 0.0]).n_steps == 3048
     message = ("a run of 10001 samples at n_x = 2 takes more than 1048576 bytes, "
                "the most one request may allocate")
     long = Trajectory(ts=0.01, p=np.full((10001, 1), 2.0), u=np.ones((10001, 1)))
@@ -476,11 +477,13 @@ def _affine_io_model(rng, n_x, n_u, n_y):
     )
 
 
-@pytest.mark.parametrize("n_x", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("n_x", [1, 2, 4, 8, 16, 64])
 def test_each_engine_peaks_under_its_run_budget(n_x):
+    # n_x = 64 runs one shape at N = 3000, past the old budget of 3 (2 n_x +
+    # 1)^2 floats a sample, which refused it from N = 2661
     rng = np.random.default_rng(n_x)
-    cfg, n = DiscretizationConfig(0.05), 1000
-    for n_u, n_y in ((1, 1), (1, 3), (3, 1), (3, 3)):
+    cfg, n = DiscretizationConfig(0.05), 3000 if n_x == 64 else 1000
+    for n_u, n_y in ((1, 1),) if n_x == 64 else ((1, 1), (1, 3), (3, 1), (3, 3)):
         model = _affine_io_model(rng, n_x, n_u, n_y)
         traj = Trajectory(ts=0.05, p=rng.uniform(-1, 1, (n, 1)),
                           u=rng.uniform(-1, 1, (n, n_u)))
@@ -491,7 +494,7 @@ def test_each_engine_peaks_under_its_run_budget(n_x):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= n * _run_bytes(model), (engine.__name__, n_u, n_y)
+            assert peak <= _run_bytes(model, n), (engine.__name__, n_u, n_y)
 
 
 def test_loop_oracle_memory_is_bounded_by_its_window():
