@@ -15,11 +15,9 @@ engine step at the same p start from bit-identical matrices:
 
 * :func:`phi` -- the resolvent itself, via an LU inverse, for one frozen
   A(p) or for a stack of them (one per run of equal points of a trajectory).
-* :func:`singular_rows` -- the one singularity predicate on
-  det(I - A(p) Ts/2), asked only by the one judge of I - A Ts/2 that
-  :func:`phi`, both simulation engines and :func:`wellposedness_check` call;
-  both engines raise its one refusal.  The judge clears a whole stack with
-  one bound from its largest |A| entry, and asks it only when that fails.
+* :func:`singular_rows` -- the one singularity rule on det(I - A(p) Ts/2),
+  asked by the one judge of I - A Ts/2 for :func:`phi`, both simulation
+  engines (which raise its one refusal) and :func:`wellposedness_check`.
 * :func:`dt_step_matrices`, :func:`sigma_step` and :func:`tustin_frozen`
   -- the three builders of the one result type, :class:`StepMatrices`:
   the loop-free update obtained by solving the instantaneous feedback
@@ -55,7 +53,7 @@ __all__ = [
     "wellposedness_check",
 ]
 
-#: |det(I - A Ts/2)| below SINGULAR_RTOL * max(1, max|A| * Ts/2) is singular.
+#: the relative threshold of the one singularity rule, :func:`singular_rows`
 SINGULAR_RTOL = 1e-12
 
 #: the most bytes one stack of a request (a frequency grid, a sweep) may take
@@ -136,10 +134,10 @@ class StepMatrices:
 
 
 def singular_rows(det, A, ts: float):
-    """True where ``|det(I - A Ts/2)| < SINGULAR_RTOL * max(1, max|A| Ts/2)``,
-    row by row, for ``det`` of one matrix A (n, n) or of each of a stack
-    (m, n, n), in the shape of ``det``.  The judge, ``_judge``, first tests a
-    whole stack against one bound, and asks this rule only if that fails."""
+    """True where ``|det(I - A Ts/2)| < SINGULAR_RTOL * max(1, max|A| Ts/2)``
+    (max|A|: A's largest |entry|), row by row, for ``det`` of one A (n, n) or
+    of each of a stack (m, n, n), in the shape of ``det``.  ``_judge`` first
+    tests a whole stack against one bound, and asks this rule if that fails."""
     # max|A| as max(max A, -min A): equal bit for bit, without an |A| copy
     peak = np.maximum(A.max(axis=(-2, -1)), -A.min(axis=(-2, -1)))
     return np.abs(det) < SINGULAR_RTOL * np.maximum(1.0, peak * (ts / 2.0))
@@ -167,11 +165,9 @@ def _judge(A, ts: float):
 
 
 def _refuse(A, ts, points=None, run=None, first=0):
-    """``M = I - A Ts/2`` from :func:`_judge`, for one matrix A or a stack,
-    or the refusal of a singular one: a :class:`WellposednessError` that,
-    for a stack, names the first step of the first singular row, and with
-    ``points`` its p; ``points``, ``run`` and ``first`` are those of
-    :func:`phi`."""
+    """``M = I - A Ts/2`` from :func:`_judge`, of one A or a stack, else the
+    :class:`WellposednessError` naming a stack's first singular step, and
+    with ``points`` its p (``points``, ``run`` and ``first`` as in :func:`phi`)."""
     M, det, bad = _judge(A, ts)
     if not bad.any():
         return M
@@ -215,9 +211,9 @@ def phi(A_p: np.ndarray, cfg: DiscretizationConfig, points=None, run=None,
     Raises
     ------
     WellposednessError
-        If ``|det(I - A_p Ts/2)|`` falls below ``1e-12 * max(1, |A_p| Ts/2)``.
-        For a stack it reports the first step of the first singular row,
-        as the error's ``step_index`` and, with ``points``, its ``p``.
+        If :func:`singular_rows` calls ``I - A_p Ts/2`` singular.  For a
+        stack it reports the first step of the first singular row, as the
+        error's ``step_index`` and, with ``points``, its ``p``.
     NonFiniteError
         If ``I - A_p Ts/2`` leaves the float range.
     """
@@ -242,8 +238,7 @@ def _step_blocks(A, B, cfg: DiscretizationConfig, points=None, run=None, first=0
 
 
 def _pack_step(A_p, B_p, C_p, D_p, cfg: DiscretizationConfig) -> StepMatrices:
-    """:class:`StepMatrices` of the frozen (A, B, C, D), from one
-    :func:`_step_blocks` call."""
+    """:class:`StepMatrices` of the frozen (A, B, C, D), from :func:`_step_blocks`."""
     DA, Bxi, Xxi = _step_blocks(A_p, B_p, cfg)
     Xu = Xxi @ B_p
     return StepMatrices(np.eye(A_p.shape[0]) + DA, Bxi, C_p @ Xxi, C_p @ Xu + D_p, Xxi, Xu)
@@ -316,9 +311,9 @@ def wellposedness_check(
     seeded uniform random draws.
 
     Records the minimum |det| and where it occurred, the largest 2-norm
-    condition number of I - A(p) Ts/2, and every sampled point whose |det|
-    fell below ``1e-12 * max(1, max|A(p)| * Ts/2)``.  When none did but
-    the sampled determinants take both signs, the segment between the most
+    condition number of I - A(p) Ts/2, and every sampled point where
+    :func:`singular_rows` calls it singular.  When none is but the
+    sampled determinants take both signs, the segment between the most
     negative and the most positive sample is bisected to a singular point,
     which is reported in ``singular_points``.  A failing condition yields
     ``passed=False``; an I - A(p) Ts/2 past the float range is a NonFiniteError.

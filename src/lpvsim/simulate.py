@@ -307,14 +307,12 @@ def _check_finite_u(u, where):
 
 
 def _run_bytes(model, n_steps):
-    """Bytes that bound what either discrete engine holds at once over a run
-    of ``n_steps`` samples.  Per sample: x, xi, the oracle's (xi, B u) and
-    solution rows, y, a run index, and 2 r c for each (r, c) B, C or D, its
-    whole-run stack and one term's product while evaluated.  Once, the
-    larger window: simulate_dt's min(N, :func:`_dt_window`) steps, or the
-    oracle's ``_ORACLE_WINDOW`` steps of 7 n_x^2 floats (its (2 n_x)^2 loop
-    matrix, then A and one term's product beside the last window's A).  Both
-    engines peak below it from 100 samples on (tracemalloc, n_x 1 to 64)."""
+    """Bytes that bound what either discrete engine holds over ``n_steps``
+    samples: per sample x, xi, the oracle's two rows, y, a run index and 2 r c
+    per (r, c) B, C or D (its whole-run stack and one term's product); once,
+    the larger window, min(N, :func:`_dt_window`) steps of simulate_dt or
+    the oracle's 64 of 7 n_x^2 floats (a loop matrix, A, one term's product
+    and the last A).  Both peak below it from N = 100 (tracemalloc, n_x <= 64)."""
     n, m, q = model.n_x, model.n_u, model.n_y
     windows = max(min(n_steps, _dt_window(model)) * _dt_step_floats(model),
                   _ORACLE_WINDOW * 7 * n * n)
@@ -399,16 +397,14 @@ _DT_BUDGET = 2**20
 
 
 def _dt_step_floats(model):
-    """Floats a step of simulate_dt's window holds: its run index and, at
-    the window's peak, three (n, n + 1) blocks (A, Phi and Ts Phi A, or G,
-    its scan product and Xxi), or n (n + 2 n_u) floats while B is evaluated."""
+    """Floats per step of simulate_dt's window at its peak: a run index and 3
+    (n, n + 1) blocks (A, Phi, Ts Phi A; or G, its scan, Xxi), or n (n + 2 n_u) with B."""
     n = model.n_x
     return max(3 * n * (n + 1), n * (n + 2 * model.n_u)) + 1
 
 
 def _dt_window(model):
-    """Steps per window of simulate_dt, max(1, budget // bytes per step):
-    2148 at n_x = 4, n_u = 2; 10 at n_x = 64."""
+    """Steps per window of simulate_dt: 2148 at n_x = 4, n_u = 2; 10 at n_x = 64."""
     return max(1, _DT_BUDGET // (8 * _dt_step_floats(model)))
 
 
