@@ -25,6 +25,7 @@ from lpvsim.cli import _json_text
 from lpvsim.discretize import (
     SINGULAR_RTOL,
     DiscretizationConfig,
+    StepMatrices,
     _judge,
     dt_step_matrices,
     phi,
@@ -325,6 +326,18 @@ def test_step_matrices_are_read_only():
     for block in (m.Axi, m.Bxi, m.Cxi, m.Dxi, m.Xxi, m.Xu):
         with pytest.raises(ValueError):
             block[0, 0] = 99.0
+
+
+def test_step_matrices_hold_read_only_float_copies():
+    given = [np.full((2, 2), k) for k in range(6)]  # writable int arrays
+    m = StepMatrices(*given)
+    for field, block in zip(dataclasses.fields(m), given):
+        held = getattr(m, field.name)
+        assert held.dtype == np.float64 and not held.flags.writeable
+        assert np.array_equal(held, block) and not np.shares_memory(held, block)
+    given[0][0, 0] = 99
+    assert m.Axi[0, 0] == 0.0
+    assert np.array_equal(tustin_frozen(lag_model(), [0.0], DiscretizationConfig(0.1)).Xu, [[0.0]])
 
 
 def test_tustin_integrator():

@@ -225,6 +225,42 @@ def test_assignment_and_deletion_are_refused(value):
         del value.extra
 
 
+def _subclass_outcomes(obj, field):
+    """What setting and deleting a non-field, then a field, does on ``obj``."""
+    obj.extra = 1
+    outcomes = [obj.extra]
+    del obj.extra
+    outcomes.append(hasattr(obj, "extra"))
+    for act in (lambda: setattr(obj, field, None), lambda: delattr(obj, field),
+                lambda: delattr(obj, "extra")):
+        try:
+            act()
+            outcomes.append("done")
+        except (dataclasses.FrozenInstanceError, AttributeError) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("value", SAMPLES, ids=IDS)
+def test_a_subclass_sets_and_deletes_what_is_not_a_field_as_the_stdlib_does(value):
+    # a subclass instance takes the frozen guard's second branch: only a
+    # field is refused, as for a subclass of a @dataclass(frozen=True) twin
+    fields = dataclasses.fields(value)
+    twin = dataclasses.make_dataclass(
+        type(value).__name__, [(f.name, object) for f in fields], frozen=True)
+    outcomes = [
+        _subclass_outcomes(type("Sub", (cls,), {})(*(getattr(value, f.name) for f in fields)),
+                           fields[0].name)
+        for cls in (type(value), twin)]
+    name = fields[0].name
+    assert outcomes[0] == outcomes[1] == [
+        1, False,
+        ("FrozenInstanceError", f"cannot assign to field '{name}'"),
+        ("FrozenInstanceError", f"cannot delete field '{name}'"),
+        ("AttributeError", "'Sub' object has no attribute 'extra'"),
+    ]
+
+
 @pytest.mark.parametrize("value", SAMPLES, ids=IDS)
 def test_dataclass_introspection(value):
     cls = type(value)
