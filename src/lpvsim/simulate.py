@@ -2,9 +2,9 @@
 
 Two discrete-time engines advance the same internal state xi over a sampled
 scheduling trajectory.  The loop-free engine builds the paper's per-step
-matrices for a window of samples at once, factoring Phi(p(k)) once per run
-of equal p(k), and runs the xi recurrence as a log-depth scan over its
-increment maps, each one block [D | s].  The loop oracle re-solves the
+matrices for a window of samples at once (A and Phi once per run of equal
+p(k), B, C and D at every step) and runs the xi recurrence as a log-depth
+scan of its increment maps, blocks [D | s].  The loop oracle re-solves the
 implicit feedback loop around the trapezoidal integrator block at every
 step, one fixed window of steps at a time, and refuses a window with a
 singular det(I - A Ts/2) before solving it.  Both realize the identical
@@ -363,28 +363,18 @@ def _runs(p):
     return (p, None) if starts.all() else (p[starts], np.cumsum(starts) - 1)
 
 
-def _at_steps(f, runs):
-    """f(p(k)) at every step, evaluated once per run of :func:`_runs`."""
-    points, run = runs
-    M = eval_pmatrix_many(f, points)
-    # np.take: 3-4 us against 6-10 us for M[run] at N = 320 (2-core Xeon)
-    return M if run is None else np.take(M, run, axis=0)
-
-
-def _result(engine, model, cfg, traj, x, xi, runs=None):
-    """The engines' one result step: y = C(p) x + D(p) u, C and D once per
-    run of equal points (``runs``: :func:`_runs` of p, if simulate_dt found
-    it in one window), one finiteness guard, the run's :class:`Trajectory`.
+def _result(engine, model, cfg, traj, x, xi):
+    """The engines' one result step: y = C(p) x + D(p) u, C and D evaluated
+    at every step, one finiteness guard, the run's :class:`Trajectory`.
 
     Raises :class:`NonFiniteError` at the first step where a row of x, xi
     (None for the RK4 reference) or y is not finite, which a run from
     finite inputs reaches only by diverging."""
     p, u = traj.p, traj.u
-    runs = _runs(p) if runs is None else runs
     # as in the engines, a diverging run is reported by the guard below
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _matvecs(_at_steps(model.C, runs), x)
-        y += _matvecs(_at_steps(model.D, runs), u)
+        y = _matvecs(eval_pmatrix_many(model.C, p), x)
+        y += _matvecs(eval_pmatrix_many(model.D, p), u)
     k = _first_false(*(np.isfinite(a) for a in (x, xi, y) if a is not None))
     if k is not None:
         raise NonFiniteError(f"{engine}: state or output is not finite at step k={k} "
@@ -412,13 +402,13 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     """Run the loop-free per-step matrices over a sampled trajectory.
 
     The run is cut into fixed windows of :func:`_dt_window` steps; only the
-    xi, x and result logs are whole-run.  Per window, A and B are evaluated
-    once per run of bit-equal points, and :func:`~lpvsim.discretize.phi`
-    once per run gives each step's blocks D = Ts Phi A, s = 2 Phi B u and
-    Xxi = Ts/2 Phi, bit for bit those of its own p.  The recurrence xi(k+1)
-    = xi(k) + G_k [xi(k); 1], G_k = [D_k | s_k], is a chain of increment
-    maps, which :func:`_scan_window` runs from the state ending the previous
-    window (rounding in the last digits only); x(k) = Xxi (xi(k) + B u(k)).
+    xi, x and result logs are whole-run.  Per window, A and Phi are formed
+    (:func:`~lpvsim.discretize.phi`) once per run of bit-equal points and B
+    at every step, as C and D are by the result step: each step's blocks
+    D = Ts Phi A, s = 2 Phi B u and Xxi = Ts/2 Phi are those of its own p,
+    bit for bit.  The recurrence xi(k+1) = xi(k) + [D_k | s_k] [xi(k); 1]
+    is a chain of increment maps, which :func:`_scan_window` runs from the
+    state ending the previous window; x(k) = Xxi (xi(k) + B u(k)).
 
     Raises
     ------
@@ -443,9 +433,9 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, traj.n_steps, window):
             p = traj.p[k0:k0 + window]
-            points, run = runs = _runs(p)
+            points, run = _runs(p)
             A = eval_pmatrix_many(model.A, points)
-            Bu = _matvecs(_at_steps(model.B, runs), traj.u[k0:k0 + window])
+            Bu = _matvecs(eval_pmatrix_many(model.B, p), traj.u[k0:k0 + window])
             if k0 == 0:
                 xi = xis[0] = _seed_xi(A[0], Bu[0], x0, cfg.ts)
             # Bu as the blocks' B makes Bxi s itself; A, D and s go before the scan
@@ -458,7 +448,7 @@ def simulate_dt(model, cfg, traj, x0) -> Trajectory:
             if k0 == 0:  # allocated after the scan, whose peak it would raise
                 x = np.empty((traj.n_steps, n))
             x[k0:k0 + len(p)] = _matvecs(Xxi, xis[k0:k0 + len(p)] + Bu)
-    return _result("simulate_dt", model, cfg, traj, x, xis[:-1], runs if k0 == 0 else None)
+    return _result("simulate_dt", model, cfg, traj, x, xis[:-1])
 
 
 #: the LAPACK gufunc behind ``np.linalg.solve`` (one matrix, one right-hand
@@ -482,8 +472,8 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
 
     The top half of each right-hand side is xi itself, so a step is one
     solve into its solution row and one add of 2 r x into the next step's
-    top half.  B u is evaluated batched at every step, C and D once per run
-    of equal points by the result step.  The loop matrices live in one
+    top half.  B u, C and D are evaluated batched at every step, C and D by
+    the result step.  The loop matrices live in one
     buffer of ``_ORACLE_WINDOW`` steps whose constant blocks are written
     once; per window, A(p(k)) is evaluated once and det(I - A Ts/2), Ts^n
     times the loop matrix's by block elimination, is judged by the one

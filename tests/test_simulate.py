@@ -1331,9 +1331,9 @@ def test_a_count_that_is_no_integer_or_too_long_to_write_is_one_config_error(
     assert len(log_frequency_grid(cfg, 2, 2.5)) == 5
 
 
-def test_simulate_dt_finds_the_runs_once_per_window_and_once_for_its_result(monkeypatch):
-    # one window: the result step takes the runs the window found; W
-    # windows: one search each, and one by the result step over the whole p
+def test_simulate_dt_finds_the_runs_once_per_window(monkeypatch):
+    # one search per window, and none by the result step, which evaluates C
+    # and D at every step
     calls = []
 
     def spy(p):
@@ -1349,15 +1349,12 @@ def test_simulate_dt_finds_the_runs_once_per_window_and_once_for_its_result(monk
     traj = Trajectory(ts=0.05, p=p, u=rng.uniform(-1, 1, (len(p), model.n_u)))
     cfg, x0 = DiscretizationConfig(0.05), rng.uniform(-1, 1, model.n_x)
     assert _dt_window(model) > len(p)
-    out = simulate_dt(model, cfg, traj, x0)
+    simulate_dt(model, cfg, traj, x0)
     assert calls == [len(p)]
-    # the runs it passes are those the result step would find itself
-    want = simulate._result("simulate_dt", model, cfg, traj, out.x, out.xi)
-    assert out.y.tobytes() == want.y.tobytes()
     calls.clear()
     monkeypatch.setattr(simulate, "_dt_window", lambda model: 6)
     simulate_dt(model, cfg, traj, x0)
-    assert calls == [6, 6, 6, 5, len(p)]
+    assert calls == [6, 6, 6, 5]
 
 
 @pytest.mark.parametrize("oversample", [2.0, np.int64(2)])
@@ -2114,26 +2111,26 @@ def moving_io_model(rng):
 @pytest.mark.parametrize("p, runs", [
     (piecewise_p([[2.0], [7.5], [0.25]], [4, 5, 3]), 3),
     (np.linspace(0.0, 10.0, 12)[:, None], 12),
-    # a -0.0 after a 0.0 starts a run of B, C and D too
+    # a -0.0 after a 0.0 starts a run of A
     (np.array([[0.0], [-0.0], [-0.0], [0.0]]), 3),
 ])
-def test_b_c_and_d_are_evaluated_once_per_run(monkeypatch, p, runs):
+def test_a_is_evaluated_once_per_run_and_b_c_and_d_at_every_step(monkeypatch, p, runs):
     model = scalar_gain_model(-1.0, hi=40.0)
     cfg = DiscretizationConfig(0.1)
     traj = Trajectory(ts=0.1, p=p, u=np.ones((len(p), 1)))
     rows = matrix_rows(monkeypatch, model)
     simulate_dt(model, cfg, traj, [0.5])
-    assert sorted(rows) == [("A", runs), ("B", runs), ("C", runs), ("D", runs)]
+    assert sorted(rows) == [("A", runs), ("B", len(p)), ("C", len(p)), ("D", len(p))]
     rows.clear()
-    # the oracle evaluates its own A and B at every step
+    # the oracle evaluates all four at every step
     simulate_dt_loop_oracle(model, cfg, traj, [0.5])
-    assert sorted(rows) == [("A", len(p)), ("B", len(p)), ("C", runs), ("D", runs)]
+    assert sorted(rows) == [("A", len(p)), ("B", len(p)), ("C", len(p)), ("D", len(p))]
 
 
 @pytest.mark.parametrize("engine", [simulate_dt, simulate_dt_loop_oracle])
 def test_gathered_b_c_and_d_give_the_bits_of_every_step(monkeypatch, engine):
-    # y = C(p) x + D(p) u, and simulate_dt's B u, from the runs' matrices
-    # gathered to the steps equal those of the whole per-step stacks
+    # y = C(p) x + D(p) u, and simulate_dt's B u, on a piecewise p equal
+    # those of the whole per-step stacks
     rng = np.random.default_rng(28)
     model = moving_io_model(rng)
     levels = rng.uniform(-0.9, 0.9, (5, 2))
