@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .discretize import DiscretizationConfig, StepMatrices, _check_stack, dt_step_matrices
+from .discretize import (DiscretizationConfig, StepMatrices, _check_stack, _matrices_at,
+                         dt_step_matrices)
 from .errors import ConfigError, DimensionError, DomainError
 from .model import LpvStateSpace, _frozen_array, _record
 from .simulate import (
@@ -138,7 +139,7 @@ def freqresp_ct(model: LpvStateSpace, p, omegas) -> FrequencyResponse:
         at some frequency (the first such one is named).
     """
     omegas = np.asarray(omegas, dtype=float)
-    return _response(1j * omegas, omegas, *model.matrices_at(p))
+    return _response(1j * omegas, omegas, *_matrices_at(model, p))
 
 
 def freqresp_dt(step: StepMatrices, cfg: DiscretizationConfig, omegas) -> FrequencyResponse:

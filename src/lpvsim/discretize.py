@@ -237,6 +237,13 @@ def _step_blocks(A, B, cfg: DiscretizationConfig, points=None, run=None, first=0
     return DA, PhiB, Phi
 
 
+def _matrices_at(model: LpvStateSpace, p):
+    """``model.matrices_at(p)``, after :func:`_check_stack` of its largest matrix."""
+    rows, cols = max(model.n_x, model.n_y), max(model.n_x, model.n_u)
+    _check_stack(8 * rows * cols, f"a frozen {rows} x {cols} matrix")
+    return model.matrices_at(p)
+
+
 def _pack_step(A_p, B_p, C_p, D_p, cfg: DiscretizationConfig) -> StepMatrices:
     """:class:`StepMatrices` of the frozen (A, B, C, D), from :func:`_step_blocks`."""
     DA, Bxi, Xxi = _step_blocks(A_p, B_p, cfg)
@@ -250,7 +257,7 @@ def sigma_step(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMatric
     x itself.  Raises as it does: DomainError for a p outside the box, and
     WellposednessError from :func:`phi`."""
     eye = np.eye(model.n_x)
-    return _pack_step(model.matrices_at(p)[0], eye, eye, 0.0 * eye, cfg)
+    return _pack_step(_matrices_at(model, p)[0], eye, eye, 0.0 * eye, cfg)
 
 
 def dt_step_matrices(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMatrices:
@@ -259,7 +266,7 @@ def dt_step_matrices(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> Step
     The induced update is xi(k+1) = Axi xi + Bxi u, y = Cxi xi + Dxi u, and
     the physical state is reconstructed as x = Xxi xi + Xu u.
     """
-    return _pack_step(*model.matrices_at(p), cfg)
+    return _pack_step(*_matrices_at(model, p), cfg)
 
 
 def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMatrices:
@@ -268,7 +275,7 @@ def tustin_frozen(model: LpvStateSpace, p, cfg: DiscretizationConfig) -> StepMat
     Ad = Phi (I + A Ts/2), Bd = Phi B Ts, Cd = C Phi,
     Dd = D + C Phi B Ts/2; the stored state is x itself (Xxi = I, Xu = 0).
     """
-    A_p, B_p, C_p, D_p = model.matrices_at(p)
+    A_p, B_p, C_p, D_p = _matrices_at(model, p)
     Phi, eye = phi(A_p, cfg), np.eye(model.n_x)
     PhiB = Phi @ B_p
     return StepMatrices(  # Axi, Bxi, Cxi, Dxi, Xxi, Xu

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -327,6 +328,37 @@ def test_a_run_over_the_engines_budget_is_one_parse_line(capsys, monkeypatch, co
     assert (code, out) == (1, "")
     assert err == ("E_PARSE: a run of 10001 samples at n_x = 2 takes more than "
                    "1048576 bytes, the most one request may allocate\n")
+
+
+def _zero_model(path, n_x):
+    path.write_text(json.dumps({
+        "nx": n_x, "nu": 1, "ny": 1, "np": 1, "domain": {"lower": [0], "upper": [1]},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["discretize", "freqresp"])
+def test_a_frozen_matrix_over_the_stack_cap_is_one_parse_line(
+    capsys, monkeypatch, tmp_path, command
+):
+    # one (363, 363) matrix takes 1 054 152 bytes, over a cap of 2**20, and
+    # is refused before it is built; both commands built a frozen point's
+    # A..D before any check of the cap
+    monkeypatch.setattr(discretize, "_STACK_LIMIT", 2**20)
+    path = _zero_model(tmp_path / "zero.json", 363)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, "--model", path, "--ts", "0.1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ("E_PARSE: a frozen 363 x 363 matrix takes more than 1048576 bytes, "
+                   "the most one request may allocate\n")
+    assert peak < 2**20
+    if command == "discretize":  # a (362, 362) matrix, 1 048 352 bytes, fits
+        path = _zero_model(tmp_path / "zero.json", 362)
+        assert run(capsys, command, "--model", path, "--ts", "0.1")[::2] == (0, "")
 
 
 _SIM = ("simulate", "--model", "msd", "--ts", "0.1", "--t-end", "0.3", "--p", "2")
