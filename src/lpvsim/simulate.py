@@ -311,11 +311,11 @@ def _run_bytes(model, n_steps):
     samples: per sample x, xi, the oracle's two rows, y, a run index and 2 r c
     per (r, c) B, C or D (its whole-run stack and one term's product); once,
     the larger window, min(N, :func:`_dt_window`) steps of simulate_dt or
-    the oracle's 64 of 7 n_x^2 floats (a loop matrix, A, one term's product
-    and the last A).  Both peak below it from N = 100 (tracemalloc, n_x <= 64)."""
+    the oracle's 64 of 6 n_x^2 floats (a loop matrix, A and one term's
+    product).  Both peak below it from N = 100 (tracemalloc, n_x <= 64)."""
     n, m, q = model.n_x, model.n_u, model.n_y
     windows = max(min(n_steps, _dt_window(model)) * _dt_step_floats(model),
-                  _ORACLE_WINDOW * 7 * n * n)
+                  _ORACLE_WINDOW * 6 * n * n)
     return 8 * (n_steps * (6 * n + q + 1 + 2 * (n * m + q * n + q * m)) + windows)
 
 
@@ -507,6 +507,7 @@ def simulate_dt_loop_oracle(model, cfg, traj, x0) -> Trajectory:
             if k0 == 0:
                 rhs[0, :n] = _seed_xi(A[0], rhs[0, n:], x0, ts)
             np.negative(A, out=window[:, n:, :n])
+            del A  # else it lives on while the next window's A is evaluated
             # the rows of each array are views, zipped once, so a step indexes nothing
             r, z = rhs[k0:k1 + 1], sol[k0:k1]
             for loop_k, rhs_k, sol_k, xi_k, w_k, xi_next in zip(

@@ -13,7 +13,7 @@ _spec.loader.exec_module(src_lines)
 #: the most lines ``src/lpvsim`` may hold, as ``tools/src_lines.py`` totals
 #: them.  A change that removes lines lowers it to the new count; one that
 #: must add lines raises it only with the count and the reason in CHANGES.md
-SRC_LINE_CEILING = 2954
+SRC_LINE_CEILING = 2955
 
 
 def test_src_holds_no_more_lines_than_its_ceiling():
