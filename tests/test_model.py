@@ -55,6 +55,16 @@ def test_eval_monomials_two_params():
     assert_allclose(eval_pmatrix(f, [2.0, 3.0]), [[14.0]], rtol=0, atol=0)
 
 
+def test_calling_a_matrix_function_is_eval_pmatrix():
+    f = PMatrixFunction(2, 2, (((0, 0), [[-0.0, 1.5], [0.3, -0.0]]),
+                               ((2, 1), [[0.9, -0.7], [0.1, 1.7]])))
+    for p in ([0.3, -1.7], [-0.0, 0.0], np.array([2.5, 1e-3])):
+        assert f(p).tobytes() == eval_pmatrix(f, p).tobytes()
+    with pytest.raises(DimensionError) as exc:
+        f([[0.3, -1.7]])
+    assert str(exc.value) == "scheduling point must be a vector, got shape (1, 2)"
+
+
 def test_eval_zero_function_and_many():
     z = PMatrixFunction.zero(2, 3)
     assert_array_equal(eval_pmatrix(z, [1.0]), np.zeros((2, 3)))
